@@ -1,11 +1,12 @@
-//! Blocked batch-distance k-NN kernel vs the scalar streaming path.
+//! k-NN batch classification vs the row-by-row streaming path.
 //!
-//! The batch classifier precomputes per-training-row squared norms and
-//! computes whole distance blocks via the `|x|² + |t|² − 2·x·t`
-//! expansion with cache tiling (see `appclass_linalg::batch`), falling
-//! back to exact scalar re-scoring only for top-k candidates. These
-//! groups measure the payoff across batch sizes and training-pool
-//! shapes, with the row-by-row streaming path as the baseline.
+//! Both paths answer each query from the classifier's PC1-sorted
+//! neighbour index: a binary search on the first coordinate, then an
+//! outward scan that stops once the first-coordinate gap alone exceeds
+//! the current k-th distance. These groups measure it across batch sizes
+//! on the paper's post-PCA shape (2-D, where the first coordinate is the
+//! highest-variance axis and prunes most rows) and on a wider uniform
+//! pool (8-D, where one coordinate prunes far less).
 
 use appclass_core::knn::{Distance, KnnClassifier};
 use appclass_core::AppClass;

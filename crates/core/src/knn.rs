@@ -3,24 +3,24 @@
 //! "The k-NN classifier decides the class by considering the votes of k (an
 //! odd number) nearest neighbors" (§3); the paper uses **3-NN** following
 //! Kapadia's finding that nearest-neighbour methods beat locally weighted
-//! regression for this kind of data. Each test snapshot's distance to every
-//! training snapshot is computed in the PCA feature space, the three
+//! regression for this kind of data. Each test snapshot's distance to the
+//! training snapshots is computed in the PCA feature space, the three
 //! nearest vote, and ties break toward the class of the single nearest
 //! neighbour — deterministic, like everything in this reproduction.
 //!
-//! Batches take a blocked hot path: per-training-row squared norms are
-//! computed once at construction, a query block's distances come from the
-//! `|x|² + |t|² − 2·x·t` expansion ([`appclass_linalg::batch`]), and the
-//! candidate top-k is re-scored with the scalar kernel before voting so
-//! batch labels stay **bitwise-identical** to the streaming path
-//! (DESIGN.md §10).
+//! Construction sorts the training rows by their first coordinate — PC1,
+//! the highest-variance axis the PCA stage emits — into an exact
+//! neighbour index. A query binary-searches its PC1 value and scans
+//! outward, stopping a side once the PC1 gap alone exceeds the current
+//! k-th distance, so it visits a few dozen rows instead of all of them.
+//! Streaming and batch classification run this one search, so their
+//! labels are identical by construction (DESIGN.md §10).
 
 use crate::class::AppClass;
 use crate::error::{Error, Result};
 use crate::stage::{encode_classes, Stage, StreamingStage};
-use appclass_linalg::{batch, vector, Matrix};
+use appclass_linalg::{vector, Matrix};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::sync::OnceLock;
 
 /// Distance metric for neighbour search. The paper's geometric "closest"
 /// is Euclidean; the alternatives exist for the ablation benches.
@@ -33,26 +33,6 @@ pub enum Distance {
     Manhattan,
     /// Chebyshev (L∞).
     Chebyshev,
-}
-
-impl Distance {
-    #[inline]
-    fn eval(self, a: &[f64], b: &[f64]) -> f64 {
-        match self {
-            // Squared Euclidean preserves ordering and skips the sqrt.
-            Distance::Euclidean => vector::sq_euclidean(a, b),
-            Distance::Manhattan => vector::manhattan(a, b),
-            Distance::Chebyshev => vector::chebyshev(a, b),
-        }
-    }
-}
-
-/// Worker count for large batches, looked up once per process rather
-/// than on every `classify_batch` call.
-fn knn_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS
-        .get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(1))
 }
 
 /// A trained k-NN classifier over labelled points in feature space.
@@ -83,22 +63,24 @@ pub struct KnnClassifier {
     points: Matrix,
     labels: Vec<AppClass>,
     distance: Distance,
-    /// Per-training-row squared norms, precomputed for the batch kernel.
+    /// The neighbour index: `points` rows stably sorted by their first
+    /// coordinate, stored contiguously (row-major, `dim` values each).
     /// Derived from `points`, so excluded from the serialized form and
     /// rebuilt on deserialization.
-    norms: Vec<f64>,
-    /// `max(norms)`, for the expansion error margin.
-    max_norm: f64,
-    /// Column-major copy of `points` for the vectorizable expansion
-    /// kernel. Derived, like `norms`.
-    cols: batch::TrainingColumns,
+    sorted: Vec<f64>,
+    /// First coordinate of each `sorted` row (0 for zero-width points):
+    /// the binary-search and pruning key.
+    keys: Vec<f64>,
+    /// Original `points` row index of each `sorted` row.
+    order: Vec<usize>,
 }
 
 impl KnnClassifier {
     /// Builds a classifier from training points (rows) and their labels.
     ///
     /// `k` must be odd and positive (the paper uses 3). If fewer training
-    /// points than `k` exist, every vote uses all of them.
+    /// points than `k` exist, every vote uses all of them. Non-finite
+    /// coordinates are rejected: the index sorts and prunes on them.
     pub fn new(
         k: usize,
         points: Matrix,
@@ -114,10 +96,13 @@ impl KnnClassifier {
         if points.rows() != labels.len() {
             return Err(Error::FeatureMismatch { expected: points.rows(), got: labels.len() });
         }
-        let norms = batch::row_sq_norms(&points);
-        let max_norm = norms.iter().cloned().fold(0.0, f64::max);
-        let cols = batch::TrainingColumns::from_matrix(&points);
-        Ok(KnnClassifier { k, points, labels, distance, norms, max_norm, cols })
+        points.check_finite().map_err(Error::Linalg)?;
+        let key = |i: usize| points.row(i).first().copied().unwrap_or(0.0);
+        let mut order: Vec<usize> = (0..points.rows()).collect();
+        order.sort_by(|&a, &b| key(a).total_cmp(&key(b)));
+        let sorted = order.iter().flat_map(|&i| points.row(i)).copied().collect();
+        let keys = order.iter().map(|&i| key(i)).collect();
+        Ok(KnnClassifier { k, points, labels, distance, sorted, keys, order })
     }
 
     /// The paper's configuration: 3-NN with Euclidean distance.
@@ -150,65 +135,6 @@ impl KnnClassifier {
         &self.labels
     }
 
-    /// Top-k selection and majority vote over `(distance, index)` pairs,
-    /// fed in increasing index order. This is *the* neighbour-selection
-    /// rule: both the streaming path and the batch candidate re-score
-    /// funnel through it, which is what makes them bitwise-identical.
-    fn vote(&self, k: usize, pairs: impl Iterator<Item = (f64, usize)>) -> AppClass {
-        // Partial selection of the k smallest distances. k is tiny (3), so
-        // a simple insertion pass over a fixed-size buffer beats sorting
-        // the whole distance vector. Unfilled slots hold +∞ sentinels, so
-        // real (finite) distances always sort before them and the filled
-        // entries form a sorted prefix — which keeps the per-call buffer
-        // on the stack for any reasonable k (the online hot path must not
-        // allocate).
-        const STACK_K: usize = 32;
-        let mut stack_buf = [(f64::INFINITY, usize::MAX); STACK_K];
-        let mut heap_buf: Vec<(f64, usize)>;
-        let best: &mut [(f64, usize)] = if k <= STACK_K {
-            &mut stack_buf[..k]
-        } else {
-            heap_buf = vec![(f64::INFINITY, usize::MAX); k];
-            &mut heap_buf
-        };
-        for (d, i) in pairs {
-            // Fast reject: the buffer is sorted, so `d` belongs in the top
-            // k iff it beats the current kth entry (`partition_point`
-            // below lands at `k` exactly when `d >= best[k-1].0`, ties
-            // included). One predictable compare dismisses the vast
-            // majority of candidates; NaN fails the compare and falls
-            // through to the insertion path, where it sorts the same way
-            // it always did.
-            if d >= best[k - 1].0 {
-                continue;
-            }
-            // Insert in sorted order if it belongs in the top k. `<` keeps
-            // the earliest index on exact ties → determinism.
-            let pos = best.partition_point(|&(bd, _)| bd <= d);
-            if pos < k {
-                best[pos..].rotate_right(1);
-                best[pos] = (d, i);
-            }
-        }
-
-        // Vote over the filled prefix.
-        let filled = best.partition_point(|&(_, i)| i != usize::MAX);
-        let best = &best[..filled];
-        let mut counts = [0usize; 5];
-        for &(_, i) in best {
-            counts[self.labels[i].index()] += 1;
-        }
-        let max_count = *counts.iter().max().expect("five classes");
-        // Tie-break: the nearest neighbour whose class has max_count wins.
-        for &(_, i) in best {
-            let c = self.labels[i];
-            if counts[c.index()] == max_count {
-                return c;
-            }
-        }
-        unreachable!("best is non-empty");
-    }
-
     /// Classifies one point: the majority vote of its k nearest training
     /// neighbours, ties broken by the nearest neighbour among the tied
     /// classes.
@@ -222,172 +148,129 @@ impl KnnClassifier {
         if let Some(col) = point.iter().position(|v| !v.is_finite()) {
             return Err(Error::Linalg(appclass_linalg::Error::NonFinite { row: 0, col }));
         }
-        let k = self.k.min(self.points.rows());
-        Ok(self.vote(
-            k,
-            self.points.iter_rows().enumerate().map(|(i, row)| (self.distance.eval(point, row), i)),
-        ))
-    }
-
-    /// Classifies one query row given its precomputed norm-expansion
-    /// distance row `d_exp` (one entry per training point). Selects the
-    /// candidate top-k by expansion distance, then re-scores candidates
-    /// with the scalar kernel so the result is bitwise-identical to
-    /// [`KnnClassifier::classify`].
-    fn classify_expansion_row(&self, point: &[f64], d_exp: &[f64], q_norm: f64) -> AppClass {
-        let n = self.points.rows();
-        let k = self.k.min(n);
-        // The margin argument needs finite arithmetic end to end; with
-        // norms near overflow the expansion can produce ±∞/NaN entries,
-        // so fall back to the exact full scan for this row.
-        let scale = q_norm + self.max_norm;
-        if !(4.0 * scale).is_finite() {
-            return self.vote(
-                k,
-                self.points
-                    .iter_rows()
-                    .enumerate()
-                    .map(|(i, row)| (vector::sq_euclidean(point, row), i)),
-            );
-        }
-        // τ = kth-smallest expansion distance. Any index the exact rule
-        // would select sits within twice the expansion error of τ, so the
-        // candidate cut below cannot lose a true neighbour.
-        const STACK_K: usize = 32;
-        let mut stack_buf = [f64::INFINITY; STACK_K];
-        let mut heap_buf: Vec<f64>;
-        let top: &mut [f64] = if k <= STACK_K {
-            &mut stack_buf[..k]
-        } else {
-            heap_buf = vec![f64::INFINITY; k];
-            &mut heap_buf
-        };
-        for &d in d_exp {
-            // Same fast-reject as `vote`: skip unless `d` strictly beats
-            // the current kth-smallest (NaN falls through, unchanged).
-            if d >= top[k - 1] {
-                continue;
-            }
-            let pos = top.partition_point(|&bd| bd <= d);
-            if pos < k {
-                top[pos..].rotate_right(1);
-                top[pos] = d;
-            }
-        }
-        let tau = top[k - 1];
-        let cutoff = tau + 2.0 * batch::expansion_margin(self.dim(), q_norm, self.max_norm);
-        self.vote(
-            k,
-            d_exp
-                .iter()
-                .enumerate()
-                .filter(|&(_, d)| *d <= cutoff)
-                .map(|(j, _)| (vector::sq_euclidean(point, self.points.row(j)), j)),
-        )
-    }
-
-    /// Classifies the contiguous query rows `[row0, row0 + out.len())` of
-    /// `samples` via the blocked expansion kernel, writing into `out`.
-    fn classify_block_euclidean(
-        &self,
-        samples: &Matrix,
-        row0: usize,
-        q_norms: &[f64],
-        out: &mut [AppClass],
-    ) {
-        let q = self.dim();
-        let n = self.points.rows();
-        let data = samples.as_slice();
-        // Block height balances scratch size (block × n distances) against
-        // per-block kernel dispatch; 8 rows of distances against a few
-        // thousand training rows keeps the scratch (and the re-scored
-        // candidate rows) resident in L1/L2 between the kernel pass and
-        // the selection scan.
-        const Q_BLOCK: usize = 8;
-        let end = row0 + out.len();
-        let mut scratch = Vec::new();
-        let mut r0 = row0;
-        while r0 < end {
-            let r1 = (r0 + Q_BLOCK).min(end);
-            batch::sq_distance_cols_into(
-                &data[r0 * q..r1 * q],
-                q,
-                &q_norms[r0..r1],
-                &self.cols,
-                &self.norms,
-                &mut scratch,
-            );
-            for row_idx in r0..r1 {
-                let point = &data[row_idx * q..(row_idx + 1) * q];
-                let d_exp = &scratch[(row_idx - r0) * n..(row_idx - r0 + 1) * n];
-                out[row_idx - row0] = self.classify_expansion_row(point, d_exp, q_norms[row_idx]);
-            }
-            r0 = r1;
-        }
+        Ok(self.classify_valid(point))
     }
 
     /// Classifies every row of a sample matrix — the paper's class vector
-    /// `C(1×m)`. Euclidean batches run the blocked norm-expansion kernel
-    /// (bitwise-identical labels to the streaming path); rows fan out
-    /// over threads when the batch is large.
+    /// `C(1×m)`. Each row runs the same index search as
+    /// [`KnnClassifier::classify`], so the labels are identical to the
+    /// streaming path's.
     pub fn classify_batch(&self, samples: &Matrix) -> Result<Vec<AppClass>> {
         if samples.cols() != self.dim() {
             return Err(Error::FeatureMismatch { expected: self.dim(), got: samples.cols() });
         }
-        // Validate up front so the parallel path below cannot encounter a
-        // per-row error it would have to swallow.
         samples.check_finite().map_err(Error::Linalg)?;
-        let m = samples.rows();
-        if m == 0 {
-            return Ok(Vec::new());
-        }
-        const PAR_THRESHOLD: usize = 512;
-        if self.distance != Distance::Euclidean {
-            if m < PAR_THRESHOLD {
-                return samples.iter_rows().map(|r| self.classify(r)).collect();
-            }
-            let chunk = m.div_ceil(knn_threads());
-            let mut out = vec![AppClass::Idle; m];
-            let rows: Vec<&[f64]> = samples.iter_rows().collect();
-            crossbeam::scope(|s| {
-                for (slot_chunk, row_chunk) in out.chunks_mut(chunk).zip(rows.chunks(chunk)) {
-                    s.spawn(move |_| {
-                        for (slot, row) in slot_chunk.iter_mut().zip(row_chunk) {
-                            // Width and finiteness were validated above, so
-                            // per-row classification cannot fail.
-                            *slot = self.classify(row).expect("validated row");
-                        }
-                    });
-                }
-            })
-            .expect("knn worker panicked");
-            return Ok(out);
-        }
+        Ok(samples.iter_rows().map(|row| self.classify_valid(row)).collect())
+    }
 
-        let q_norms = batch::row_sq_norms(samples);
-        let mut out = vec![AppClass::Idle; m];
-        if m < PAR_THRESHOLD {
-            self.classify_block_euclidean(samples, 0, &q_norms, &mut out);
-            return Ok(out);
+    /// [`KnnClassifier::classify`] for a point already checked for width
+    /// and finiteness. Allocation-free for `k ≤ 32` (the online hot path).
+    fn classify_valid(&self, point: &[f64]) -> AppClass {
+        const STACK_K: usize = 32;
+        let k = self.k.min(self.order.len());
+        let mut stack_buf = [(f64::INFINITY, usize::MAX); STACK_K];
+        let mut heap_buf: Vec<(f64, usize)>;
+        let best: &mut [(f64, usize)] = if k <= STACK_K {
+            &mut stack_buf[..k]
+        } else {
+            heap_buf = vec![(f64::INFINITY, usize::MAX); k];
+            &mut heap_buf
+        };
+        match self.distance {
+            // Squared Euclidean preserves ordering and skips the sqrt.
+            Distance::Euclidean => self.nearest(point, best, |dx| dx * dx, vector::sq_euclidean),
+            Distance::Manhattan => self.nearest(point, best, f64::abs, vector::manhattan),
+            Distance::Chebyshev => self.nearest(point, best, f64::abs, vector::chebyshev),
         }
-        let chunk = m.div_ceil(knn_threads());
-        let q_norms = &q_norms;
-        crossbeam::scope(|s| {
-            for (ci, slot_chunk) in out.chunks_mut(chunk).enumerate() {
-                s.spawn(move |_| {
-                    self.classify_block_euclidean(samples, ci * chunk, q_norms, slot_chunk);
-                });
+        self.vote(best)
+    }
+
+    /// Fills `best` with the `best.len()` training rows nearest `point`,
+    /// sorted by `(distance, original row index)`; every slot must start
+    /// as the `(+∞, usize::MAX)` sentinel.
+    ///
+    /// The scan starts at the query's PC1 position and walks outward on
+    /// both sides in step. A side stops at the first row whose gap — the
+    /// metric's bound from the first coordinate alone, `gap(dx)` with `dx`
+    /// the same subtraction `dist` performs there — is *strictly* above
+    /// the current k-th distance. No row further out can enter: its gap
+    /// is at least as large (keys are sorted and rounding is monotone),
+    /// its distance only adds non-negative terms to its gap, and the k-th
+    /// distance only shrinks. A row whose distance ties the k-th (and may
+    /// win the tie on its lower index) is still visited.
+    fn nearest(
+        &self,
+        point: &[f64],
+        best: &mut [(f64, usize)],
+        gap: impl Fn(f64) -> f64,
+        dist: impl Fn(&[f64], &[f64]) -> f64,
+    ) {
+        let dim = point.len();
+        let x0 = point.first().copied().unwrap_or(0.0);
+        let n = self.keys.len();
+        let keys = &self.keys[..];
+        let sorted = &self.sorted[..];
+        let order = &self.order[..];
+        // Offers sorted row `s` unless its gap prunes its side.
+        let visit = |s: usize, best: &mut [(f64, usize)]| {
+            let k = best.len();
+            if gap(x0 - keys[s]) > best[k - 1].0 {
+                return false;
             }
-        })
-        .expect("knn worker panicked");
-        Ok(out)
+            let entry = (dist(point, &sorted[s * dim..(s + 1) * dim]), order[s]);
+            // One insertion step keeps `best` sorted; k is small.
+            if entry < best[k - 1] {
+                let mut pos = k - 1;
+                while pos > 0 && entry < best[pos - 1] {
+                    best[pos] = best[pos - 1];
+                    pos -= 1;
+                }
+                best[pos] = entry;
+            }
+            true
+        };
+        // Sorted positions `[0, left)` remain to the left of the query in
+        // PC1, `[right, n)` to its right.
+        let mut left = keys.partition_point(|&t| t < x0);
+        let mut right = left;
+        let (mut left_open, mut right_open) = (left > 0, right < n);
+        while left_open || right_open {
+            if left_open {
+                left_open = visit(left - 1, best);
+                if left_open {
+                    left -= 1;
+                    left_open = left > 0;
+                }
+            }
+            if right_open {
+                right_open = visit(right, best);
+                if right_open {
+                    right += 1;
+                    right_open = right < n;
+                }
+            }
+        }
+    }
+
+    /// Majority vote over the k nearest neighbours (sorted nearest
+    /// first); a tie goes to the class of the nearest tied neighbour.
+    fn vote(&self, best: &[(f64, usize)]) -> AppClass {
+        let mut counts = [0usize; 5];
+        for &(_, i) in best {
+            counts[self.labels[i].index()] += 1;
+        }
+        let max_count = *counts.iter().max().expect("five classes");
+        best.iter()
+            .map(|&(_, i)| self.labels[i])
+            .find(|c| counts[c.index()] == max_count)
+            .expect("k >= 1 neighbours")
     }
 }
 
-// `norms`/`max_norm` are caches derived from `points`; the wire format
-// carries only the four defining fields (same JSON shape the former
-// derive produced), and deserialization rebuilds the caches — and
-// re-runs construction validation — via `KnnClassifier::new`.
+// The index is derived from `points`; the wire format carries only the
+// four defining fields (same JSON shape the former derive produced), and
+// deserialization rebuilds the index — and re-runs construction
+// validation — via `KnnClassifier::new`.
 impl Serialize for KnnClassifier {
     fn to_value(&self) -> Value {
         Value::Object(vec![
@@ -459,6 +342,38 @@ mod tests {
             AppClass::Idle,
         ];
         KnnClassifier::paper(points, labels).unwrap()
+    }
+
+    /// The k-NN rule by brute force, independent of the index: rank every
+    /// training row by `(distance, row index)`, let the first k vote, and
+    /// break a tied vote toward the nearest tied neighbour.
+    fn brute_force(knn: &KnnClassifier, x: &[f64]) -> AppClass {
+        let dist = |t: &[f64]| match knn.distance {
+            Distance::Euclidean => vector::sq_euclidean(x, t),
+            Distance::Manhattan => vector::manhattan(x, t),
+            Distance::Chebyshev => vector::chebyshev(x, t),
+        };
+        let mut ranked: Vec<(f64, usize)> = knn.points().iter_rows().map(dist).zip(0..).collect();
+        ranked.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+        let nearest = &ranked[..knn.k().min(ranked.len())];
+        let mut counts = [0usize; 5];
+        for &(_, i) in nearest {
+            counts[knn.labels()[i].index()] += 1;
+        }
+        let top = *counts.iter().max().unwrap();
+        nearest.iter().map(|&(_, i)| knn.labels()[i]).find(|c| counts[c.index()] == top).unwrap()
+    }
+
+    /// Deterministic pseudo-random coordinates on `[-10, 10)` (xorshift).
+    fn xorshift_rows(rows: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 20.0 - 10.0
+        };
+        (0..rows).map(|_| (0..dim).map(|_| next()).collect()).collect()
     }
 
     #[test]
@@ -538,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn large_batch_parallel_path_consistent() {
+    fn large_batch_classifies_every_row() {
         let knn = two_clusters();
         let rows: Vec<Vec<f64>> = (0..2000)
             .map(|i| vec![if i % 2 == 0 { 9.0 } else { -9.0 }, (i % 7) as f64 * 0.1])
@@ -551,10 +466,8 @@ mod tests {
         }
     }
 
-    /// The regression test for the `available_parallelism`-per-call bug
-    /// and the acceptance gate for the blocked kernel: batch output must
-    /// be bitwise-identical to the per-row streaming path, on both sides
-    /// of the parallel-dispatch threshold, whatever the thread count.
+    /// Batch output must equal the per-row streaming path and the
+    /// brute-force rule, row for row, on a tie-heavy training set.
     #[test]
     fn batch_bitwise_identical_to_streaming() {
         // A deliberately tie-heavy training set: duplicated points with
@@ -579,8 +492,8 @@ mod tests {
             AppClass::Cpu,
         ];
         let knn = KnnClassifier::paper(points, labels).unwrap();
-        // 1500 rows crosses PAR_THRESHOLD; many land exactly on training
-        // points or midway between duplicates (exact distance ties).
+        // Many rows land exactly on training points or midway between
+        // duplicates (exact distance ties).
         let rows: Vec<Vec<f64>> = (0..1500)
             .map(|i| match i % 5 {
                 0 => vec![1.0, 2.0],
@@ -593,18 +506,20 @@ mod tests {
         let big = Matrix::from_rows(&rows).unwrap();
         let batched = knn.classify_batch(&big).unwrap();
         for (i, row) in big.iter_rows().enumerate() {
+            assert_eq!(batched[i], brute_force(&knn, row), "row {i} diverged from the reference");
             assert_eq!(batched[i], knn.classify(row).unwrap(), "row {i} diverged");
         }
-        // Sub-threshold (sequential blocked kernel) slice too.
+        // A batch's labels do not depend on what else is in it.
         let small = Matrix::from_rows(&rows[..64]).unwrap();
         let small_batched = knn.classify_batch(&small).unwrap();
         assert_eq!(&small_batched[..], &batched[..64]);
     }
 
     #[test]
-    fn huge_magnitude_batch_falls_back_exactly() {
-        // Norms near the overflow edge force the expansion fallback path;
-        // labels must still match streaming bitwise.
+    fn huge_magnitude_batch_is_exact() {
+        // Coordinates near the overflow edge: some squared distances (and
+        // PC1 gaps) overflow to +∞, which must neither prune a true
+        // neighbour nor unsettle the (distance, index) order.
         let points =
             Matrix::from_rows(&[vec![1e155, 0.0], vec![-1e155, 1.0], vec![2e154, -0.5]]).unwrap();
         let labels = vec![AppClass::Cpu, AppClass::Net, AppClass::Mem];
@@ -613,7 +528,72 @@ mod tests {
             Matrix::from_rows(&[vec![9e154, 1.0], vec![-9e154, 0.0], vec![2.1e154, -0.5]]).unwrap();
         let batched = knn.classify_batch(&queries).unwrap();
         for (i, row) in queries.iter_rows().enumerate() {
+            assert_eq!(batched[i], brute_force(&knn, row), "row {i}");
             assert_eq!(batched[i], knn.classify(row).unwrap(), "row {i}");
+        }
+    }
+
+    /// Pools large enough that the index prunes most rows, every metric,
+    /// k up to 9, and widths beyond the paper's q = 2 (where only the
+    /// first coordinate prunes).
+    #[test]
+    fn index_matches_brute_force_on_large_pools() {
+        for (dim, seed) in [(1, 3u64), (2, 5), (3, 7), (8, 11)] {
+            let pool = xorshift_rows(400, dim, seed);
+            // Round half the pool onto a coarse grid so PC1 keys repeat
+            // and distances tie.
+            let points: Vec<Vec<f64>> = pool
+                .iter()
+                .enumerate()
+                .map(
+                    |(i, r)| {
+                        if i % 2 == 0 {
+                            r.iter().map(|v| v.round()).collect()
+                        } else {
+                            r.clone()
+                        }
+                    },
+                )
+                .collect();
+            let labels: Vec<AppClass> = (0..points.len()).map(|i| AppClass::ALL[i % 5]).collect();
+            let mut queries = xorshift_rows(300, dim, seed + 100);
+            queries.extend(points.iter().step_by(7).cloned());
+            let queries = Matrix::from_rows(&queries).unwrap();
+            for distance in [Distance::Euclidean, Distance::Manhattan, Distance::Chebyshev] {
+                for k in [1, 3, 5, 9] {
+                    let knn = KnnClassifier::new(
+                        k,
+                        Matrix::from_rows(&points).unwrap(),
+                        labels.clone(),
+                        distance,
+                    )
+                    .unwrap();
+                    let batched = knn.classify_batch(&queries).unwrap();
+                    for (i, row) in queries.iter_rows().enumerate() {
+                        let want = brute_force(&knn, row);
+                        assert_eq!(batched[i], want, "{distance:?} k={k} dim={dim} row {i}");
+                        assert_eq!(knn.classify(row).unwrap(), want);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Regression: a NaN training coordinate used to be accepted, after
+    /// which `classify` returned that row's label for every query and
+    /// `classify_batch` panicked. `new` — and with it deserialization —
+    /// now rejects it.
+    #[test]
+    fn non_finite_training_points_are_rejected() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let points =
+                Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, bad], vec![-1.0, 0.0]]).unwrap();
+            let labels = vec![AppClass::Cpu, AppClass::Io, AppClass::Net];
+            let err = KnnClassifier::new(1, points, labels, Distance::Euclidean).unwrap_err();
+            assert!(
+                matches!(err, Error::Linalg(appclass_linalg::Error::NonFinite { row: 1, col: 1 })),
+                "{bad}: {err:?}"
+            );
         }
     }
 
@@ -640,8 +620,10 @@ mod tests {
         let json = serde_json::to_string(&knn).unwrap();
         let back: KnnClassifier = serde_json::from_str(&json).unwrap();
         assert_eq!(knn, back);
-        // The derived caches are rebuilt, not shipped on the wire.
-        assert!(!json.contains("norms"));
+        // The derived index is rebuilt, not shipped on the wire.
+        for derived in ["sorted", "keys", "order"] {
+            assert!(!json.contains(derived), "{derived} serialized");
+        }
     }
 
     #[test]

@@ -169,13 +169,12 @@ impl<'a> OnlineClassifier<'a> {
     /// [`OnlineClassifier::push_guarded`] on each snapshot in sequence:
     /// admissions happen in arrival order (the guard is stateful), a
     /// cadence gap still clears a sliding window *before* that snapshot's
-    /// label lands, and the batched k-NN kernel is bitwise identical to
+    /// label lands, and the batched k-NN runs the same index search as
     /// the streaming one — so the vote state, composition, confidence,
     /// and telemetry all end up in the same state either way. What the
     /// batch buys is one pass over the dataflow chain for every admitted
-    /// frame (blocked distance kernel, warm buffers) instead of one pass
-    /// per frame, which is where the serving layer's batch throughput
-    /// comes from.
+    /// frame (warm buffers) instead of one pass per frame, which is where
+    /// the serving layer's batch throughput comes from.
     ///
     /// On a classification error nothing is folded; the guard has already
     /// recorded the admissions (same as a mid-stream error in the

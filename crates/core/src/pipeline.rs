@@ -322,10 +322,10 @@ impl ClassifierPipeline {
     /// Classifies every row of a raw (`m × 33`) matrix to its per-snapshot
     /// class on a caller-owned [`StagePipeline`] — the batched analogue of
     /// [`ClassifierPipeline::classify_frame_with`]. Runs the full chain as
-    /// batch stages over the runner's warm scratch buffers, so the k-NN
-    /// head takes the blocked-distance kernel; the labels are nevertheless
+    /// batch stages over the runner's warm scratch buffers; the labels are
     /// bitwise identical to pushing each row through the streaming chain
-    /// one at a time (the kernel's exactness contract — DESIGN.md §10).
+    /// one at a time (both k-NN paths run the same index search —
+    /// DESIGN.md §10).
     /// An empty matrix yields an empty vector.
     pub fn classify_rows_with(
         &self,

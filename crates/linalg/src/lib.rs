@@ -17,10 +17,9 @@
 //!   matrices.
 //! * [`svd`] — a one-sided Jacobi thin SVD: the numerically-stable
 //!   alternative route to PCA, used to cross-check the eigen route.
-//! * [`vector`] — small dense-vector kernels (dot, norms, axpy) shared by the
-//!   other modules and by the k-NN distance computations downstream.
-//! * [`batch`] — blocked batch-distance kernels: norm-expansion distance
-//!   blocks with cache tiling, powering the batched k-NN hot path.
+//! * [`vector`] — small dense-vector kernels (dot, norms, axpy, the three
+//!   distance metrics) shared by the other modules and by the k-NN
+//!   classifier's neighbour search downstream.
 //!
 //! Everything is deterministic: no randomized algorithms are used in the
 //! numerical kernels, so a given input always produces bit-identical output,
@@ -28,7 +27,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod eigen;
 pub mod error;
 pub mod matrix;

@@ -15,6 +15,12 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+echo "== perfbench tests =="
+# The benchmark (perfbench/, a Cargo package of its own) builds the crates
+# by path against their public APIs: a removal that breaks it must fail
+# here, not in a later benchmark run.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== server smoke test =="
 # Train a model, serve it on an ephemeral port, classify one workload
 # over TCP, and require a clean drain with a nonzero verdict count.

@@ -41,11 +41,14 @@ fn overloaded_fleet_degrades_gracefully_with_exact_accounting() {
     )
     .unwrap();
 
-    // A simulated day compressed onto ~1.7 s of wall clock: the diurnal
+    // A simulated day compressed onto ~0.4 s of wall clock: the diurnal
     // peak plus both bursts land while earlier sessions still drain, so
     // the overload machine gets pushed through its shedding states.
+    // Shedding needs `max_sessions + shed_high_watermark` (14) sessions
+    // in flight at once, so the herd must be dense relative to how fast
+    // a session is served.
     let streams = workload_streams(4242);
-    let report = run_fleet(server.local_addr(), &plan, &streams, 50_000.0, 32);
+    let report = run_fleet(server.local_addr(), &plan, &streams, 200_000.0, 32);
 
     server.shutdown();
     let stats = server.join().unwrap();

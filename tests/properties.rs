@@ -3,12 +3,17 @@
 //! These hold for *any* input the generators produce, not just the
 //! benchmark suite: compositions are probability vectors, classification
 //! is deterministic and permutation-consistent, normalization parameters
-//! come from training data only, and the cost model is linear.
+//! come from training data only, the cost model is linear, and the k-NN
+//! neighbour index reproduces the brute-force rule.
 
 use appclass::core::cost::{CostModel, ResourceRates};
+use appclass::core::knn::{Distance, KnnClassifier};
 use appclass::metrics::METRIC_COUNT;
 use appclass::prelude::*;
 use proptest::prelude::*;
+
+#[allow(dead_code)] // only the k-NN reference is used here
+mod common;
 
 /// Builds a raw run whose expert metrics are driven by three intensity
 /// knobs (cpu%, io blocks, net bytes).
@@ -122,20 +127,37 @@ proptest! {
         prop_assert!(CostModel::new(rates).unit_cost(&more_idle) <= base + 1e-9);
     }
 
-    /// The blocked norm-expansion k-NN kernel must agree bitwise (same
-    /// label, same tie-breaks) with the scalar streaming path for any
-    /// training set — including grids dense with exact ties and
-    /// midpoints that sit numerically between neighbours, where the
-    /// expansion's different rounding would flip a naive argmin.
     #[test]
-    fn blocked_knn_batch_matches_scalar_streaming(
+    fn frame_and_batch_paths_agree(
+        cpu in 0.0f64..100.0,
+        io in 0.0f64..5000.0,
+        net in 0.0f64..3.0e7,
+    ) {
+        let pipeline = trained();
+        let raw = raw_run(6, cpu, io, net, 0);
+        let batch = pipeline.classify(&raw).unwrap();
+        for i in 0..raw.rows() {
+            let frame = MetricFrame::from_values(raw.row(i)).unwrap();
+            prop_assert_eq!(pipeline.classify_frame(&frame).unwrap(), batch.class_vector[i]);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The k-NN neighbour index, batch and streaming, must reproduce the
+    /// brute-force rule exactly (same label, same tie-breaks) for every
+    /// metric and k, on grids dense with duplicate coordinates and exact
+    /// distance ties and on midpoints that sit numerically between
+    /// neighbours, at scales from 1e-3 to 1e6.
+    #[test]
+    fn knn_index_matches_brute_force_reference(
         dim in 1usize..5,
         n_train in 4usize..24,
-        k_half in 0usize..3,
         seed in 0u64..1000,
         scale_idx in 0usize..4,
     ) {
-        use appclass::core::knn::{Distance, KnnClassifier};
         let scale = [1.0f64, 1e-3, 1e3, 1e6][scale_idx];
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = move || {
@@ -150,13 +172,6 @@ proptest! {
         let points: Vec<Vec<f64>> =
             (0..n_train).map(|_| (0..dim).map(|_| grid()).collect()).collect();
         let labels: Vec<AppClass> = (0..n_train).map(|i| AppClass::ALL[i % 5]).collect();
-        let knn = KnnClassifier::new(
-            2 * k_half + 1, // k must be odd
-            Matrix::from_rows(&points).unwrap(),
-            labels,
-            Distance::Euclidean,
-        )
-        .unwrap();
         // Queries: every training point (exact zero distances), each
         // adjacent midpoint (near-ties), and off-grid points.
         let mut queries: Vec<Vec<f64>> = points.clone();
@@ -167,24 +182,22 @@ proptest! {
             queries.push((0..dim).map(|_| grid() + 0.5 * scale).collect());
         }
         let qm = Matrix::from_rows(&queries).unwrap();
-        let batch = knn.classify_batch(&qm).unwrap();
-        for (i, q) in queries.iter().enumerate() {
-            prop_assert_eq!(knn.classify(q).unwrap(), batch[i], "query row {}", i);
-        }
-    }
-
-    #[test]
-    fn frame_and_batch_paths_agree(
-        cpu in 0.0f64..100.0,
-        io in 0.0f64..5000.0,
-        net in 0.0f64..3.0e7,
-    ) {
-        let pipeline = trained();
-        let raw = raw_run(6, cpu, io, net, 0);
-        let batch = pipeline.classify(&raw).unwrap();
-        for i in 0..raw.rows() {
-            let frame = MetricFrame::from_values(raw.row(i)).unwrap();
-            prop_assert_eq!(pipeline.classify_frame(&frame).unwrap(), batch.class_vector[i]);
+        for distance in [Distance::Euclidean, Distance::Manhattan, Distance::Chebyshev] {
+            for k in [1, 3, 5] {
+                let knn = KnnClassifier::new(
+                    k,
+                    Matrix::from_rows(&points).unwrap(),
+                    labels.clone(),
+                    distance,
+                )
+                .unwrap();
+                let batch = knn.classify_batch(&qm).unwrap();
+                for (i, q) in queries.iter().enumerate() {
+                    let want = common::brute_force_knn(&knn, distance, q);
+                    prop_assert_eq!(batch[i], want, "{:?} k={} batch row {}", distance, k, i);
+                    prop_assert_eq!(knn.classify(q).unwrap(), want, "{:?} k={} row {}", distance, k, i);
+                }
+            }
         }
     }
 }
