@@ -11,8 +11,9 @@
 //!
 //! The store persists as a log-structured file: an 8-byte header
 //! (`b"APDB"` magic + big-endian version) followed by framed records,
-//! each `u32 BE length ‖ body ‖ u64 BE FNV-1a-64(body)` — the same
-//! checksum discipline the control-frame wire codec uses. The body is a
+//! each `u32 BE length ‖ body ‖ u64 BE FNV-1a-64(body)`. The log keeps
+//! FNV-1a (the control-frame codec moved to CRC-64) so that records
+//! already on disk stay readable byte for byte. The body is a
 //! kind byte (1 = one [`RunRecord`], 2 = a full checkpoint) followed by
 //! JSON. Appends go through [`AppDbWriter`], which fsyncs each frame;
 //! [`ApplicationDb::open`] recovers a log by truncating a torn tail (the

@@ -3,8 +3,9 @@
 //! Every committed [`ClassifierPipeline`] becomes an immutable entry
 //! named by its deterministic fingerprint (`model_id()`), carrying
 //! metadata (parent fingerprint, trained-at sample count, feature set,
-//! shape) and the serialized pipeline, closed by an FNV-1a-64 trailer —
-//! the same checksum discipline as the wire codec and the appdb log. A
+//! shape) and the serialized pipeline, closed by an FNV-1a-64 trailer,
+//! like the appdb log. Entries keep FNV-1a (the control-frame codec
+//! moved to CRC-64) so that stored versions stay readable byte for byte. A
 //! `HEAD` file (updated atomically) points at the newest version; parent
 //! links turn the store into a walkable chain, so `appclass models` can
 //! show where a served fingerprint came from and a hot swap can record

@@ -5,16 +5,17 @@
 //! multicasting it. This module provides the equivalent compact binary
 //! codec for [`Snapshot`]s: a fixed header (magic, version, node id,
 //! timestamp) followed by the 33 metric values as big-endian IEEE-754
-//! doubles. Decoding validates the magic, version, frame width and value
-//! finiteness, so a corrupted or truncated datagram is rejected instead of
-//! poisoning the data pool.
+//! doubles, every field at a fixed offset. Decoding validates the magic,
+//! version, frame width and value finiteness, so a corrupted or truncated
+//! datagram is rejected instead of poisoning the data pool.
 //!
 //! Layered on top, [`ControlFrame`] is the session protocol the
 //! `appclass-serve` TCP service speaks: a versioned envelope (magic,
-//! version, kind byte) around a typed payload, closed by an FNV-1a
+//! version, kind byte) around a typed payload, closed by a CRC-64/XZ
 //! checksum over everything before it. The checksum makes the control
 //! layer strictly stronger than the snapshot datagram layer: *any* flipped
-//! byte in a control frame is detected and surfaces as a typed
+//! byte in a control frame — indeed any corruption confined to 8
+//! consecutive bytes — is detected and surfaces as a typed
 //! [`Error::MalformedWire`], never a panic and never silent corruption.
 //! Snapshot announcements travel *inside* [`ControlFrame::Snapshot`] as
 //! raw datagram bytes, so a lossy channel can still mangle the inner
@@ -27,7 +28,7 @@ use crate::repair::TelemetryHealth;
 use crate::snapshot::{NodeId, Snapshot};
 use appclass_obs::trace::TRACE_EXT_LEN;
 use appclass_obs::TraceContext;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 /// Magic bytes opening every announcement ("GMON").
 pub const MAGIC: u32 = 0x474D_4F4E;
@@ -35,59 +36,74 @@ pub const MAGIC: u32 = 0x474D_4F4E;
 /// Wire protocol version.
 pub const VERSION: u16 = 1;
 
+/// Bytes in front of the metric values: magic, version, count, node, time.
+const DATAGRAM_HEADER: usize = 4 + 2 + 2 + 4 + 8;
+
 /// Encoded size of one announcement: header + payload.
-pub const WIRE_SIZE: usize = 4 + 2 + 2 + 4 + 8 + METRIC_COUNT * 8;
+pub const WIRE_SIZE: usize = DATAGRAM_HEADER + METRIC_COUNT * 8;
 
 /// Encodes a snapshot into its wire representation.
 pub fn encode(snapshot: &Snapshot) -> Bytes {
-    let mut buf = BytesMut::with_capacity(WIRE_SIZE);
-    buf.put_u32(MAGIC);
-    buf.put_u16(VERSION);
-    buf.put_u16(METRIC_COUNT as u16);
-    buf.put_u32(snapshot.node.0);
-    buf.put_u64(snapshot.time);
-    for &v in snapshot.frame.as_slice() {
-        buf.put_f64(v);
+    Bytes::from(datagram(snapshot).to_vec())
+}
+
+/// Builds a snapshot's wire representation in a stack array: the bytes
+/// of [`encode`] without a heap buffer, for callers that copy them
+/// straight into a frame or a fault channel.
+pub fn datagram(snapshot: &Snapshot) -> [u8; WIRE_SIZE] {
+    let mut d = [0u8; WIRE_SIZE];
+    d[0..4].copy_from_slice(&MAGIC.to_be_bytes());
+    d[4..6].copy_from_slice(&VERSION.to_be_bytes());
+    d[6..8].copy_from_slice(&(METRIC_COUNT as u16).to_be_bytes());
+    d[8..12].copy_from_slice(&snapshot.node.0.to_be_bytes());
+    d[12..20].copy_from_slice(&snapshot.time.to_be_bytes());
+    let (slots, _) = d[DATAGRAM_HEADER..].as_chunks_mut::<8>();
+    for (slot, v) in slots.iter_mut().zip(snapshot.frame.as_slice()) {
+        *slot = v.to_be_bytes();
     }
-    buf.freeze()
+    d
 }
 
 /// Decodes a wire announcement back into a snapshot.
 ///
 /// Rejects short buffers, bad magic/version, unexpected metric counts and
 /// non-finite values — all as [`Error::MalformedWire`].
-pub fn decode(mut data: &[u8]) -> Result<Snapshot> {
-    if data.len() < WIRE_SIZE {
+pub fn decode(data: &[u8]) -> Result<Snapshot> {
+    let Some(d) = data.first_chunk::<WIRE_SIZE>() else {
         return Err(Error::MalformedWire { reason: "truncated announcement", offset: data.len() });
-    }
-    let magic = data.get_u32();
-    if magic != MAGIC {
+    };
+    if u32::from_be_bytes(field(d, 0)) != MAGIC {
         return Err(Error::MalformedWire { reason: "bad magic", offset: 0 });
     }
-    let version = data.get_u16();
-    if version != VERSION {
+    if u16::from_be_bytes(field(d, 4)) != VERSION {
         return Err(Error::MalformedWire { reason: "unsupported version", offset: 4 });
     }
-    let count = data.get_u16() as usize;
-    if count != METRIC_COUNT {
+    if usize::from(u16::from_be_bytes(field(d, 6))) != METRIC_COUNT {
         return Err(Error::MalformedWire { reason: "unexpected metric count", offset: 6 });
     }
-    let node = NodeId(data.get_u32());
-    let time = data.get_u64();
-    let mut values = Vec::with_capacity(METRIC_COUNT);
-    for i in 0..METRIC_COUNT {
-        let v = data.get_f64();
+    let node = NodeId(u32::from_be_bytes(field(d, 8)));
+    let time = u64::from_be_bytes(field(d, 12));
+    let mut values = [0.0f64; METRIC_COUNT];
+    let (raw, _) = d[DATAGRAM_HEADER..].as_chunks::<8>();
+    for (i, (v, raw)) in values.iter_mut().zip(raw).enumerate() {
+        *v = f64::from_be_bytes(*raw);
         if !v.is_finite() {
             return Err(Error::MalformedWire {
                 reason: "non-finite metric value",
-                offset: 20 + i * 8,
+                offset: DATAGRAM_HEADER + i * 8,
             });
         }
-        values.push(v);
     }
     let frame = MetricFrame::from_values(&values)
-        .ok_or(Error::MalformedWire { reason: "frame width mismatch", offset: 20 })?;
+        .ok_or(Error::MalformedWire { reason: "frame width mismatch", offset: DATAGRAM_HEADER })?;
     Ok(Snapshot::new(node, time, frame))
+}
+
+/// The `N` datagram bytes at a fixed offset.
+fn field<const N: usize>(d: &[u8; WIRE_SIZE], at: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(&d[at..at + N]);
+    out
 }
 
 // --- Control frames (the appclass-serve session protocol) -----------------
@@ -95,12 +111,18 @@ pub fn decode(mut data: &[u8]) -> Result<Snapshot> {
 /// Magic bytes opening every control frame ("APCS").
 pub const CONTROL_MAGIC: u32 = 0x4150_4353;
 
-/// Control protocol version negotiated by the `Hello` handshake.
-pub const CONTROL_VERSION: u16 = 1;
+/// Control protocol version negotiated by the `Hello` handshake. Version 2
+/// closes frames with a CRC-64/XZ trailer; version 1 used FNV-1a, and a
+/// version-1 peer is refused as an unsupported version.
+pub const CONTROL_VERSION: u16 = 2;
 
 /// Envelope overhead: magic + version + kind in front, checksum behind.
 const CONTROL_HEADER: usize = 4 + 2 + 1;
 const CONTROL_TRAILER: usize = 8;
+
+/// Kind bytes of the two frames the zero-copy decoder borrows.
+const KIND_SNAPSHOT: u8 = 2;
+const KIND_SNAPSHOT_BATCH: u8 = 8;
 
 /// Upper bound on a [`ControlFrame::Stats`] exposition text, in bytes.
 /// 64 KiB holds thousands of metric lines — far beyond what the registry
@@ -134,10 +156,10 @@ const _: () = assert!(
         <= MAX_CONTROL_SIZE
 );
 
-/// FNV-1a 64-bit hash — the control-frame checksum and the basis of
-/// deterministic model fingerprints. Flipping any single input byte
-/// always changes the digest (every round is a bijection of the state),
-/// which is exactly the guarantee the corruption proptests pin down.
+/// FNV-1a 64-bit hash — the basis of deterministic model fingerprints
+/// and the checksum of the appdb log and model store records. Flipping
+/// any single input byte always changes the digest (every round is a
+/// bijection of the state).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -145,6 +167,66 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// Reflected form of the ECMA-182 polynomial that CRC-64/XZ uses.
+const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
+
+/// Slicing-by-8 tables: `T[0]` is the classic byte-at-a-time table and
+/// `T[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so eight
+/// lookups fold one 8-byte word.
+const fn crc64_tables() -> [[u64; 256]; 8] {
+    let mut t = [[0u64; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u64;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 { (crc >> 1) ^ CRC64_POLY } else { crc >> 1 };
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+static CRC64_TABLE: [[u64; 256]; 8] = crc64_tables();
+
+/// CRC-64/XZ (reflected ECMA-182 polynomial, init and xorout all ones) —
+/// the control-frame checksum. Unlike FNV-1a, whose per-byte multiply
+/// waits on the previous byte's, the table-driven CRC folds eight bytes
+/// per step. As a degree-64 CRC it detects every error burst of up to 64
+/// bits.
+fn crc64(bytes: &[u8]) -> u64 {
+    let t = &CRC64_TABLE;
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut crc = !0u64;
+    for word in words {
+        let v = crc ^ u64::from_le_bytes(*word);
+        crc = t[7][(v & 0xFF) as usize]
+            ^ t[6][(v >> 8 & 0xFF) as usize]
+            ^ t[5][(v >> 16 & 0xFF) as usize]
+            ^ t[4][(v >> 24 & 0xFF) as usize]
+            ^ t[3][(v >> 32 & 0xFF) as usize]
+            ^ t[2][(v >> 40 & 0xFF) as usize]
+            ^ t[1][(v >> 48 & 0xFF) as usize]
+            ^ t[0][(v >> 56) as usize];
+    }
+    for &b in tail {
+        crc = t[0][((crc ^ u64::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    !crc
 }
 
 /// Why a peer is closing (or refusing) a session.
@@ -369,13 +451,13 @@ impl ControlFrame {
     fn kind(&self) -> u8 {
         match self {
             ControlFrame::Hello { .. } => 1,
-            ControlFrame::Snapshot { .. } => 2,
+            ControlFrame::Snapshot { .. } => KIND_SNAPSHOT,
             ControlFrame::Classify { .. } => 3,
             ControlFrame::Verdict { .. } => 4,
             ControlFrame::Health(_) => 5,
             ControlFrame::Bye { .. } => 6,
             ControlFrame::Stats { .. } => 7,
-            ControlFrame::SnapshotBatch { .. } => 8,
+            ControlFrame::SnapshotBatch { .. } => KIND_SNAPSHOT_BATCH,
             ControlFrame::VerdictBatch { .. } => 9,
             ControlFrame::SwapModel { .. } => 10,
             ControlFrame::SwapAck { .. } => 11,
@@ -402,37 +484,59 @@ impl ControlFrame {
     }
 }
 
-/// Encodes a control frame: envelope, payload, FNV-1a checksum.
+/// Encodes a control frame: envelope, payload, CRC-64 checksum.
 ///
 /// # Panics
 ///
 /// Panics if a [`ControlFrame::Snapshot`] payload exceeds [`WIRE_SIZE`]
 /// (a faulty channel can only shrink a datagram, never grow it).
 pub fn encode_control(frame: &ControlFrame) -> Bytes {
-    let mut buf = BytesMut::with_capacity(MAX_CONTROL_SIZE);
-    buf.put_u32(CONTROL_MAGIC);
-    buf.put_u16(CONTROL_VERSION);
-    buf.put_u8(frame.kind());
+    let mut out = Vec::new();
+    encode_control_into(frame, &mut out);
+    Bytes::from(out)
+}
+
+/// Appends the encoding of `frame` to `out`, reserving exactly the
+/// frame's size first. Transports use it to lay a frame down behind
+/// their own length prefix, in the buffer they send from.
+///
+/// # Panics
+///
+/// As [`encode_control`].
+pub fn encode_control_into(frame: &ControlFrame, out: &mut Vec<u8>) {
+    let len = CONTROL_HEADER + payload_len(frame) + CONTROL_TRAILER;
+    out.reserve_exact(len);
+    let start = out.len();
+    if let ControlFrame::SnapshotBatch { wires, ctx } = frame {
+        let mut batch = SnapshotBatchWriter::new(std::mem::take(out));
+        for wire in wires {
+            batch.push_wire(wire);
+        }
+        *out = batch.finish(*ctx);
+        debug_assert_eq!(out.len() - start, len);
+        return;
+    }
+    open_frame(out, frame.kind());
     match frame {
         ControlFrame::Hello { session, model_id } => {
-            buf.put_u32(*session);
-            buf.put_u64(*model_id);
+            out.put_u32(*session);
+            out.put_u64(*model_id);
         }
         ControlFrame::Snapshot { wire, ctx } => {
             assert!(wire.len() <= WIRE_SIZE, "snapshot datagram larger than WIRE_SIZE");
-            buf.put_u16(wire.len() as u16);
-            buf.put_slice(wire);
-            put_trace_ext(&mut buf, ctx);
+            out.put_u16(wire.len() as u16);
+            out.put_slice(wire);
+            put_trace_ext(out, ctx);
         }
-        ControlFrame::Classify { ctx } => put_trace_ext(&mut buf, ctx),
+        ControlFrame::Classify { ctx } => put_trace_ext(out, ctx),
         ControlFrame::Verdict { class, confidence, composition, model, ctx } => {
-            buf.put_u8(*class);
-            buf.put_f64(*confidence);
+            out.put_u8(*class);
+            out.put_f64(*confidence);
             for &f in composition {
-                buf.put_f64(f);
+                out.put_f64(f);
             }
-            buf.put_u64(*model);
-            put_trace_ext(&mut buf, ctx);
+            out.put_u64(*model);
+            put_trace_ext(out, ctx);
         }
         ControlFrame::Health(h) => {
             for v in [
@@ -447,57 +551,258 @@ pub fn encode_control(frame: &ControlFrame) -> Bytes {
                 h.values_patched,
                 h.malformed,
             ] {
-                buf.put_u64(v);
+                out.put_u64(v);
             }
-            buf.put_u32(h.max_repair_streak);
-            buf.put_u16(h.dead_metrics.len() as u16);
+            out.put_u32(h.max_repair_streak);
+            out.put_u16(h.dead_metrics.len() as u16);
             for &m in &h.dead_metrics {
-                buf.put_u16(m as u16);
+                out.put_u16(m as u16);
             }
         }
-        ControlFrame::Bye { reason } => buf.put_u8(reason.code()),
+        ControlFrame::Bye { reason } => out.put_u8(reason.code()),
         ControlFrame::Stats { text } => {
             assert!(text.len() <= MAX_STATS_TEXT, "stats exposition larger than MAX_STATS_TEXT");
-            buf.put_u32(text.len() as u32);
-            buf.put_slice(text.as_bytes());
+            out.put_u32(text.len() as u32);
+            out.put_slice(text.as_bytes());
         }
-        ControlFrame::SnapshotBatch { wires, ctx } => {
-            assert!(wires.len() <= MAX_SNAPSHOT_BATCH, "batch larger than MAX_SNAPSHOT_BATCH");
-            buf.put_u16(wires.len() as u16);
-            for wire in wires {
-                assert!(wire.len() <= WIRE_SIZE, "snapshot datagram larger than WIRE_SIZE");
-                buf.put_u16(wire.len() as u16);
-                buf.put_slice(wire);
-            }
-            put_trace_ext(&mut buf, ctx);
-        }
+        // Written by the batch writer above.
+        ControlFrame::SnapshotBatch { .. } => {}
         ControlFrame::VerdictBatch { statuses } => {
             assert!(statuses.len() <= MAX_SNAPSHOT_BATCH, "batch larger than MAX_SNAPSHOT_BATCH");
-            buf.put_u16(statuses.len() as u16);
+            out.put_u16(statuses.len() as u16);
             for s in statuses {
-                buf.put_u8(s.code());
+                out.put_u8(s.code());
             }
         }
         ControlFrame::SwapModel { json } => {
             assert!(json.len() <= MAX_MODEL_JSON, "model json larger than MAX_MODEL_JSON");
-            buf.put_u32(json.len() as u32);
-            buf.put_slice(json.as_bytes());
+            out.put_u32(json.len() as u32);
+            out.put_slice(json.as_bytes());
         }
         ControlFrame::SwapAck { old_model, new_model } => {
-            buf.put_u64(*old_model);
-            buf.put_u64(*new_model);
+            out.put_u64(*old_model);
+            out.put_u64(*new_model);
         }
-        ControlFrame::Busy { retry_after_ms } => buf.put_u32(*retry_after_ms),
+        ControlFrame::Busy { retry_after_ms } => out.put_u32(*retry_after_ms),
     }
-    let checksum = fnv1a64(&buf);
-    buf.put_u64(checksum);
-    buf.freeze()
+    seal_frame(out, start);
+    debug_assert_eq!(out.len() - start, len);
+}
+
+/// Encoded payload size of `frame`: everything between the envelope
+/// header and the checksum trailer.
+fn payload_len(frame: &ControlFrame) -> usize {
+    let ext = |ctx: &Option<TraceContext>| if ctx.is_some() { TRACE_EXT_LEN } else { 0 };
+    match frame {
+        ControlFrame::Hello { .. } => 4 + 8,
+        ControlFrame::Snapshot { wire, ctx } => 2 + wire.len() + ext(ctx),
+        ControlFrame::Classify { ctx } => ext(ctx),
+        ControlFrame::Verdict { ctx, .. } => 1 + 8 + 5 * 8 + 8 + ext(ctx),
+        ControlFrame::Health(h) => 10 * 8 + 4 + 2 + 2 * h.dead_metrics.len(),
+        ControlFrame::Bye { .. } => 1,
+        ControlFrame::Stats { text } => 4 + text.len(),
+        ControlFrame::SnapshotBatch { wires, ctx } => {
+            2 + wires.iter().map(|w| 2 + w.len()).sum::<usize>() + ext(ctx)
+        }
+        ControlFrame::VerdictBatch { statuses } => 2 + statuses.len(),
+        ControlFrame::SwapModel { json } => 4 + json.len(),
+        ControlFrame::SwapAck { .. } => 8 + 8,
+        ControlFrame::Busy { .. } => 4,
+    }
+}
+
+/// Opens a control frame at the end of `out`: magic, version, kind.
+/// Returns the offset [`seal_frame`] checksums from.
+fn open_frame(out: &mut Vec<u8>, kind: u8) -> usize {
+    let start = out.len();
+    out.put_u32(CONTROL_MAGIC);
+    out.put_u16(CONTROL_VERSION);
+    out.put_u8(kind);
+    start
+}
+
+/// Closes the frame opened at `start` with the CRC-64 of its bytes,
+/// stored least-significant byte first — the reflected CRC's own bit
+/// order. That makes the whole frame one CRC codeword, so the burst
+/// guarantee also covers corruption that straddles the trailer.
+fn seal_frame(out: &mut Vec<u8>, start: usize) {
+    let crc = crc64(&out[start..]);
+    out.put_slice(&crc.to_le_bytes());
+}
+
+/// Appends the optional [`TraceContext`] extension after the payload
+/// proper. An absent context appends nothing, so untraced frames are
+/// byte-identical to the pre-extension encoding.
+fn put_trace_ext(out: &mut Vec<u8>, ctx: &Option<TraceContext>) {
+    if let Some(ctx) = ctx {
+        ctx.encode(out);
+    }
+}
+
+/// Builds a [`ControlFrame::SnapshotBatch`] in place, item by item, at
+/// the end of a caller-owned buffer: each snapshot is encoded straight
+/// into the frame, with no per-datagram buffer, and the frame is sealed
+/// once at the end. The output is byte-identical to [`encode_control`]
+/// of the same items, whose `SnapshotBatch` arm runs on this writer.
+///
+/// ```
+/// use appclass_metrics::wire::{self, ControlFrame, SnapshotBatchWriter};
+/// use appclass_metrics::{MetricFrame, NodeId, Snapshot};
+///
+/// let snap = Snapshot::new(NodeId(3), 5, MetricFrame::zeroed());
+/// let mut batch = SnapshotBatchWriter::new(Vec::new());
+/// batch.push(&snap);
+/// let bytes = batch.finish(None);
+/// let wires = vec![wire::encode(&snap).to_vec()];
+/// assert_eq!(bytes, wire::encode_control(&ControlFrame::SnapshotBatch { wires, ctx: None })[..]);
+/// ```
+#[derive(Debug)]
+pub struct SnapshotBatchWriter {
+    buf: Vec<u8>,
+    start: usize,
+    items: usize,
+}
+
+impl SnapshotBatchWriter {
+    /// Opens a batch frame after whatever `buf` already holds (a
+    /// transport length prefix, say), keeping its allocation.
+    pub fn new(mut buf: Vec<u8>) -> SnapshotBatchWriter {
+        let start = open_frame(&mut buf, KIND_SNAPSHOT_BATCH);
+        buf.put_u16(0); // item count, patched by `finish`
+        SnapshotBatchWriter { buf, start, items: 0 }
+    }
+
+    /// Appends one snapshot, encoded into the frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch already holds [`MAX_SNAPSHOT_BATCH`] items.
+    pub fn push(&mut self, snapshot: &Snapshot) {
+        self.push_wire(&datagram(snapshot));
+    }
+
+    /// Appends raw datagram bytes — possibly mangled [`encode`] output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch is full or `wire` is longer than [`WIRE_SIZE`].
+    pub fn push_wire(&mut self, wire: &[u8]) {
+        assert!(self.items < MAX_SNAPSHOT_BATCH, "batch larger than MAX_SNAPSHOT_BATCH");
+        assert!(wire.len() <= WIRE_SIZE, "snapshot datagram larger than WIRE_SIZE");
+        self.buf.put_u16(wire.len() as u16);
+        self.buf.put_slice(wire);
+        self.items += 1;
+    }
+
+    /// Items pushed so far.
+    pub fn len(&self) -> usize {
+        self.items
+    }
+
+    /// Whether no item has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.items == 0
+    }
+
+    /// Writes the item count, the optional trace extension and the
+    /// checksum, and hands the buffer back.
+    pub fn finish(mut self, ctx: Option<TraceContext>) -> Vec<u8> {
+        let at = self.start + CONTROL_HEADER;
+        self.buf[at..at + 2].copy_from_slice(&(self.items as u16).to_be_bytes());
+        put_trace_ext(&mut self.buf, &ctx);
+        seal_frame(&mut self.buf, self.start);
+        self.buf
+    }
 }
 
 /// Decodes a control frame, validating envelope, checksum, payload shape
 /// and payload semantics. Every failure is a typed
 /// [`Error::MalformedWire`]; the decoder never panics on hostile input.
+///
+/// This is [`decode_control_borrowed`] with any borrowed datagrams
+/// copied out.
 pub fn decode_control(data: &[u8]) -> Result<ControlFrame> {
+    Ok(match decode_control_borrowed(data)? {
+        ControlFrameRef::Other(frame) => frame,
+        borrowed => borrowed.to_owned_frame(),
+    })
+}
+
+fn expect_len(got: usize, want: usize) -> Result<()> {
+    if got == want {
+        Ok(())
+    } else {
+        Err(Error::MalformedWire { reason: "control payload length mismatch", offset: got })
+    }
+}
+
+/// Parses the optional trace extension from the bytes remaining after a
+/// frame's fixed payload. Empty tail (an old peer) decodes to `None`;
+/// anything else must be one well-formed extension.
+fn decode_trace_ext(tail: &[u8]) -> Result<Option<TraceContext>> {
+    TraceContext::decode_tail(tail)
+        .map_err(|reason| Error::MalformedWire { reason, offset: CONTROL_HEADER })
+}
+
+/// A control frame decoded without copying payload bytes out of the
+/// input buffer.
+///
+/// The two frame kinds that dominate a serving session's hot path —
+/// [`ControlFrame::Snapshot`] and [`ControlFrame::SnapshotBatch`] — carry
+/// raw snapshot datagrams that the session immediately re-parses with
+/// [`decode`]. Copying every datagram into a fresh `Vec<u8>` first would
+/// be pure overhead at hundreds of thousands of frames per second, so
+/// this view keeps them as slices into the caller's read buffer instead.
+/// Every other kind is decoded into its owned [`ControlFrame`] form
+/// (control-plane frames are rare and tiny, so borrowing buys nothing
+/// there).
+///
+/// [`decode_control`] is this decoder followed by
+/// [`to_owned_frame`](ControlFrameRef::to_owned_frame), so the two accept
+/// and reject exactly the same inputs.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ControlFrameRef<'a> {
+    /// Kind 2: one snapshot datagram, borrowed from the input buffer.
+    Snapshot {
+        /// Raw datagram bytes, valid for the life of the input buffer.
+        wire: &'a [u8],
+        /// Optional distributed-trace context.
+        ctx: Option<TraceContext>,
+    },
+    /// Kind 8: a batch of snapshot datagrams, each borrowed from the
+    /// input buffer.
+    SnapshotBatch {
+        /// Raw datagram byte slices, in arrival order.
+        wires: Vec<&'a [u8]>,
+        /// Optional distributed-trace context.
+        ctx: Option<TraceContext>,
+    },
+    /// Any other frame kind, decoded exactly as [`decode_control`] would.
+    Other(ControlFrame),
+}
+
+impl ControlFrameRef<'_> {
+    /// Converts the borrowed view into the owning [`ControlFrame`],
+    /// copying any borrowed datagram bytes.
+    pub fn to_owned_frame(&self) -> ControlFrame {
+        match self {
+            ControlFrameRef::Snapshot { wire, ctx } => {
+                ControlFrame::Snapshot { wire: wire.to_vec(), ctx: *ctx }
+            }
+            ControlFrameRef::SnapshotBatch { wires, ctx } => ControlFrame::SnapshotBatch {
+                wires: wires.iter().map(|w| w.to_vec()).collect(),
+                ctx: *ctx,
+            },
+            ControlFrameRef::Other(frame) => frame.clone(),
+        }
+    }
+}
+
+/// Zero-copy decoder of control frames: checks the envelope (magic,
+/// version, checksum) once, returns snapshot payloads as slices
+/// borrowing from `data`, and parses every other kind into its owned
+/// form.
+pub fn decode_control_borrowed(data: &[u8]) -> Result<ControlFrameRef<'_>> {
     if data.len() < CONTROL_HEADER + CONTROL_TRAILER {
         return Err(Error::MalformedWire { reason: "truncated control frame", offset: data.len() });
     }
@@ -511,41 +816,72 @@ pub fn decode_control(data: &[u8]) -> Result<ControlFrame> {
     if version != CONTROL_VERSION {
         return Err(Error::MalformedWire { reason: "unsupported control version", offset: 4 });
     }
-    let mut check = trailer;
-    if check.get_u64() != fnv1a64(body) {
+    let mut stored = [0u8; CONTROL_TRAILER];
+    stored.copy_from_slice(trailer);
+    if u64::from_le_bytes(stored) != crc64(body) {
         return Err(Error::MalformedWire {
             reason: "control checksum mismatch",
             offset: body.len(),
         });
     }
     let kind = rest.get_u8();
+    match kind {
+        KIND_SNAPSHOT => {
+            let wire = take_datagram(&mut rest, "truncated snapshot payload")?;
+            Ok(ControlFrameRef::Snapshot { wire, ctx: decode_trace_ext(rest)? })
+        }
+        KIND_SNAPSHOT_BATCH => {
+            if rest.len() < 2 {
+                return Err(Error::MalformedWire {
+                    reason: "truncated batch payload",
+                    offset: CONTROL_HEADER,
+                });
+            }
+            let count = rest.get_u16() as usize;
+            if count > MAX_SNAPSHOT_BATCH {
+                return Err(Error::MalformedWire {
+                    reason: "oversized snapshot batch",
+                    offset: CONTROL_HEADER,
+                });
+            }
+            let mut wires = Vec::with_capacity(count);
+            for _ in 0..count {
+                wires.push(take_datagram(&mut rest, "truncated batch item")?);
+            }
+            Ok(ControlFrameRef::SnapshotBatch { wires, ctx: decode_trace_ext(rest)? })
+        }
+        _ => decode_other(kind, rest).map(ControlFrameRef::Other),
+    }
+}
+
+/// Splits one length-prefixed datagram off the front of `rest`.
+/// `truncated` names the payload in the error when `rest` runs short.
+fn take_datagram<'a>(rest: &mut &'a [u8], truncated: &'static str) -> Result<&'a [u8]> {
+    if rest.len() < 2 {
+        return Err(Error::MalformedWire { reason: truncated, offset: CONTROL_HEADER });
+    }
+    let len = rest.get_u16() as usize;
+    if len > WIRE_SIZE {
+        return Err(Error::MalformedWire {
+            reason: "oversized snapshot payload",
+            offset: CONTROL_HEADER,
+        });
+    }
+    if rest.len() < len {
+        return Err(Error::MalformedWire { reason: truncated, offset: CONTROL_HEADER });
+    }
+    let (wire, tail) = rest.split_at(len);
+    *rest = tail;
+    Ok(wire)
+}
+
+/// Parses the payload of every kind the borrowed decoder does not keep
+/// borrowed. The envelope has already been checked.
+fn decode_other(kind: u8, mut rest: &[u8]) -> Result<ControlFrame> {
     let frame = match kind {
         1 => {
             expect_len(rest.len(), 12)?;
             ControlFrame::Hello { session: rest.get_u32(), model_id: rest.get_u64() }
-        }
-        2 => {
-            if rest.len() < 2 {
-                return Err(Error::MalformedWire {
-                    reason: "truncated snapshot payload",
-                    offset: CONTROL_HEADER,
-                });
-            }
-            let len = rest.get_u16() as usize;
-            if len > WIRE_SIZE {
-                return Err(Error::MalformedWire {
-                    reason: "oversized snapshot payload",
-                    offset: CONTROL_HEADER,
-                });
-            }
-            if rest.len() < len {
-                return Err(Error::MalformedWire {
-                    reason: "truncated snapshot payload",
-                    offset: CONTROL_HEADER,
-                });
-            }
-            let (wire, tail) = rest.split_at(len);
-            ControlFrame::Snapshot { wire: wire.to_vec(), ctx: decode_trace_ext(tail)? }
         }
         3 => ControlFrame::Classify { ctx: decode_trace_ext(rest)? },
         4 => {
@@ -654,47 +990,6 @@ pub fn decode_control(data: &[u8]) -> Result<ControlFrame> {
                 .to_string();
             ControlFrame::Stats { text }
         }
-        8 => {
-            if rest.len() < 2 {
-                return Err(Error::MalformedWire {
-                    reason: "truncated batch payload",
-                    offset: CONTROL_HEADER,
-                });
-            }
-            let count = rest.get_u16() as usize;
-            if count > MAX_SNAPSHOT_BATCH {
-                return Err(Error::MalformedWire {
-                    reason: "oversized snapshot batch",
-                    offset: CONTROL_HEADER,
-                });
-            }
-            let mut wires = Vec::with_capacity(count);
-            for _ in 0..count {
-                if rest.len() < 2 {
-                    return Err(Error::MalformedWire {
-                        reason: "truncated batch item",
-                        offset: CONTROL_HEADER,
-                    });
-                }
-                let len = rest.get_u16() as usize;
-                if len > WIRE_SIZE {
-                    return Err(Error::MalformedWire {
-                        reason: "oversized snapshot payload",
-                        offset: CONTROL_HEADER,
-                    });
-                }
-                if rest.len() < len {
-                    return Err(Error::MalformedWire {
-                        reason: "truncated batch item",
-                        offset: CONTROL_HEADER,
-                    });
-                }
-                let (item, tail) = rest.split_at(len);
-                wires.push(item.to_vec());
-                rest = tail;
-            }
-            ControlFrame::SnapshotBatch { wires, ctx: decode_trace_ext(rest)? }
-        }
         9 => {
             if rest.len() < 2 {
                 return Err(Error::MalformedWire {
@@ -759,185 +1054,6 @@ pub fn decode_control(data: &[u8]) -> Result<ControlFrame> {
     Ok(frame)
 }
 
-fn expect_len(got: usize, want: usize) -> Result<()> {
-    if got == want {
-        Ok(())
-    } else {
-        Err(Error::MalformedWire { reason: "control payload length mismatch", offset: got })
-    }
-}
-
-/// Appends the optional [`TraceContext`] extension after the payload
-/// proper. An absent context appends nothing, so untraced frames are
-/// byte-identical to the pre-extension encoding.
-fn put_trace_ext(buf: &mut BytesMut, ctx: &Option<TraceContext>) {
-    if let Some(ctx) = ctx {
-        let mut ext = Vec::with_capacity(TRACE_EXT_LEN);
-        ctx.encode(&mut ext);
-        buf.put_slice(&ext);
-    }
-}
-
-/// Parses the optional trace extension from the bytes remaining after a
-/// frame's fixed payload. Empty tail (an old peer) decodes to `None`;
-/// anything else must be one well-formed extension.
-fn decode_trace_ext(tail: &[u8]) -> Result<Option<TraceContext>> {
-    TraceContext::decode_tail(tail)
-        .map_err(|reason| Error::MalformedWire { reason, offset: CONTROL_HEADER })
-}
-
-/// A control frame decoded without copying payload bytes out of the
-/// input buffer.
-///
-/// The two frame kinds that dominate a serving session's hot path —
-/// [`ControlFrame::Snapshot`] and [`ControlFrame::SnapshotBatch`] — carry
-/// raw snapshot datagrams that the session immediately re-parses with
-/// [`decode`]. The owning decoder copies every datagram into a fresh
-/// `Vec<u8>` first; at hundreds of thousands of frames per second those
-/// copies are pure overhead. This borrowed view keeps the datagrams as
-/// slices into the caller's read buffer instead. Every other kind is
-/// decoded into its owned [`ControlFrame`] form (control-plane frames are
-/// rare and tiny, so borrowing buys nothing there).
-///
-/// Validation is byte-for-byte identical to [`decode_control`]:
-/// `decode_control_borrowed(buf)` succeeds exactly when
-/// `decode_control(buf)` does, and
-/// [`to_owned_frame`](ControlFrameRef::to_owned_frame) of the result
-/// equals the owning decode (a property test in `tests/` pins this).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ControlFrameRef<'a> {
-    /// Kind 2: one snapshot datagram, borrowed from the input buffer.
-    Snapshot {
-        /// Raw datagram bytes, valid for the life of the input buffer.
-        wire: &'a [u8],
-        /// Optional distributed-trace context.
-        ctx: Option<TraceContext>,
-    },
-    /// Kind 8: a batch of snapshot datagrams, each borrowed from the
-    /// input buffer.
-    SnapshotBatch {
-        /// Raw datagram byte slices, in arrival order.
-        wires: Vec<&'a [u8]>,
-        /// Optional distributed-trace context.
-        ctx: Option<TraceContext>,
-    },
-    /// Any other frame kind, decoded exactly as [`decode_control`] would.
-    Other(ControlFrame),
-}
-
-impl ControlFrameRef<'_> {
-    /// Converts the borrowed view into the owning [`ControlFrame`],
-    /// copying any borrowed datagram bytes.
-    pub fn to_owned_frame(&self) -> ControlFrame {
-        match self {
-            ControlFrameRef::Snapshot { wire, ctx } => {
-                ControlFrame::Snapshot { wire: wire.to_vec(), ctx: *ctx }
-            }
-            ControlFrameRef::SnapshotBatch { wires, ctx } => ControlFrame::SnapshotBatch {
-                wires: wires.iter().map(|w| w.to_vec()).collect(),
-                ctx: *ctx,
-            },
-            ControlFrameRef::Other(frame) => frame.clone(),
-        }
-    }
-}
-
-/// Zero-copy counterpart of [`decode_control`].
-///
-/// Snapshot payloads are returned as slices borrowing from `data`; all
-/// other kinds delegate to the owning decoder. Accepts and rejects
-/// exactly the same inputs as [`decode_control`].
-pub fn decode_control_borrowed(data: &[u8]) -> Result<ControlFrameRef<'_>> {
-    if data.len() < CONTROL_HEADER + CONTROL_TRAILER {
-        return Err(Error::MalformedWire { reason: "truncated control frame", offset: data.len() });
-    }
-    let (body, trailer) = data.split_at(data.len() - CONTROL_TRAILER);
-    let mut rest = body;
-    let magic = rest.get_u32();
-    if magic != CONTROL_MAGIC {
-        return Err(Error::MalformedWire { reason: "bad control magic", offset: 0 });
-    }
-    let version = rest.get_u16();
-    if version != CONTROL_VERSION {
-        return Err(Error::MalformedWire { reason: "unsupported control version", offset: 4 });
-    }
-    let mut check = trailer;
-    if check.get_u64() != fnv1a64(body) {
-        return Err(Error::MalformedWire {
-            reason: "control checksum mismatch",
-            offset: body.len(),
-        });
-    }
-    let kind = rest.get_u8();
-    match kind {
-        2 => {
-            if rest.len() < 2 {
-                return Err(Error::MalformedWire {
-                    reason: "truncated snapshot payload",
-                    offset: CONTROL_HEADER,
-                });
-            }
-            let len = rest.get_u16() as usize;
-            if len > WIRE_SIZE {
-                return Err(Error::MalformedWire {
-                    reason: "oversized snapshot payload",
-                    offset: CONTROL_HEADER,
-                });
-            }
-            if rest.len() < len {
-                return Err(Error::MalformedWire {
-                    reason: "truncated snapshot payload",
-                    offset: CONTROL_HEADER,
-                });
-            }
-            let (wire, tail) = rest.split_at(len);
-            Ok(ControlFrameRef::Snapshot { wire, ctx: decode_trace_ext(tail)? })
-        }
-        8 => {
-            if rest.len() < 2 {
-                return Err(Error::MalformedWire {
-                    reason: "truncated batch payload",
-                    offset: CONTROL_HEADER,
-                });
-            }
-            let count = rest.get_u16() as usize;
-            if count > MAX_SNAPSHOT_BATCH {
-                return Err(Error::MalformedWire {
-                    reason: "oversized snapshot batch",
-                    offset: CONTROL_HEADER,
-                });
-            }
-            let mut wires = Vec::with_capacity(count);
-            for _ in 0..count {
-                if rest.len() < 2 {
-                    return Err(Error::MalformedWire {
-                        reason: "truncated batch item",
-                        offset: CONTROL_HEADER,
-                    });
-                }
-                let len = rest.get_u16() as usize;
-                if len > WIRE_SIZE {
-                    return Err(Error::MalformedWire {
-                        reason: "oversized snapshot payload",
-                        offset: CONTROL_HEADER,
-                    });
-                }
-                if rest.len() < len {
-                    return Err(Error::MalformedWire {
-                        reason: "truncated batch item",
-                        offset: CONTROL_HEADER,
-                    });
-                }
-                let (item, tail) = rest.split_at(len);
-                wires.push(item);
-                rest = tail;
-            }
-            Ok(ControlFrameRef::SnapshotBatch { wires, ctx: decode_trace_ext(rest)? })
-        }
-        _ => decode_control(data).map(ControlFrameRef::Other),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -948,6 +1064,106 @@ mod tests {
         f.set(MetricId::CpuUser, 42.25);
         f.set(MetricId::SwapOut, 1234.5);
         Snapshot::new(NodeId(7), 12345, f)
+    }
+
+    /// Closes a hand-built frame body with the control checksum.
+    fn seal(buf: &mut Vec<u8>) {
+        seal_frame(buf, 0);
+    }
+
+    #[test]
+    fn crc64_check_value() {
+        // The catalogued CRC-64/XZ check value.
+        assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA);
+        assert_eq!(crc64(b""), 0);
+    }
+
+    #[test]
+    fn crc64_slicing_matches_bitwise_reference() {
+        fn reference(bytes: &[u8]) -> u64 {
+            let mut crc = !0u64;
+            for &b in bytes {
+                crc ^= u64::from(b);
+                for _ in 0..8 {
+                    crc = if crc & 1 == 1 { (crc >> 1) ^ CRC64_POLY } else { crc >> 1 };
+                }
+            }
+            !crc
+        }
+        let data: Vec<u8> =
+            (0..300u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for len in 0..data.len() {
+            assert_eq!(crc64(&data[..len]), reference(&data[..len]), "len {len}");
+        }
+    }
+
+    #[test]
+    fn version_1_fnv_frame_is_refused_as_unsupported_version() {
+        // A Hello exactly as a version-1 peer sealed it: FNV-1a trailer,
+        // big-endian. It must be refused for its version, not its checksum.
+        let mut buf = Vec::with_capacity(32);
+        buf.put_u32(CONTROL_MAGIC);
+        buf.put_u16(1);
+        buf.put_u8(1); // Hello
+        buf.put_u32(0);
+        buf.put_u64(0xDEAD_BEEF);
+        let checksum = fnv1a64(&buf);
+        buf.put_u64(checksum);
+        assert!(matches!(
+            decode_control(&buf),
+            Err(Error::MalformedWire { reason: "unsupported control version", offset: 4 })
+        ));
+    }
+
+    #[test]
+    fn bursts_straddling_the_trailer_are_detected() {
+        // An 8-byte burst over the last `j` payload bytes and the first
+        // `8 - j` trailer bytes, where the corrupter picks those trailer
+        // bytes to match the corrupted payload. Only the trailer's byte
+        // order decides whether the untouched last `j` trailer bytes
+        // still give it away: least significant byte first, they always
+        // do; stored big-endian, some one-byte corruptions slip through.
+        let frame = encode_control(&ControlFrame::Hello { session: 7, model_id: 0xDEAD_BEEF });
+        let body_len = frame.len() - CONTROL_TRAILER;
+        for j in 1..=2 {
+            for pattern in 1u32..1 << (8 * j) {
+                let mut forged = frame[..body_len].to_vec();
+                for (k, b) in forged[body_len - j..].iter_mut().enumerate() {
+                    *b ^= (pattern >> (8 * k)) as u8;
+                }
+                seal(&mut forged);
+                forged[frame.len() - j..].copy_from_slice(&frame[frame.len() - j..]);
+                assert!(decode_control(&forged).is_err(), "j {j}, pattern {pattern:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_error_offsets_are_fixed() {
+        let good = encode(&snapshot()).to_vec();
+        let offset_of = |bytes: &[u8]| match decode(bytes) {
+            Err(Error::MalformedWire { offset, .. }) => offset,
+            other => panic!("expected a malformed datagram, got {other:?}"),
+        };
+        assert_eq!(offset_of(&good[..100]), 100);
+        let mut bad = good.clone();
+        bad[0] ^= 1;
+        assert_eq!(offset_of(&bad), 0);
+        let mut bad = good.clone();
+        bad[5] ^= 1;
+        assert_eq!(offset_of(&bad), 4);
+        let mut bad = good.clone();
+        bad[7] ^= 1;
+        assert_eq!(offset_of(&bad), 6);
+        for i in [0, 17, METRIC_COUNT - 1] {
+            let mut bad = good.clone();
+            bad[20 + i * 8..28 + i * 8].copy_from_slice(&f64::INFINITY.to_be_bytes());
+            assert_eq!(offset_of(&bad), 20 + i * 8, "metric {i}");
+        }
+        // Trailing bytes past one announcement are ignored, as before.
+        let mut long = good.clone();
+        long.extend_from_slice(&[0xAB; 9]);
+        assert_eq!(decode(&long).unwrap(), snapshot());
     }
 
     #[test]
@@ -1174,7 +1390,7 @@ mod tests {
     #[test]
     fn control_rejects_semantic_garbage() {
         // A well-checksummed frame with a bad class code must still fail.
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
         buf.put_u32(CONTROL_MAGIC);
         buf.put_u16(CONTROL_VERSION);
         buf.put_u8(4); // Verdict
@@ -1184,8 +1400,7 @@ mod tests {
             buf.put_f64(0.2);
         }
         buf.put_u64(1); // model tag
-        let checksum = fnv1a64(&buf);
-        buf.put_u64(checksum);
+        seal(&mut buf);
         assert!(matches!(
             decode_control(&buf),
             Err(Error::MalformedWire { reason: "bad verdict class code", .. })
@@ -1195,14 +1410,13 @@ mod tests {
     #[test]
     fn stats_frame_rejects_bad_utf8() {
         // A well-checksummed Stats frame whose payload is not UTF-8.
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
         buf.put_u32(CONTROL_MAGIC);
         buf.put_u16(CONTROL_VERSION);
         buf.put_u8(7); // Stats
         buf.put_u32(2);
         buf.put_slice(&[0xFF, 0xFE]);
-        let checksum = fnv1a64(&buf);
-        buf.put_u64(checksum);
+        seal(&mut buf);
         assert!(matches!(
             decode_control(&buf),
             Err(Error::MalformedWire { reason: "stats payload not utf-8", .. })
@@ -1211,13 +1425,12 @@ mod tests {
 
     #[test]
     fn stats_frame_rejects_oversized_declared_length() {
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
         buf.put_u32(CONTROL_MAGIC);
         buf.put_u16(CONTROL_VERSION);
         buf.put_u8(7);
         buf.put_u32((MAX_STATS_TEXT + 1) as u32);
-        let checksum = fnv1a64(&buf);
-        buf.put_u64(checksum);
+        seal(&mut buf);
         assert!(matches!(
             decode_control(&buf),
             Err(Error::MalformedWire { reason: "oversized stats payload", .. })
@@ -1277,7 +1490,7 @@ mod tests {
 
     #[test]
     fn trace_extension_with_zero_trace_id_is_rejected() {
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
         buf.put_u32(CONTROL_MAGIC);
         buf.put_u16(CONTROL_VERSION);
         buf.put_u8(3); // Classify
@@ -1285,8 +1498,7 @@ mod tests {
         TraceContext { trace_id: 7, parent_span: 0, flags: 0 }.encode(&mut ext);
         ext[1..9].copy_from_slice(&0u64.to_le_bytes()); // forge trace_id = 0
         buf.put_slice(&ext);
-        let checksum = fnv1a64(&buf);
-        buf.put_u64(checksum);
+        seal(&mut buf);
         assert!(matches!(
             decode_control(&buf),
             Err(Error::MalformedWire { reason: "trace extension zero trace id", .. })
@@ -1297,24 +1509,23 @@ mod tests {
     fn snapshot_batch_rejects_lying_counts() {
         // Well-checksummed frames whose declared counts/lengths disagree
         // with the actual payload must fail shape validation.
-        let seal = |mut buf: BytesMut| {
-            let checksum = fnv1a64(&buf);
-            buf.put_u64(checksum);
-            buf.freeze()
+        let sealed = |mut buf: Vec<u8>| {
+            seal(&mut buf);
+            buf
         };
         // Declares 2 items, carries 1.
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
         buf.put_u32(CONTROL_MAGIC);
         buf.put_u16(CONTROL_VERSION);
         buf.put_u8(8);
         buf.put_u16(2);
         buf.put_u16(0);
         assert!(matches!(
-            decode_control(&seal(buf)),
+            decode_control(&sealed(buf)),
             Err(Error::MalformedWire { reason: "truncated batch item", .. })
         ));
         // Declares an item longer than the frame holds.
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
         buf.put_u32(CONTROL_MAGIC);
         buf.put_u16(CONTROL_VERSION);
         buf.put_u8(8);
@@ -1322,42 +1533,41 @@ mod tests {
         buf.put_u16(50);
         buf.put_slice(&[0xAB; 10]);
         assert!(matches!(
-            decode_control(&seal(buf)),
+            decode_control(&sealed(buf)),
             Err(Error::MalformedWire { reason: "truncated batch item", .. })
         ));
         // Declares more batch items than the protocol allows.
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
         buf.put_u32(CONTROL_MAGIC);
         buf.put_u16(CONTROL_VERSION);
         buf.put_u8(8);
         buf.put_u16((MAX_SNAPSHOT_BATCH + 1) as u16);
         assert!(matches!(
-            decode_control(&seal(buf)),
+            decode_control(&sealed(buf)),
             Err(Error::MalformedWire { reason: "oversized snapshot batch", .. })
         ));
         // Trailing garbage after the declared items: too short to be a
         // trace extension, so the extension parser rejects it.
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
         buf.put_u32(CONTROL_MAGIC);
         buf.put_u16(CONTROL_VERSION);
         buf.put_u8(8);
         buf.put_u16(0);
         buf.put_u8(0xCC);
         assert!(matches!(
-            decode_control(&seal(buf)),
+            decode_control(&sealed(buf)),
             Err(Error::MalformedWire { reason: "trace extension length mismatch", .. })
         ));
     }
 
     #[test]
     fn swap_frame_rejects_oversized_declared_length() {
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
         buf.put_u32(CONTROL_MAGIC);
         buf.put_u16(CONTROL_VERSION);
         buf.put_u8(10); // SwapModel
         buf.put_u32((MAX_MODEL_JSON + 1) as u32);
-        let checksum = fnv1a64(&buf);
-        buf.put_u64(checksum);
+        seal(&mut buf);
         assert!(matches!(
             decode_control(&buf),
             Err(Error::MalformedWire { reason: "oversized swap payload", .. })
@@ -1366,14 +1576,13 @@ mod tests {
 
     #[test]
     fn swap_frame_rejects_bad_utf8() {
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
         buf.put_u32(CONTROL_MAGIC);
         buf.put_u16(CONTROL_VERSION);
         buf.put_u8(10); // SwapModel
         buf.put_u32(2);
         buf.put_slice(&[0xFF, 0xFE]);
-        let checksum = fnv1a64(&buf);
-        buf.put_u64(checksum);
+        seal(&mut buf);
         assert!(matches!(
             decode_control(&buf),
             Err(Error::MalformedWire { reason: "swap payload not utf-8", .. })
@@ -1388,15 +1597,14 @@ mod tests {
 
     #[test]
     fn verdict_batch_rejects_bad_disposition() {
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
         buf.put_u32(CONTROL_MAGIC);
         buf.put_u16(CONTROL_VERSION);
         buf.put_u8(9);
         buf.put_u16(2);
         buf.put_u8(1);
         buf.put_u8(7); // no such disposition
-        let checksum = fnv1a64(&buf);
-        buf.put_u64(checksum);
+        seal(&mut buf);
         assert!(matches!(
             decode_control(&buf),
             Err(Error::MalformedWire { reason: "bad disposition code", .. })
@@ -1429,14 +1637,13 @@ mod tests {
     fn busy_frame_rejects_padded_payload() {
         // A well-checksummed Busy whose payload is longer than the u32
         // hint must fail shape validation, not decode loosely.
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
         buf.put_u32(CONTROL_MAGIC);
         buf.put_u16(CONTROL_VERSION);
         buf.put_u8(12); // Busy
         buf.put_u32(100);
         buf.put_u8(0); // trailing garbage
-        let checksum = fnv1a64(&buf);
-        buf.put_u64(checksum);
+        seal(&mut buf);
         assert!(matches!(
             decode_control(&buf),
             Err(Error::MalformedWire { reason: "control payload length mismatch", .. })

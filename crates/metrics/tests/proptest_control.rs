@@ -1,8 +1,8 @@
 //! Property tests of the control-frame codec that the serving protocol
 //! rides on: arbitrary frames round-trip exactly, and — because every
-//! frame carries an FNV-1a trailer — *any* byte corruption yields a
-//! typed `MalformedWire` error. Never a panic, never a silently wrong
-//! frame.
+//! frame carries a CRC-64 trailer — any byte flip, and any corruption
+//! confined to 8 consecutive bytes, yields a typed `MalformedWire`
+//! error. Never a panic, never a silently wrong frame.
 
 use appclass_metrics::wire::{decode_control, encode_control, MAX_CONTROL_SIZE, WIRE_SIZE};
 use appclass_metrics::{ByeReason, ControlFrame, Error, TelemetryHealth, METRIC_COUNT};
@@ -113,6 +113,30 @@ proptest! {
         match decode_control(&bytes) {
             Err(Error::MalformedWire { .. }) => {}
             Ok(decoded) => prop_assert!(false, "flip at {} decoded as {:?}", at, decoded),
+            Err(other) => prop_assert!(false, "wrong error class: {}", other),
+        }
+    }
+
+    #[test]
+    fn any_burst_of_up_to_eight_bytes_is_a_typed_error(
+        frame in arb_frame(),
+        pick in any::<usize>(),
+        first in 1u8..=255,
+        rest in prop::collection::vec(any::<u8>(), 0..8),
+    ) {
+        // A degree-64 CRC detects every error burst of up to 64 bits: XOR
+        // any nonzero pattern into 1-8 consecutive bytes anywhere in the
+        // frame (the trailer included) and the decode must fail, typed.
+        let mut bytes = encode_control(&frame).to_vec();
+        let width = 1 + rest.len();
+        let at = pick % (bytes.len() - width + 1);
+        bytes[at] ^= first;
+        for (i, &x) in rest.iter().enumerate() {
+            bytes[at + 1 + i] ^= x;
+        }
+        match decode_control(&bytes) {
+            Err(Error::MalformedWire { .. }) => {}
+            Ok(decoded) => prop_assert!(false, "burst at {} decoded as {:?}", at, decoded),
             Err(other) => prop_assert!(false, "wrong error class: {}", other),
         }
     }

@@ -9,16 +9,15 @@
 //! absorbs the damage.
 
 use crate::error::{Result, ServeError};
-use crate::proto::{read_frame, write_frame, write_frame_single};
+use crate::proto::{begin_batch, finish_batch, read_frame, write_frame};
 use appclass_core::{AppClass, ClassComposition};
 use appclass_metrics::faults::{FaultPlan, FaultyChannel};
-use appclass_metrics::{
-    wire, ByeReason, ControlFrame, FrameDisposition, Snapshot, TelemetryHealth,
-};
+use appclass_metrics::wire::{self, SnapshotBatchWriter};
+use appclass_metrics::{ByeReason, ControlFrame, FrameDisposition, Snapshot, TelemetryHealth};
 use appclass_obs::span::SpanName;
 use appclass_obs::{fresh_trace_id, TraceContext, TraceScope, Tracer};
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Client-side knobs.
@@ -100,14 +99,17 @@ pub struct BatchReport {
 /// One connected classification session.
 pub struct ServeClient {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    /// Every frame goes out as one contiguous buffer, so writes need no
+    /// second buffering layer.
+    writer: TcpStream,
     session: u32,
     model_id: u64,
     chaos: Option<FaultyChannel>,
     tracing: Option<ClientTracing>,
     snapshots_sent: u64,
     busy_notices: u64,
-    batch_scratch: Vec<u8>,
+    /// The `SnapshotBatch` frame buffer, kept warm across batches.
+    batch_buf: Vec<u8>,
 }
 
 impl std::fmt::Debug for ServeClient {
@@ -133,7 +135,7 @@ impl ServeClient {
         let reader = BufReader::new(stream.try_clone()?);
         let mut client = ServeClient {
             reader,
-            writer: BufWriter::new(stream),
+            writer: stream,
             session: 0,
             model_id: 0,
             chaos: config.chaos.map(FaultyChannel::new),
@@ -145,7 +147,7 @@ impl ServeClient {
             }),
             snapshots_sent: 0,
             busy_notices: 0,
-            batch_scratch: Vec::new(),
+            batch_buf: Vec::new(),
         };
         write_frame(
             &mut client.writer,
@@ -212,14 +214,15 @@ impl ServeClient {
     /// first crosses the fault channel, so it may be dropped, delayed
     /// (emerging with a later send), duplicated, or corrupted.
     pub fn send_snapshot(&mut self, snapshot: &Snapshot) -> Result<()> {
-        let datagram = wire::encode(snapshot).to_vec();
+        let datagram = wire::datagram(snapshot);
         match &mut self.chaos {
             Some(chan) => {
                 for delivered in chan.transmit(&datagram) {
                     self.send_wire(delivered)?;
                 }
             }
-            None => self.send_wire(datagram)?,
+            // The owned `Snapshot` frame needs its payload in a `Vec`.
+            None => self.send_wire(Vec::from(datagram))?,
         }
         Ok(())
     }
@@ -241,10 +244,11 @@ impl ServeClient {
     /// Streams a run of snapshots coalesced into `SnapshotBatch` frames
     /// of up to `max_batch` datagrams each (clamped to
     /// `1..=`[`wire::MAX_SNAPSHOT_BATCH`]), reading one `VerdictBatch`
-    /// acknowledgement per frame. With chaos configured every datagram
-    /// crosses the fault channel first — dropped, delayed, duplicated,
-    /// or corrupted exactly as on the single-frame path — and whatever
-    /// the channel delivers is what gets coalesced.
+    /// acknowledgement per frame. Each snapshot is encoded straight into
+    /// the frame buffer. With chaos configured every datagram crosses the
+    /// fault channel first — dropped, delayed, duplicated, or corrupted
+    /// exactly as on the single-frame path — and whatever the channel
+    /// delivers is what goes into the frame.
     ///
     /// Batching only changes the framing, never the classification:
     /// a [`ServeClient::classify`] after this returns a verdict bitwise
@@ -256,37 +260,30 @@ impl ServeClient {
     ) -> Result<BatchReport> {
         let cap = max_batch.clamp(1, wire::MAX_SNAPSHOT_BATCH);
         let mut report = BatchReport::default();
-        let mut pending: Vec<Vec<u8>> = Vec::with_capacity(cap);
         let mut outstanding: VecDeque<u64> = VecDeque::new();
+        let mut batch = begin_batch(std::mem::take(&mut self.batch_buf));
         for snap in snapshots {
-            let datagram = wire::encode(snap).to_vec();
             match &mut self.chaos {
                 Some(chan) => {
-                    for delivered in chan.transmit(&datagram) {
-                        pending.push(delivered);
-                        if pending.len() == cap {
-                            self.send_batch(&mut pending, &mut outstanding, &mut report)?;
-                        }
+                    for delivered in chan.transmit(&wire::datagram(snap)) {
+                        batch = self.make_room(batch, cap, &mut outstanding, &mut report)?;
+                        batch.push_wire(&delivered);
                     }
                 }
                 None => {
-                    pending.push(datagram);
-                    if pending.len() == cap {
-                        self.send_batch(&mut pending, &mut outstanding, &mut report)?;
-                    }
+                    batch = self.make_room(batch, cap, &mut outstanding, &mut report)?;
+                    batch.push(snap);
                 }
             }
         }
         if let Some(chan) = &mut self.chaos {
             for delivered in chan.drain() {
-                pending.push(delivered);
-                if pending.len() == cap {
-                    self.send_batch(&mut pending, &mut outstanding, &mut report)?;
-                }
+                batch = self.make_room(batch, cap, &mut outstanding, &mut report)?;
+                batch.push_wire(&delivered);
             }
         }
-        if !pending.is_empty() {
-            self.send_batch(&mut pending, &mut outstanding, &mut report)?;
+        if !batch.is_empty() {
+            self.batch_buf = self.send_batch(batch, &mut outstanding, &mut report)?;
         }
         while !outstanding.is_empty() {
             self.read_batch_ack(&mut outstanding, &mut report)?;
@@ -302,33 +299,43 @@ impl ServeClient {
     /// the two directions cannot deadlock against each other.
     const BATCH_WINDOW: usize = 4;
 
-    /// Sends one coalesced batch (a single contiguous write) and records
-    /// it as outstanding, collecting the oldest acknowledgement first if
-    /// the pipeline window is full. Leaves `pending` empty for the next
-    /// batch.
-    fn send_batch(
+    /// Returns a batch with room for one more item: `batch` itself, or a
+    /// fresh one in the same buffer once `batch` has been sent full.
+    fn make_room(
         &mut self,
-        pending: &mut Vec<Vec<u8>>,
+        batch: SnapshotBatchWriter,
+        cap: usize,
         outstanding: &mut VecDeque<u64>,
         report: &mut BatchReport,
-    ) -> Result<()> {
+    ) -> Result<SnapshotBatchWriter> {
+        if batch.len() < cap {
+            return Ok(batch);
+        }
+        Ok(begin_batch(self.send_batch(batch, outstanding, report)?))
+    }
+
+    /// Seals one batch and sends it as a single contiguous write,
+    /// recording it as outstanding (collecting the oldest acknowledgement
+    /// first if the pipeline window is full). Returns the frame buffer
+    /// for the next batch.
+    fn send_batch(
+        &mut self,
+        batch: SnapshotBatchWriter,
+        outstanding: &mut VecDeque<u64>,
+        report: &mut BatchReport,
+    ) -> Result<Vec<u8>> {
         if outstanding.len() >= Self::BATCH_WINDOW {
             self.read_batch_ack(outstanding, report)?;
         }
-        let wires = std::mem::take(pending);
-        let count = wires.len() as u64;
+        let count = batch.len() as u64;
         let stamped = self.tracing.as_ref().map(|t| t.stamp(t.send_name));
-        let ctx = stamped.as_ref().map(|s| s.0);
-        write_frame_single(
-            &mut self.writer,
-            &ControlFrame::SnapshotBatch { wires, ctx },
-            &mut self.batch_scratch,
-        )?;
+        let frame = finish_batch(batch, stamped.as_ref().map(|s| s.0));
+        self.writer.write_all(&frame)?;
         self.snapshots_sent += count;
         report.sent += count;
         report.batches += 1;
         outstanding.push_back(count);
-        Ok(())
+        Ok(frame)
     }
 
     /// Reads the acknowledgement for the oldest outstanding batch and

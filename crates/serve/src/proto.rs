@@ -2,14 +2,18 @@
 //!
 //! TCP gives the service a byte pipe, not datagrams, so every control
 //! frame travels as a big-endian `u32` length prefix followed by exactly
-//! that many [`wire::encode_control`] bytes. The prefix is bounded by
+//! that many [`wire::encode_control`] bytes. Senders lay the prefix and
+//! the frame down together in the buffer they write from
+//! ([`append_frame`], or [`begin_batch`]/[`finish_batch`] for a
+//! snapshot batch built item by item). The prefix is bounded by
 //! [`MAX_FRAME_BYTES`]; a larger announcement is rejected *before* any
 //! allocation, so a corrupt or hostile peer cannot make the server
 //! buffer unbounded garbage.
 
 use crate::error::{Result, ServeError};
-use appclass_metrics::wire::{self, MAX_CONTROL_SIZE};
+use appclass_metrics::wire::{self, SnapshotBatchWriter, MAX_CONTROL_SIZE};
 use appclass_metrics::ControlFrame;
+use appclass_obs::TraceContext;
 use std::io::{ErrorKind, Read, Write};
 
 /// Hard cap on one framed message: the largest legal control frame.
@@ -23,34 +27,47 @@ pub const MAX_FRAME_BYTES: usize = MAX_CONTROL_SIZE;
 /// stalls are calibrated against exactly that product.
 pub const MID_FRAME_TIMEOUT_BUDGET: u32 = 100;
 
-/// Writes one control frame (length prefix + encoded bytes) and flushes.
+/// Appends one control frame to `buf` as it travels on the stream:
+/// length prefix, then the encoded frame, both written in place.
+pub fn append_frame(buf: &mut Vec<u8>, frame: &ControlFrame) {
+    let at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    wire::encode_control_into(frame, buf);
+    patch_prefix(buf, at);
+}
+
+/// Writes one control frame (length prefix + encoded bytes) with a
+/// single `write_all`, and flushes.
 pub fn write_frame<W: Write>(w: &mut W, frame: &ControlFrame) -> Result<()> {
-    let bytes = wire::encode_control(frame);
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(&bytes)?;
+    let mut buf = Vec::new();
+    append_frame(&mut buf, frame);
+    w.write_all(&buf)?;
     w.flush()?;
     Ok(())
 }
 
-/// Like [`write_frame`], but assembles the length prefix and the encoded
-/// body into one contiguous caller-owned scratch buffer and hands the
-/// transport a single `write_all` — the batch reply path, where one
-/// write per *batch* rather than two per frame is the point. The scratch
-/// buffer keeps its allocation across calls, so the steady state writes
-/// without allocating beyond the encoder itself.
-pub fn write_frame_single<W: Write>(
-    w: &mut W,
-    frame: &ControlFrame,
-    scratch: &mut Vec<u8>,
-) -> Result<()> {
-    let bytes = wire::encode_control(frame);
-    scratch.clear();
-    scratch.reserve(4 + bytes.len());
-    scratch.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    scratch.extend_from_slice(&bytes);
-    w.write_all(scratch)?;
-    w.flush()?;
-    Ok(())
+/// Starts a length-prefixed `SnapshotBatch` frame in `buf`, discarding
+/// its contents but keeping its allocation. Push the items, then seal
+/// with [`finish_batch`].
+pub fn begin_batch(mut buf: Vec<u8>) -> SnapshotBatchWriter {
+    buf.clear();
+    buf.extend_from_slice(&[0; 4]);
+    SnapshotBatchWriter::new(buf)
+}
+
+/// Seals a batch opened by [`begin_batch`] and fills in its length
+/// prefix; the returned buffer is the frame exactly as it goes on the
+/// stream.
+pub fn finish_batch(batch: SnapshotBatchWriter, ctx: Option<TraceContext>) -> Vec<u8> {
+    let mut buf = batch.finish(ctx);
+    patch_prefix(&mut buf, 0);
+    buf
+}
+
+/// Fills the 4-byte length prefix at `at` with the size of what follows.
+fn patch_prefix(buf: &mut [u8], at: usize) {
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_be_bytes());
 }
 
 /// Reads one control frame, blocking until it arrives.
@@ -173,6 +190,64 @@ mod tests {
             assert_eq!(&read_frame(&mut r).unwrap(), f);
         }
         assert!(matches!(read_frame(&mut r), Err(ServeError::ConnectionClosed)));
+    }
+
+    /// The stream form of a frame: length prefix, then `encode_control`.
+    fn prefixed(frame: &ControlFrame) -> Vec<u8> {
+        let body = wire::encode_control(frame);
+        let mut out = (body.len() as u32).to_be_bytes().to_vec();
+        out.extend_from_slice(&body);
+        out
+    }
+
+    #[test]
+    fn batch_writer_is_byte_identical_to_the_owned_encoding() {
+        use appclass_metrics::{MetricFrame, MetricId, NodeId, Snapshot};
+        let snaps: Vec<Snapshot> = (0..wire::MAX_SNAPSHOT_BATCH as u64)
+            .map(|i| {
+                let mut f = MetricFrame::zeroed();
+                f.set(MetricId::CpuUser, i as f64 * 0.5);
+                f.set(MetricId::BytesIn, 1.0e6 - i as f64);
+                Snapshot::new(NodeId(i as u32 % 7), 1000 + 5 * i, f)
+            })
+            .collect();
+        let traced = TraceContext { trace_id: 0x1234_5678, parent_span: 9, flags: 1 };
+        // A dirty, warm buffer: `begin_batch` must reuse it from scratch.
+        let mut buf = vec![0xEE; 64];
+        for n in [0, 1, 127, 128] {
+            for ctx in [None, Some(traced)] {
+                let mut batch = begin_batch(buf);
+                for s in &snaps[..n] {
+                    batch.push(s);
+                }
+                assert_eq!(batch.len(), n);
+                buf = finish_batch(batch, ctx);
+                let wires = snaps[..n].iter().map(|s| wire::encode(s).to_vec()).collect();
+                let owned = prefixed(&ControlFrame::SnapshotBatch { wires, ctx });
+                assert_eq!(buf, owned, "{n} items, ctx {ctx:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn appended_frames_are_the_prefixed_encodings_back_to_back() {
+        let frames = [
+            ControlFrame::Hello { session: 3, model_id: 99 },
+            ControlFrame::VerdictBatch {
+                statuses: vec![appclass_metrics::FrameDisposition::Dropped],
+            },
+            // The batch writer must start its checksum where this frame
+            // starts, not at the front of the buffer.
+            ControlFrame::SnapshotBatch { wires: vec![vec![0xAB; 40], Vec::new()], ctx: None },
+            ControlFrame::Bye { reason: ByeReason::Normal },
+        ];
+        let mut buf = b"pending".to_vec();
+        let mut want = buf.clone();
+        for f in &frames {
+            append_frame(&mut buf, f);
+            want.extend_from_slice(&prefixed(f));
+        }
+        assert_eq!(buf, want);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use crate::error::{Result, ServeError};
 use crate::feed::{CompositionFeed, FeedEntry};
 use crate::model::ModelSlot;
-use crate::proto::{read_frame_or_idle, read_frame_or_idle_timed, write_frame, write_frame_single};
+use crate::proto::{read_frame_or_idle, read_frame_or_idle_timed, write_frame};
 use crate::stats::SessionOutcome;
 use appclass_core::online::OnlineClassifier;
 use appclass_core::ClassifierPipeline;
@@ -213,10 +213,6 @@ fn run_session_inner(
     }
 
     // --- steady state, one classifier per model generation ---------------
-    // Reply-assembly scratch for the batch path: prefix + body become one
-    // contiguous write, and the buffer stays warm across batches and
-    // across generations.
-    let mut reply_scratch: Vec<u8> = Vec::new();
     loop {
         // Pin the served pipeline for this generation; a concurrent swap
         // bumps the epoch, which the frame loop polls.
@@ -232,7 +228,6 @@ fn run_session_inner(
             shutdown,
             sobs,
             &mut outcome,
-            &mut reply_scratch,
             session_id,
             feed,
         );
@@ -259,7 +254,6 @@ fn run_generation(
     shutdown: &AtomicBool,
     sobs: &mut Option<SessionObs>,
     outcome: &mut SessionOutcome,
-    reply_scratch: &mut Vec<u8>,
     session_id: u32,
     feed: Option<&CompositionFeed>,
 ) -> GenExit {
@@ -413,7 +407,7 @@ fn run_generation(
                     }
                     let statuses = vec![FrameDisposition::Expired; wires.len()];
                     let reply = ControlFrame::VerdictBatch { statuses };
-                    if let Err(e) = write_frame_single(writer, &reply, reply_scratch) {
+                    if let Err(e) = write_frame(writer, &reply) {
                         finish(outcome, &classifier);
                         return GenExit::Failed(e);
                     }
@@ -481,9 +475,9 @@ fn run_generation(
                 }
                 // Unlike lone snapshots (fire-and-forget), a batch is
                 // acknowledged: one `VerdictBatch` of per-item
-                // dispositions, assembled and sent as a single write.
+                // dispositions, sent as a single write.
                 let reply = ControlFrame::VerdictBatch { statuses };
-                if let Err(e) = write_frame_single(writer, &reply, reply_scratch) {
+                if let Err(e) = write_frame(writer, &reply) {
                     finish(outcome, &classifier);
                     return GenExit::Failed(e);
                 }

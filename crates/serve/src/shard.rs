@@ -42,7 +42,7 @@ use crate::feed::CompositionFeed;
 use crate::model::ModelSlot;
 use crate::overload::{OverloadMachine, OverloadState};
 use crate::poll::PollSet;
-use crate::proto::{write_frame, write_frame_single, MAX_FRAME_BYTES, MID_FRAME_TIMEOUT_BUDGET};
+use crate::proto::{append_frame, MAX_FRAME_BYTES, MID_FRAME_TIMEOUT_BUDGET};
 use crate::server::{ServerConfig, SessionCounters};
 use crate::session::{
     busy_frame, deadline_exceeded, finish, publish_feed, refuse, refuse_busy, verdict_frame,
@@ -54,7 +54,7 @@ use appclass_metrics::wire::{self, ControlFrameRef};
 use appclass_metrics::{ByeReason, ControlFrame, FrameDisposition, FrameVerdict};
 use appclass_obs::span::SpanName;
 use appclass_obs::{Counter, Gauge, Histogram, Observability, TraceScope};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -68,7 +68,9 @@ const ACCEPT_POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// How long a shard parks in `poll(2)` when its sockets are quiet; the
 /// upper bound on new-connection pickup latency.
 const SHARD_POLL_INTERVAL: Duration = Duration::from_millis(5);
-/// Sleep cadence of a shard with no connections at all.
+/// Idle cadence: how long a shard with no connections waits on its
+/// intake channel (or, draining for shutdown, sleeps) before re-checking
+/// its flags.
 const SHARD_IDLE_SLEEP: Duration = Duration::from_millis(1);
 /// Read chunk size per `read(2)` call on a ready socket.
 const READ_CHUNK: usize = 64 * 1024;
@@ -528,7 +530,6 @@ fn shard_loop(shared: &ShardShared, rx: &Receiver<TcpStream>) -> ServerStats {
     let mut stats = ServerStats::default();
     let mut conns: Vec<Conn> = Vec::new();
     let mut poll = PollSet::new();
-    let mut scratch: Vec<u8> = Vec::new();
     let mut tmp = vec![0u8; READ_CHUNK];
     let sobs = ShardObs::new(&shared.obs);
     let stall_budget = shared.config.read_timeout.saturating_mul(MID_FRAME_TIMEOUT_BUDGET);
@@ -540,49 +541,7 @@ fn shard_loop(shared: &ShardShared, rx: &Receiver<TcpStream>) -> ServerStats {
         let mut disconnected = false;
         loop {
             match rx.try_recv() {
-                Ok(stream) => {
-                    if shutting_down {
-                        // Admitted before the flag flipped; mirror the
-                        // threaded worker's post-shutdown refusal.
-                        stats.sessions_rejected += 1;
-                        shared.counters.rejected.inc();
-                        refuse(stream, ByeReason::Shutdown);
-                        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                        update_overload(shared);
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        stats.session_errors += 1;
-                        shared.counters.errors.inc();
-                        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                        update_overload(shared);
-                        continue;
-                    }
-                    // Replies are small and latency-bound; never let
-                    // Nagle sit on them.
-                    let _ = stream.set_nodelay(true);
-                    let session_id = shared.next_session.fetch_add(1, Ordering::SeqCst);
-                    stats.sessions_started += 1;
-                    shared.counters.started.inc();
-                    conns.push(Conn {
-                        io: ConnIo {
-                            stream,
-                            read_buf: Vec::new(),
-                            write_buf: Vec::new(),
-                            write_pos: 0,
-                            frame_started: None,
-                        },
-                        sess: Sess {
-                            session_id,
-                            phase: Phase::Handshake,
-                            gen: None,
-                            outcome: SessionOutcome::default(),
-                            last_trace: 0,
-                            degraded_noted: false,
-                        },
-                        closing: None,
-                    });
-                }
+                Ok(stream) => admit(stream, shutting_down, &mut conns, &mut stats, shared),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
                     disconnected = true;
@@ -602,7 +561,7 @@ fn shard_loop(shared: &ShardShared, rx: &Receiver<TcpStream>) -> ServerStats {
                     }
                     Phase::Steady => CloseKind::Shutdown,
                 };
-                let _ = write_frame(
+                append_frame(
                     &mut conn.io.write_buf,
                     &ControlFrame::Bye { reason: ByeReason::Shutdown },
                 );
@@ -620,8 +579,16 @@ fn shard_loop(shared: &ShardShared, rx: &Receiver<TcpStream>) -> ServerStats {
             if disconnected {
                 break; // accept limit drained and nothing left to serve
             }
-            std::thread::sleep(SHARD_IDLE_SLEEP);
-            continue;
+            // Idle: park on the intake channel itself, so a hand-off
+            // wakes the shard at once instead of after a sleep.
+            match rx.recv_timeout(SHARD_IDLE_SLEEP) {
+                Ok(stream) => {
+                    let shutting_down = shared.shutdown.load(Ordering::SeqCst);
+                    admit(stream, shutting_down, &mut conns, &mut stats, shared);
+                }
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
         }
 
         // --- readiness ---------------------------------------------------
@@ -642,7 +609,6 @@ fn shard_loop(shared: &ShardShared, rx: &Receiver<TcpStream>) -> ServerStats {
                 writable,
                 shared,
                 &sobs,
-                &mut scratch,
                 &mut tmp,
                 stall_budget,
             );
@@ -660,6 +626,58 @@ fn shard_loop(shared: &ShardShared, rx: &Receiver<TcpStream>) -> ServerStats {
     stats
 }
 
+/// Takes one connection the acceptor dealt to this shard: refused with
+/// `Bye(Shutdown)` if the shard is shutting down, otherwise made
+/// nonblocking and added to `conns` in the handshake phase.
+fn admit(
+    stream: TcpStream,
+    shutting_down: bool,
+    conns: &mut Vec<Conn>,
+    stats: &mut ServerStats,
+    shared: &ShardShared,
+) {
+    if shutting_down {
+        // Admitted before the flag flipped; mirror the threaded worker's
+        // post-shutdown refusal.
+        stats.sessions_rejected += 1;
+        shared.counters.rejected.inc();
+        refuse(stream, ByeReason::Shutdown);
+        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+        update_overload(shared);
+        return;
+    }
+    if stream.set_nonblocking(true).is_err() {
+        stats.session_errors += 1;
+        shared.counters.errors.inc();
+        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+        update_overload(shared);
+        return;
+    }
+    // Replies are small and latency-bound; never let Nagle sit on them.
+    let _ = stream.set_nodelay(true);
+    let session_id = shared.next_session.fetch_add(1, Ordering::SeqCst);
+    stats.sessions_started += 1;
+    shared.counters.started.inc();
+    conns.push(Conn {
+        io: ConnIo {
+            stream,
+            read_buf: Vec::new(),
+            write_buf: Vec::new(),
+            write_pos: 0,
+            frame_started: None,
+        },
+        sess: Sess {
+            session_id,
+            phase: Phase::Handshake,
+            gen: None,
+            outcome: SessionOutcome::default(),
+            last_trace: 0,
+            degraded_noted: false,
+        },
+        closing: None,
+    });
+}
+
 /// One event-loop turn for one connection: pump reads, serve complete
 /// frames, poll the swap epoch and the stall budget, flush writes.
 #[allow(clippy::too_many_arguments)]
@@ -669,14 +687,13 @@ fn serve_conn_turn(
     writable: bool,
     shared: &ShardShared,
     sobs: &ShardObs,
-    scratch: &mut Vec<u8>,
     tmp: &mut [u8],
     stall_budget: Duration,
 ) {
     if readable && conn.closing.is_none() {
         match conn.io.pump_read(tmp) {
             Ok(eof) => {
-                serve_pending_frames(conn, shared, sobs, scratch);
+                serve_pending_frames(conn, shared, sobs);
                 if eof && conn.closing.is_none() {
                     // Peer vanished without Bye: mirror the threaded
                     // read path's ConnectionClosed.
@@ -766,12 +783,7 @@ fn rebuild_if_swapped(sess: &mut Sess, shared: &ShardShared, sobs: &ShardObs) {
 /// Parses every complete frame in the connection's read buffer and
 /// serves it. Frames are decoded zero-copy: snapshot payloads are
 /// classified straight out of `read_buf`.
-fn serve_pending_frames(
-    conn: &mut Conn,
-    shared: &ShardShared,
-    sobs: &ShardObs,
-    scratch: &mut Vec<u8>,
-) {
+fn serve_pending_frames(conn: &mut Conn, shared: &ShardShared, sobs: &ShardObs) {
     let Conn { io, sess, closing } = conn;
     let ConnIo { read_buf, write_buf, frame_started, .. } = io;
     let mut at = 0usize;
@@ -800,7 +812,7 @@ fn serve_pending_frames(
         // later frames in the same buffer were all ready "now".
         let arrival =
             if consumed_any { Instant::now() } else { frame_started.unwrap_or_else(Instant::now) };
-        let step = serve_frame(sess, body, arrival, write_buf, shared, sobs, scratch);
+        let step = serve_frame(sess, body, arrival, write_buf, shared, sobs);
         at += 4 + len;
         consumed_any = true;
         match step {
@@ -834,14 +846,13 @@ fn serve_frame(
     write_buf: &mut Vec<u8>,
     shared: &ShardShared,
     sobs: &ShardObs,
-    scratch: &mut Vec<u8>,
 ) -> Step {
     let session_config = shared.config.session;
     let frame = match wire::decode_control_borrowed(body) {
         Ok(frame) => frame,
         Err(_) => {
             // The session envelope itself is corrupt: framing is lost.
-            let _ = write_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Protocol });
+            append_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Protocol });
             if let Some(gen) = sess.gen.as_mut() {
                 gen.classifier.note_malformed();
             }
@@ -856,7 +867,7 @@ fn serve_frame(
             ControlFrame::Hello { model_id, .. } => {
                 let served = shared.slot.current_id();
                 if !shared.slot.accepts(model_id) {
-                    let _ = write_frame(
+                    append_frame(
                         write_buf,
                         &ControlFrame::Bye { reason: ByeReason::ModelMismatch },
                     );
@@ -865,7 +876,7 @@ fn serve_frame(
                         served,
                     }));
                 }
-                let _ = write_frame(
+                append_frame(
                     write_buf,
                     &ControlFrame::Hello { session: sess.session_id, model_id: served },
                 );
@@ -874,7 +885,7 @@ fn serve_frame(
                 Step::Continue
             }
             other => {
-                let _ = write_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Protocol });
+                append_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Protocol });
                 Step::Close(CloseKind::Failed(ServeError::UnexpectedFrame {
                     expected: "Hello",
                     got: other.name(),
@@ -893,8 +904,7 @@ fn serve_frame(
             sess.outcome.frames_in += 1;
             sobs.frames_in.inc();
             if sess.outcome.frames_in > session_config.frame_budget {
-                let _ =
-                    write_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::FrameBudget });
+                append_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::FrameBudget });
                 return Step::Close(CloseKind::Clean);
             }
             if deadline_exceeded(&session_config, arrival) {
@@ -902,7 +912,7 @@ fn serve_frame(
                 sobs.frames_deadline_shed.inc();
                 note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "deadline shed");
                 let notice = busy_frame(&session_config);
-                let _ = write_frame(write_buf, &notice);
+                append_frame(write_buf, &notice);
                 return Step::Continue;
             }
             // The inner datagram crossed the client's (possibly faulty)
@@ -949,8 +959,7 @@ fn serve_frame(
             sess.outcome.frames_in += n;
             sobs.frames_in.add(n);
             if sess.outcome.frames_in > session_config.frame_budget {
-                let _ =
-                    write_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::FrameBudget });
+                append_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::FrameBudget });
                 return Step::Close(CloseKind::Clean);
             }
             if deadline_exceeded(&session_config, arrival) {
@@ -959,7 +968,7 @@ fn serve_frame(
                 note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "deadline shed");
                 let statuses = vec![FrameDisposition::Expired; wires.len()];
                 let reply = ControlFrame::VerdictBatch { statuses };
-                let _ = write_frame_single(write_buf, &reply, scratch);
+                append_frame(write_buf, &reply);
                 return Step::Continue;
             }
             let gen = sess.gen.as_mut().expect("steady phase always has a generation");
@@ -1013,7 +1022,7 @@ fn serve_frame(
                 note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "malformed");
             }
             let reply = ControlFrame::VerdictBatch { statuses };
-            let _ = write_frame_single(write_buf, &reply, scratch);
+            append_frame(write_buf, &reply);
             publish_feed(
                 Some(&shared.feed),
                 sess.session_id,
@@ -1032,7 +1041,7 @@ fn serve_frame(
             let span = sobs.obs.tracer.span(sobs.classify_span);
             let start = Instant::now();
             let verdict = verdict_frame(&gen.classifier, model_id, ctx);
-            let _ = write_frame(write_buf, &verdict);
+            append_frame(write_buf, &verdict);
             drop(span);
             let elapsed = start.elapsed();
             sess.outcome.classify_latency.record(elapsed);
@@ -1056,8 +1065,7 @@ fn serve_frame(
                     // An undecodable model is a protocol-level failure:
                     // nothing was installed, and the typed core error
                     // says why.
-                    let _ =
-                        write_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Protocol });
+                    append_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Protocol });
                     return Step::Close(CloseKind::Failed(e.into()));
                 }
             };
@@ -1071,7 +1079,7 @@ fn serve_frame(
                 ));
             }
             let ack = ControlFrame::SwapAck { old_model: old, new_model: new_id };
-            let _ = write_frame(write_buf, &ack);
+            append_frame(write_buf, &ack);
             if old != new_id {
                 // Our own swap: rebuild eagerly rather than waiting for
                 // the next frame's epoch poll.
@@ -1081,21 +1089,21 @@ fn serve_frame(
         }
         ControlFrameRef::Other(ControlFrame::Stats { .. }) => {
             let text = sobs.obs.registry.render();
-            let _ = write_frame(write_buf, &ControlFrame::Stats { text });
+            append_frame(write_buf, &ControlFrame::Stats { text });
             Step::Continue
         }
         ControlFrameRef::Other(ControlFrame::Health(_)) => {
             let gen = sess.gen.as_ref().expect("steady phase always has a generation");
             let reply = ControlFrame::Health(gen.classifier.telemetry().clone());
-            let _ = write_frame(write_buf, &reply);
+            append_frame(write_buf, &reply);
             Step::Continue
         }
         ControlFrameRef::Other(ControlFrame::Bye { .. }) => {
-            let _ = write_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Normal });
+            append_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Normal });
             Step::Close(CloseKind::Clean)
         }
         ControlFrameRef::Other(other) => {
-            let _ = write_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Protocol });
+            append_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Protocol });
             Step::Close(CloseKind::Failed(ServeError::UnexpectedFrame {
                 expected: "Snapshot/SnapshotBatch/Classify/SwapModel/Health/Bye",
                 got: other.name(),

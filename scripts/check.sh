@@ -21,6 +21,12 @@ echo "== perfbench tests =="
 # here, not in a later benchmark run.
 cargo test --release --manifest-path perfbench/Cargo.toml
 
+echo "== compile the criterion benches =="
+# Neither the build nor the tests above compile crates/bench/benches/*,
+# and clippy only lints library and binary targets, so an API change
+# that breaks a bench would otherwise pass this gate.
+cargo bench --workspace --no-run
+
 echo "== server smoke test =="
 # Train a model, serve it on an ephemeral port, classify one workload
 # over TCP, and require a clean drain with a nonzero verdict count.
