@@ -2,9 +2,12 @@
 //! rides on: arbitrary frames round-trip exactly, and — because every
 //! frame carries a CRC-64 trailer — any byte flip, and any corruption
 //! confined to 8 consecutive bytes, yields a typed `MalformedWire`
-//! error. Never a panic, never a silently wrong frame.
+//! error, on small frames and on full 128-item batches alike. Never a
+//! panic, never a silently wrong frame.
 
-use appclass_metrics::wire::{decode_control, encode_control, MAX_CONTROL_SIZE, WIRE_SIZE};
+use appclass_metrics::wire::{
+    decode_control, encode_control, MAX_CONTROL_SIZE, MAX_SNAPSHOT_BATCH, WIRE_SIZE,
+};
 use appclass_metrics::{ByeReason, ControlFrame, Error, TelemetryHealth, METRIC_COUNT};
 use appclass_obs::trace::TRACE_EXT_LEN;
 use appclass_obs::TraceContext;
@@ -72,6 +75,22 @@ fn arb_frame() -> impl Strategy<Value = ControlFrame> {
         })
 }
 
+/// A full 128-item snapshot batch, traced or not: a 36.6 KB frame whose
+/// checksum runs the 128-byte fold loop hundreds of times, where
+/// `arb_frame` stays under ~420 bytes.
+fn arb_full_batch() -> impl Strategy<Value = ControlFrame> {
+    (
+        prop::collection::vec(any::<u8>(), MAX_SNAPSHOT_BATCH * WIRE_SIZE),
+        (any::<bool>(), any::<u64>(), any::<u64>(), any::<u8>()),
+    )
+        .prop_map(|(pool, (traced, trace_id, parent_span, flags))| {
+            let ctx =
+                traced.then_some(TraceContext { trace_id: trace_id.max(1), parent_span, flags });
+            let wires = pool.chunks(WIRE_SIZE).map(<[u8]>::to_vec).collect();
+            ControlFrame::SnapshotBatch { wires, ctx }
+        })
+}
+
 /// The same frame as an old (pre-extension) peer would send it.
 fn strip_ctx(frame: &ControlFrame) -> ControlFrame {
     let mut bare = frame.clone();
@@ -127,6 +146,29 @@ proptest! {
         // A degree-64 CRC detects every error burst of up to 64 bits: XOR
         // any nonzero pattern into 1-8 consecutive bytes anywhere in the
         // frame (the trailer included) and the decode must fail, typed.
+        let mut bytes = encode_control(&frame).to_vec();
+        let width = 1 + rest.len();
+        let at = pick % (bytes.len() - width + 1);
+        bytes[at] ^= first;
+        for (i, &x) in rest.iter().enumerate() {
+            bytes[at + 1 + i] ^= x;
+        }
+        match decode_control(&bytes) {
+            Err(Error::MalformedWire { .. }) => {}
+            Ok(decoded) => prop_assert!(false, "burst at {} decoded as {:?}", at, decoded),
+            Err(other) => prop_assert!(false, "wrong error class: {}", other),
+        }
+    }
+
+    #[test]
+    fn any_burst_in_a_full_batch_is_a_typed_error(
+        frame in arb_full_batch(),
+        pick in any::<usize>(),
+        first in 1u8..=255,
+        rest in prop::collection::vec(any::<u8>(), 0..8),
+    ) {
+        // The same burst guarantee on the largest frames the relay sends,
+        // which is where the checksum folds 128 bytes per step.
         let mut bytes = encode_control(&frame).to_vec();
         let width = 1 + rest.len();
         let at = pick % (bytes.len() - width + 1);

@@ -74,6 +74,9 @@ const SHARD_POLL_INTERVAL: Duration = Duration::from_millis(5);
 const SHARD_IDLE_SLEEP: Duration = Duration::from_millis(1);
 /// Read chunk size per `read(2)` call on a ready socket.
 const READ_CHUNK: usize = 64 * 1024;
+/// Buffered bytes that end a connection's read turn: one maximal frame
+/// with its length prefix.
+const READ_TURN_BYTES: usize = 4 + MAX_FRAME_BYTES;
 /// Hard cap on un-flushed reply bytes per connection. The threaded
 /// server applies backpressure by blocking in `write`; an event loop
 /// cannot, so a client that streams requests while never draining its
@@ -192,10 +195,15 @@ struct ConnIo {
 }
 
 impl ConnIo {
-    /// Reads everything the socket has ready. Returns `true` if the
-    /// peer closed the read side.
+    /// Reads what the socket has ready, ending the turn once `read_buf`
+    /// holds [`READ_TURN_BYTES`]: by then its first frame is complete (or
+    /// its prefix is oversized and closes the connection), so every turn
+    /// makes progress while a peer that keeps its socket full can neither
+    /// grow the buffer without bound nor starve the shard's other
+    /// connections. poll(2) is level-triggered, so what is left is read
+    /// on the next turn. Returns `true` if the peer closed the read side.
     fn pump_read(&mut self, tmp: &mut [u8]) -> std::io::Result<bool> {
-        loop {
+        while self.read_buf.len() < READ_TURN_BYTES {
             match self.stream.read(tmp) {
                 Ok(0) => return Ok(true),
                 Ok(n) => {
@@ -209,6 +217,7 @@ impl ConnIo {
                 Err(e) => return Err(e),
             }
         }
+        Ok(false)
     }
 
     /// Flushes as much pending reply data as the socket accepts.
@@ -1119,5 +1128,55 @@ fn note_degraded(noted: &mut bool, sobs: &ShardObs, session_id: u32, what: &str)
     if !*noted {
         *noted = true;
         sobs.obs.incident(&format!("session {session_id}: first degraded frame ({what})"));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::poll::wait_readable;
+
+    #[test]
+    fn one_read_turn_buffers_at_most_a_maximal_frame_and_a_chunk() {
+        // A peer that keeps its socket full must not hold the shard in
+        // one read turn: each turn ends once a maximal frame is buffered,
+        // and the level-triggered poll brings the rest on later turns.
+        const TOTAL: usize = 8 << 20;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let writer = std::thread::spawn(move || {
+            let mut peer = TcpStream::connect(addr).unwrap();
+            let chunk = vec![0xA5u8; 1 << 20];
+            for _ in 0..TOTAL / chunk.len() {
+                peer.write_all(&chunk).unwrap();
+            }
+        });
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let mut io = ConnIo {
+            stream,
+            read_buf: Vec::new(),
+            write_buf: Vec::new(),
+            write_pos: 0,
+            frame_started: None,
+        };
+        let mut tmp = vec![0u8; READ_CHUNK];
+        let (mut received, mut largest_turn) = (0, 0);
+        loop {
+            assert!(wait_readable(&io.stream, Duration::from_secs(10)).unwrap(), "peer stalled");
+            let eof = io.pump_read(&mut tmp).unwrap();
+            largest_turn = largest_turn.max(io.read_buf.len());
+            received += io.read_buf.len();
+            io.read_buf.clear();
+            if eof {
+                break;
+            }
+        }
+        writer.join().unwrap();
+        assert_eq!(received, TOTAL);
+        assert!(
+            largest_turn < 4 + MAX_FRAME_BYTES + READ_CHUNK,
+            "one read turn buffered {largest_turn} bytes"
+        );
     }
 }

@@ -12,14 +12,24 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q =="
-cargo test -q
+echo "== cargo test --workspace -q =="
+# Every crate's tests, not only the root package's: the codec, serving,
+# core and vendored-shim suites live under crates/*.
+cargo test --workspace -q
 
 echo "== perfbench tests =="
 # The benchmark (perfbench/, a Cargo package of its own) builds the crates
 # by path against their public APIs: a removal that breaks it must fail
 # here, not in a later benchmark run.
 cargo test --release --manifest-path perfbench/Cargo.toml
+
+# Lint and format right after the tests, ahead of the smoke and timing
+# steps, so their verdict is reported even when a timing gate fails.
+echo "== cargo clippy --workspace -- -D warnings =="
+cargo clippy --workspace -- -D warnings
+
+echo "== cargo fmt --check =="
+cargo fmt --check
 
 echo "== compile the criterion benches =="
 # Neither the build nor the tests above compile crates/bench/benches/*,
@@ -221,11 +231,5 @@ echo "== bench smoke (BENCH_classify.json) =="
 # Short calibrated measurement of the single-frame vs batched serving
 # paths; fails if BENCH_classify.json is missing or non-parseable.
 BENCH_FRAMES="${BENCH_FRAMES:-512}" ./scripts/bench_smoke.sh
-
-echo "== cargo clippy --workspace -- -D warnings =="
-cargo clippy --workspace -- -D warnings
-
-echo "== cargo fmt --check =="
-cargo fmt --check
 
 echo "All checks passed."
