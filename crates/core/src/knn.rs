@@ -18,7 +18,7 @@
 
 use crate::class::AppClass;
 use crate::error::{Error, Result};
-use crate::stage::{encode_classes, Stage, StreamingStage};
+use crate::stage::{Stage, StreamingStage};
 use appclass_linalg::{vector, Matrix};
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -156,11 +156,16 @@ impl KnnClassifier {
     /// [`KnnClassifier::classify`], so the labels are identical to the
     /// streaming path's.
     pub fn classify_batch(&self, samples: &Matrix) -> Result<Vec<AppClass>> {
+        self.check_batch(samples)?;
+        Ok(samples.iter_rows().map(|row| self.classify_valid(row)).collect())
+    }
+
+    /// The width and finiteness checks every batch path runs first.
+    fn check_batch(&self, samples: &Matrix) -> Result<()> {
         if samples.cols() != self.dim() {
             return Err(Error::FeatureMismatch { expected: self.dim(), got: samples.cols() });
         }
-        samples.check_finite().map_err(Error::Linalg)?;
-        Ok(samples.iter_rows().map(|row| self.classify_valid(row)).collect())
+        samples.check_finite().map_err(Error::Linalg)
     }
 
     /// [`KnnClassifier::classify`] for a point already checked for width
@@ -303,8 +308,11 @@ impl Stage for KnnClassifier {
     /// as a class-index column (decode with
     /// [`decode_classes`](crate::stage::decode_classes)).
     fn transform_into(&self, input: &Matrix, out: &mut Matrix) -> Result<()> {
-        let labels = self.classify_batch(input)?;
-        encode_classes(&labels, out);
+        self.check_batch(input)?;
+        out.resize(input.rows(), 1);
+        for (slot, row) in out.as_mut_slice().iter_mut().zip(input.iter_rows()) {
+            *slot = self.classify_valid(row).index() as f64;
+        }
         Ok(())
     }
 }

@@ -50,6 +50,15 @@ pub struct OnlineClassifier<'a> {
     repaired_flags: VecDeque<bool>,
     /// Running count of `true` entries in `repaired_flags`.
     repaired_in_state: usize,
+    /// [`OnlineClassifier::push_batch_guarded`]'s buffers, kept between
+    /// calls so a warm batch push allocates nothing: the verdicts it
+    /// returns, the admitted rows (lent to the request's matrix and
+    /// taken back), each admitted frame's `(was repaired, clears the
+    /// window first)` flags, and the labels the chain assigns them.
+    batch_verdicts: Vec<FrameVerdict>,
+    batch_rows: Vec<f64>,
+    batch_admitted: Vec<(bool, bool)>,
+    batch_labels: Vec<AppClass>,
 }
 
 impl<'a> OnlineClassifier<'a> {
@@ -65,6 +74,10 @@ impl<'a> OnlineClassifier<'a> {
             guard: FrameGuard::default(),
             repaired_flags: VecDeque::new(),
             repaired_in_state: 0,
+            batch_verdicts: Vec::new(),
+            batch_rows: Vec::new(),
+            batch_admitted: Vec::new(),
+            batch_labels: Vec::new(),
         }
     }
 
@@ -179,34 +192,50 @@ impl<'a> OnlineClassifier<'a> {
     /// On a classification error nothing is folded; the guard has already
     /// recorded the admissions (same as a mid-stream error in the
     /// sequential path leaving earlier telemetry in place).
-    pub fn push_batch_guarded(&mut self, snapshots: &[Snapshot]) -> Result<Vec<FrameVerdict>> {
-        let mut verdicts = Vec::with_capacity(snapshots.len());
-        // Per admitted frame, in admission order: (was repaired, clears
-        // the window first).
-        let mut admitted: Vec<(bool, bool)> = Vec::new();
-        let mut rows: Vec<f64> = Vec::with_capacity(snapshots.len() * METRIC_COUNT);
+    ///
+    /// The verdicts are borrowed from a buffer the classifier keeps, and
+    /// the guard admits each frame straight into the batch's feature
+    /// rows: once the buffers have grown to the widest batch seen, a
+    /// push allocates nothing.
+    pub fn push_batch_guarded(&mut self, snapshots: &[Snapshot]) -> Result<&[FrameVerdict]> {
+        self.batch_verdicts.clear();
+        self.batch_admitted.clear();
+        let mut rows = std::mem::take(&mut self.batch_rows);
+        // Only the tail a previous batch left short gets zero-filled.
+        rows.resize(snapshots.len() * METRIC_COUNT, 0.0);
+        let (slots, _) = rows.as_chunks_mut::<METRIC_COUNT>();
         for snapshot in snapshots {
-            let admission = self.guard.admit(snapshot);
-            if let Some(frame) = admission.frame {
-                let clears = admission.gap.is_some() && self.window.is_some();
-                let repaired = matches!(admission.verdict, FrameVerdict::Repaired { .. });
-                rows.extend_from_slice(frame.as_slice());
-                admitted.push((repaired, clears));
+            let slot = &mut slots[self.batch_admitted.len()];
+            let (verdict, gap) = self.guard.admit_into(snapshot, slot);
+            if verdict.is_usable() {
+                let clears = gap.is_some() && self.window.is_some();
+                let repaired = matches!(verdict, FrameVerdict::Repaired { .. });
+                self.batch_admitted.push((repaired, clears));
             }
-            verdicts.push(admission.verdict);
+            self.batch_verdicts.push(verdict);
         }
-        if admitted.is_empty() {
-            return Ok(verdicts);
+        let admitted = self.batch_admitted.len();
+        rows.truncate(admitted * METRIC_COUNT);
+        if admitted == 0 {
+            self.batch_rows = rows;
+            return Ok(&self.batch_verdicts);
         }
-        let raw = Matrix::from_vec(admitted.len(), METRIC_COUNT, rows)?;
-        let labels = self.pipeline.classify_rows_with(&mut self.runner, &raw)?;
-        for ((repaired, clears), class) in admitted.into_iter().zip(labels) {
+        let raw = Matrix::from_vec(admitted, METRIC_COUNT, rows)?;
+        let classified =
+            self.pipeline.classify_rows_with(&mut self.runner, &raw, &mut self.batch_labels);
+        self.batch_rows = raw.into_vec();
+        classified?;
+        let flags = std::mem::take(&mut self.batch_admitted);
+        let labels = std::mem::take(&mut self.batch_labels);
+        for (&(repaired, clears), &class) in flags.iter().zip(&labels) {
             if clears {
                 self.clear_vote_state();
             }
             self.fold_label(class, repaired);
         }
-        Ok(verdicts)
+        self.batch_admitted = flags;
+        self.batch_labels = labels;
+        Ok(&self.batch_verdicts)
     }
 
     /// Clears the vote window without touching `observed`, the stage

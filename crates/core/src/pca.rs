@@ -203,20 +203,18 @@ impl Pca {
         Ok(out)
     }
 
-    /// `μᵀW` — the fitting means projected through the components.
-    /// Because `(X − 1μᵀ)W = XW − 1(μᵀW)`, subtracting this *after*
-    /// multiplying projects without materializing a centered copy of the
-    /// data, which is what lets the dataflow stage reuse buffers.
-    fn projected_means(&self) -> Vec<f64> {
-        let mut pm = vec![0.0; self.q];
-        for (j, p) in pm.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (i, &mu) in self.means.iter().enumerate() {
-                acc += mu * self.components[(i, j)];
-            }
-            *p = acc;
+    /// Component `j` of `μᵀW` — the fitting means projected through the
+    /// components, summed in ascending `i`. Because
+    /// `(X − 1μᵀ)W = XW − 1(μᵀW)`, subtracting this *after* multiplying
+    /// projects without materializing a centered copy of the data, which
+    /// is what lets the dataflow stage reuse buffers. Batch and streaming
+    /// both subtract this one sum, so their projections stay bit-identical.
+    fn projected_mean(&self, j: usize) -> f64 {
+        let mut acc = 0.0;
+        for (i, &mu) in self.means.iter().enumerate() {
+            acc += mu * self.components[(i, j)];
         }
-        pm
+        acc
     }
 }
 
@@ -234,10 +232,10 @@ impl Stage for Pca {
             return Err(Error::FeatureMismatch { expected: self.input_dim(), got: input.cols() });
         }
         input.matmul_into(&self.components, out)?;
-        let pm = self.projected_means();
-        for i in 0..out.rows() {
-            for (x, m) in out.row_mut(i).iter_mut().zip(&pm) {
-                *x -= m;
+        for j in 0..out.cols() {
+            let pm = self.projected_mean(j);
+            for i in 0..out.rows() {
+                out[(i, j)] -= pm;
             }
         }
         Ok(())
@@ -258,16 +256,8 @@ impl StreamingStage for Pca {
             }
             *o = acc;
         }
-        // Subtract μᵀW per component, accumulated in the same i-ascending
-        // order as `projected_means` so batch and streaming projections
-        // stay bit-identical — but without materializing the means vector
-        // (this runs once per 5-second sample on the zero-alloc hot path).
         for (j, o) in out.iter_mut().enumerate() {
-            let mut pm = 0.0;
-            for (i, &mu) in self.means.iter().enumerate() {
-                pm += mu * self.components[(i, j)];
-            }
-            *o -= pm;
+            *o -= self.projected_mean(j);
         }
         Ok(())
     }

@@ -326,18 +326,21 @@ impl ClassifierPipeline {
     /// bitwise identical to pushing each row through the streaming chain
     /// one at a time (both k-NN paths run the same index search —
     /// DESIGN.md §10).
-    /// An empty matrix yields an empty vector.
+    /// The labels replace the contents of `labels`, whose allocation is
+    /// reused; an empty matrix leaves it empty.
     pub fn classify_rows_with(
         &self,
         runner: &mut StagePipeline,
         raw: &Matrix,
-    ) -> Result<Vec<AppClass>> {
+        labels: &mut Vec<AppClass>,
+    ) -> Result<()> {
+        labels.clear();
         if raw.rows() == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let _span = runner.span("classify_batch");
         runner.run_batch(&self.full_stages(), raw)?;
-        decode_classes(runner.output())
+        decode_classes(runner.output(), labels)
     }
 
     /// Serializes the trained pipeline to JSON (the form the application

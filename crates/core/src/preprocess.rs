@@ -87,8 +87,13 @@ impl Stage for Preprocessor {
         if input.cols() != METRIC_COUNT {
             return Err(Error::FeatureMismatch { expected: METRIC_COUNT, got: input.cols() });
         }
-        let idx: Vec<usize> = self.metrics.iter().map(|m| m.index()).collect();
-        input.select_columns_into(&idx, out)?;
+        out.resize(input.rows(), self.metrics.len());
+        for i in 0..input.rows() {
+            let src = input.row(i);
+            for (dst, m) in out.row_mut(i).iter_mut().zip(&self.metrics) {
+                *dst = src[m.index()];
+            }
+        }
         self.standardizer.apply_in_place(out)?;
         Ok(())
     }

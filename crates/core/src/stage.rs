@@ -311,12 +311,17 @@ pub fn encode_classes(labels: &[AppClass], out: &mut Matrix) {
     }
 }
 
-/// Decodes an `m × 1` class-index matrix back into a class vector.
-pub fn decode_classes(encoded: &Matrix) -> Result<Vec<AppClass>> {
+/// Decodes an `m × 1` class-index matrix back into a class vector,
+/// replacing the contents of `labels` and reusing its allocation.
+pub fn decode_classes(encoded: &Matrix, labels: &mut Vec<AppClass>) -> Result<()> {
+    labels.clear();
     if encoded.cols() != 1 {
         return Err(Error::FeatureMismatch { expected: 1, got: encoded.cols() });
     }
-    encoded.as_slice().iter().map(|&v| decode_class(v)).collect()
+    for &value in encoded.as_slice() {
+        labels.push(decode_class(value)?);
+    }
+    Ok(())
 }
 
 /// Decodes one class-index value (must be an exact integer in `0..5`).
@@ -464,7 +469,9 @@ mod tests {
         let mut encoded = Matrix::zeros(0, 0);
         encode_classes(&labels, &mut encoded);
         assert_eq!(encoded.shape(), (5, 1));
-        assert_eq!(decode_classes(&encoded).unwrap(), labels);
+        let mut decoded = Vec::new();
+        decode_classes(&encoded, &mut decoded).unwrap();
+        assert_eq!(decoded, labels);
     }
 
     #[test]
@@ -473,7 +480,7 @@ mod tests {
         assert!(matches!(decode_class(1.5), Err(Error::BadClassIndex { .. })));
         assert!(matches!(decode_class(-1.0), Err(Error::BadClassIndex { .. })));
         assert!(matches!(decode_class(f64::NAN), Err(Error::BadClassIndex { .. })));
-        assert!(decode_classes(&Matrix::zeros(2, 2)).is_err());
+        assert!(decode_classes(&Matrix::zeros(2, 2), &mut Vec::new()).is_err());
         assert_eq!(decode_class(2.0).unwrap(), AppClass::Cpu);
     }
 }

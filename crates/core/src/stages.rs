@@ -103,7 +103,8 @@ pub fn segment_smooth(
     encode_classes(class_vector, &mut encoded);
     let smoother = SmoothingStage { window: config.smoothing_window.max(1) };
     runner.run_batch(&[&smoother], &encoded)?;
-    let smoothed = decode_classes(runner.output())?;
+    let mut smoothed = Vec::new();
+    decode_classes(runner.output(), &mut smoothed)?;
     let mut stages = runs_of(&smoothed);
     merge_short_stages(&mut stages, config.min_stage_len);
     Ok(stages)
@@ -124,7 +125,8 @@ impl DataflowStage for SmoothingStage {
     }
 
     fn transform_into(&self, input: &Matrix, out: &mut Matrix) -> Result<()> {
-        let labels = decode_classes(input)?;
+        let mut labels = Vec::new();
+        decode_classes(input, &mut labels)?;
         let smoothed = majority_smooth(&labels, self.window.max(1));
         encode_classes(&smoothed, out);
         Ok(())

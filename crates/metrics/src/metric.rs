@@ -226,30 +226,36 @@ impl MetricId {
 
 /// One node's metric values at a single instant: a fixed-width frame of the
 /// full 33-metric catalogue, indexed by [`MetricId`].
+///
+/// The values live inline, so a frame (and a [`Snapshot`](crate::Snapshot)
+/// holding one) never touches the heap. The width is part of the type:
+/// deserialising any other number of values fails instead of producing a
+/// short or long frame. `Clone` but not `Copy`, so copying its 264 bytes
+/// stays explicit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricFrame {
-    values: Vec<f64>,
+    values: [f64; METRIC_COUNT],
 }
 
 impl MetricFrame {
     /// All-zero frame.
     pub fn zeroed() -> Self {
-        MetricFrame { values: vec![0.0; METRIC_COUNT] }
+        MetricFrame { values: [0.0; METRIC_COUNT] }
     }
 
-    /// Resets every metric to zero in place, reusing the existing
-    /// allocation (and restoring full width if the frame was moved from).
+    /// Resets every metric to zero in place.
     pub fn reset_zero(&mut self) {
-        self.values.clear();
-        self.values.resize(METRIC_COUNT, 0.0);
+        self.values = [0.0; METRIC_COUNT];
     }
 
     /// Builds a frame from a full-width value slice.
     pub fn from_values(values: &[f64]) -> Option<Self> {
-        if values.len() != METRIC_COUNT {
-            return None;
-        }
-        Some(MetricFrame { values: values.to_vec() })
+        Some(MetricFrame { values: values.try_into().ok()? })
+    }
+
+    /// Builds a frame from a full-width value array.
+    pub fn from_array(values: [f64; METRIC_COUNT]) -> Self {
+        MetricFrame { values }
     }
 
     /// Reads one metric.
@@ -264,7 +270,7 @@ impl MetricFrame {
         self.values[id.index()] = value;
     }
 
-    /// The raw value vector, in [`MetricId::ALL`] order.
+    /// The raw values, in [`MetricId::ALL`] order.
     pub fn as_slice(&self) -> &[f64] {
         &self.values
     }
@@ -383,5 +389,29 @@ mod tests {
         let json = serde_json::to_string(&f).unwrap();
         let back: MetricFrame = serde_json::from_str(&json).unwrap();
         assert_eq!(f, back);
+    }
+
+    #[test]
+    fn serde_rejects_every_width_but_the_catalogue() {
+        let values = |n: usize| {
+            let items: Vec<String> = (0..n).map(|i| format!("{i}.5")).collect();
+            format!("{{\"values\":[{}]}}", items.join(","))
+        };
+        let snapshot = |n: usize| format!("{{\"node\":1,\"time\":5,\"frame\":{}}}", values(n));
+        for n in [0, 1, 2, METRIC_COUNT - 1, METRIC_COUNT + 1] {
+            assert!(serde_json::from_str::<MetricFrame>(&values(n)).is_err(), "{n} values");
+            assert!(
+                serde_json::from_str::<crate::Snapshot>(&snapshot(n)).is_err(),
+                "snapshot with {n} values"
+            );
+        }
+        // A full-width frame still parses and prints back to the same text.
+        let json = values(METRIC_COUNT);
+        let f: MetricFrame = serde_json::from_str(&json).unwrap();
+        assert_eq!(f.get(MetricId::SwapOut), 32.5);
+        assert_eq!(serde_json::to_string(&f).unwrap(), json);
+        let snap: crate::Snapshot = serde_json::from_str(&snapshot(METRIC_COUNT)).unwrap();
+        assert!(snap.validate().is_ok());
+        assert_eq!(serde_json::to_string(&snap).unwrap(), snapshot(METRIC_COUNT));
     }
 }

@@ -226,7 +226,8 @@ impl fmt::Display for TelemetryHealth {
     }
 }
 
-/// Per-node sequencing and imputation state.
+/// Per-node sequencing and imputation state, held inline: only a node's
+/// first frame can allocate (its map entry).
 #[derive(Debug, Clone)]
 struct NodeState {
     /// Timestamp of the last in-order delivery (admitted or value-dropped).
@@ -234,13 +235,18 @@ struct NodeState {
     /// Timestamp of the last frame actually admitted downstream.
     last_admitted: Option<u64>,
     /// Last finite value per metric.
-    last_good: Vec<f64>,
+    last_good: [f64; METRIC_COUNT],
     /// Whether each metric has ever reported a finite value.
-    seeded: Vec<bool>,
+    seeded: [bool; METRIC_COUNT],
     /// Consecutive imputations per metric.
-    streaks: Vec<u32>,
+    streaks: [u32; METRIC_COUNT],
     /// Metrics past the repair bound, quarantined.
-    dead: Vec<bool>,
+    dead: [bool; METRIC_COUNT],
+    /// Whether the last in-order frame was all finite. A metric keeps a
+    /// streak or a quarantine exactly when its latest value was not, so
+    /// while this holds an all-finite frame changes nothing but
+    /// `last_good` and `seeded`.
+    clean: bool,
 }
 
 impl NodeState {
@@ -248,10 +254,11 @@ impl NodeState {
         NodeState {
             last_seen: None,
             last_admitted: None,
-            last_good: vec![0.0; METRIC_COUNT],
-            seeded: vec![false; METRIC_COUNT],
-            streaks: vec![0; METRIC_COUNT],
-            dead: vec![false; METRIC_COUNT],
+            last_good: [0.0; METRIC_COUNT],
+            seeded: [false; METRIC_COUNT],
+            streaks: [0; METRIC_COUNT],
+            dead: [false; METRIC_COUNT],
+            clean: true,
         }
     }
 }
@@ -334,61 +341,86 @@ impl FrameGuard {
     }
 
     /// Judges one snapshot, updating sequencing and imputation state.
+    /// A wrapper over [`FrameGuard::admit_into`] that returns the
+    /// admitted frame by value.
     pub fn admit(&mut self, snap: &Snapshot) -> Admission {
+        let mut row = [0.0; METRIC_COUNT];
+        let (verdict, gap) = self.admit_into(snap, &mut row);
+        let frame = verdict.is_usable().then(|| MetricFrame::from_array(row));
+        Admission { verdict, frame, gap }
+    }
+
+    /// Judges one snapshot like [`FrameGuard::admit`], writing the
+    /// admitted (or repaired) values into `row` instead of returning a
+    /// frame, so a batch can be admitted straight into its feature
+    /// matrix. Returns the verdict and the cadence gap. `row` holds the
+    /// frame's values for usable verdicts and is unspecified for drops.
+    pub fn admit_into(
+        &mut self,
+        snap: &Snapshot,
+        row: &mut [f64; METRIC_COUNT],
+    ) -> (FrameVerdict, Option<u64>) {
         self.health.seen += 1;
         if let Some(c) = &self.counters {
             c.seen.inc();
         }
-        let max_streak = self.config.max_repair_streak;
         let interval = self.config.interval.max(1);
-        let values = snap.frame.as_slice();
+        let state = self.nodes.entry(snap.node).or_insert_with(NodeState::new);
 
-        // Phase 1, under a scoped borrow of the node state: sequencing,
-        // the non-finite value pass, and baseline updates.
-        let mut patches: Vec<(usize, f64)> = Vec::new();
-        let mut fatal: Option<DropReason> = None;
-        let mut dead_set_changed = false;
-        let mut streak_peak = 0u32;
-        let gap;
-        {
-            let state = self.nodes.entry(snap.node).or_insert_with(NodeState::new);
-
-            // Duplicates and late arrivals carry no new information and
-            // must not disturb imputation state.
-            if let Some(last) = state.last_seen {
-                if snap.time == last {
+        // Duplicates and late arrivals carry no new information and
+        // must not disturb imputation state.
+        if let Some(last) = state.last_seen {
+            if snap.time <= last {
+                let reason = if snap.time == last {
                     self.health.duplicates += 1;
-                    self.health.dropped += 1;
-                    if let Some(c) = &self.counters {
-                        c.dropped.inc();
-                    }
-                    return Admission {
-                        verdict: FrameVerdict::Dropped { reason: DropReason::Duplicate },
-                        frame: None,
-                        gap: None,
-                    };
-                }
-                if snap.time < last {
+                    DropReason::Duplicate
+                } else {
                     self.health.reordered += 1;
-                    self.health.dropped += 1;
-                    if let Some(c) = &self.counters {
-                        c.dropped.inc();
-                    }
-                    return Admission {
-                        verdict: FrameVerdict::Dropped { reason: DropReason::OutOfOrder },
-                        frame: None,
-                        gap: None,
-                    };
+                    DropReason::OutOfOrder
+                };
+                self.health.dropped += 1;
+                if let Some(c) = &self.counters {
+                    c.dropped.inc();
                 }
+                return (FrameVerdict::Dropped { reason }, None);
             }
-            state.last_seen = Some(snap.time);
+        }
+        state.last_seen = Some(snap.time);
 
-            // Bump streaks on every non-finite metric and decide whether
-            // the frame is patchable at all.
-            for (i, &v) in values.iter().enumerate() {
+        // The per-metric pass: each finite value, or its imputation, goes
+        // into `row`. Finite metrics always update their baseline — even
+        // in a frame dropped for another metric's sake, the finite
+        // readings are genuine — and a finite value revives a dead
+        // metric. A metric is finite or not, so one pass in index order
+        // reads the same state as a pass per kind would.
+        let values = snap.frame.as_slice();
+        let max_streak = self.config.max_repair_streak;
+        let mut fatal: Option<DropReason> = None;
+        let mut patched = 0usize;
+        let mut streak_peak = 0u32;
+        let mut dead_set_changed = false;
+        if state.clean && values.iter().all(|v| v.is_finite()) {
+            // Clean frame, clean node: the general pass would only copy
+            // the values and mark them seeded.
+            row.copy_from_slice(values);
+            state.last_good.copy_from_slice(values);
+            state.seeded = [true; METRIC_COUNT];
+        } else {
+            state.clean = true;
+            for (i, (&v, out)) in values.iter().zip(row.iter_mut()).enumerate() {
                 if v.is_finite() {
+                    *out = v;
+                    state.last_good[i] = v;
+                    state.seeded[i] = true;
+                    state.streaks[i] = 0;
+                    if state.dead[i] {
+                        state.dead[i] = false;
+                        dead_set_changed = true;
+                    }
                     continue;
                 }
+                // This metric is left with a streak or in quarantine.
+                state.clean = false;
                 if state.dead[i] {
                     fatal.get_or_insert(DropReason::DeadMetric { metric: i });
                     continue;
@@ -402,38 +434,24 @@ impl FrameGuard {
                 } else if !state.seeded[i] {
                     fatal.get_or_insert(DropReason::NoBaseline { metric: i });
                 } else {
-                    patches.push((i, state.last_good[i]));
+                    *out = state.last_good[i];
+                    patched += 1;
                 }
             }
-
-            // Finite metrics always update their baseline — even in a
-            // frame dropped for another metric's sake, the finite readings
-            // are genuine. A finite value also revives a dead metric.
-            for (i, &v) in values.iter().enumerate() {
-                if v.is_finite() {
-                    state.last_good[i] = v;
-                    state.seeded[i] = true;
-                    state.streaks[i] = 0;
-                    if state.dead[i] {
-                        state.dead[i] = false;
-                        dead_set_changed = true;
-                    }
-                }
-            }
-
-            // Cadence accounting against the last *admitted* frame — that
-            // is what downstream smoothing windows actually consumed.
-            gap = if fatal.is_none() {
-                let g = state.last_admitted.and_then(|last| {
-                    let missed = (snap.time.saturating_sub(last) / interval).saturating_sub(1);
-                    (missed > 0).then_some(missed)
-                });
-                state.last_admitted = Some(snap.time);
-                g
-            } else {
-                None
-            };
         }
+
+        // Cadence accounting against the last *admitted* frame — that
+        // is what downstream smoothing windows actually consumed.
+        let gap = if fatal.is_none() {
+            let g = state.last_admitted.and_then(|last| {
+                let missed = (snap.time.saturating_sub(last) / interval).saturating_sub(1);
+                (missed > 0).then_some(missed)
+            });
+            state.last_admitted = Some(snap.time);
+            g
+        } else {
+            None
+        };
 
         self.health.max_repair_streak = self.health.max_repair_streak.max(streak_peak);
         if dead_set_changed {
@@ -445,7 +463,7 @@ impl FrameGuard {
             if let Some(c) = &self.counters {
                 c.dropped.inc();
             }
-            return Admission { verdict: FrameVerdict::Dropped { reason }, frame: None, gap: None };
+            return (FrameVerdict::Dropped { reason }, None);
         }
 
         if let Some(missed) = gap {
@@ -453,33 +471,20 @@ impl FrameGuard {
             self.health.missed_frames += missed;
         }
 
-        if patches.is_empty() {
+        if patched == 0 {
             self.health.accepted += 1;
             if let Some(c) = &self.counters {
                 c.accepted.inc();
             }
-            return Admission {
-                verdict: FrameVerdict::Accepted,
-                frame: Some(snap.frame.clone()),
-                gap,
-            };
+            return (FrameVerdict::Accepted, gap);
         }
 
-        let mut repaired_values = values.to_vec();
-        for &(i, good) in &patches {
-            repaired_values[i] = good;
-        }
-        let frame = MetricFrame::from_values(&repaired_values).expect("width preserved");
         self.health.repaired += 1;
         if let Some(c) = &self.counters {
             c.repaired.inc();
         }
-        self.health.values_patched += patches.len() as u64;
-        Admission {
-            verdict: FrameVerdict::Repaired { patched: patches.len() },
-            frame: Some(frame),
-            gap,
-        }
+        self.health.values_patched += patched as u64;
+        (FrameVerdict::Repaired { patched }, gap)
     }
 
     /// Records a wire datagram that failed to decode before it could even

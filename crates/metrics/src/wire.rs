@@ -97,9 +97,7 @@ pub fn decode(data: &[u8]) -> Result<Snapshot> {
             });
         }
     }
-    let frame = MetricFrame::from_values(&values)
-        .ok_or(Error::MalformedWire { reason: "frame width mismatch", offset: DATAGRAM_HEADER })?;
-    Ok(Snapshot::new(node, time, frame))
+    Ok(Snapshot::new(node, time, MetricFrame::from_array(values)))
 }
 
 /// The `N` datagram bytes at a fixed offset.

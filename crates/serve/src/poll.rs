@@ -139,6 +139,16 @@ impl PollSet {
         }
     }
 
+    /// Waits for one socket to become readable, replacing whatever the
+    /// set held; a loop that keeps one set allocates only on its first
+    /// wait. `Ok(true)` means a read (or accept) will not block;
+    /// `Ok(false)` is a timeout.
+    pub fn wait_readable<S: Pollable>(&mut self, sock: &S, timeout: Duration) -> io::Result<bool> {
+        self.clear();
+        self.push(sock, true, false);
+        Ok(self.wait(timeout)? > 0 && self.readable(0))
+    }
+
     /// Whether slot `i` is readable (or has an error/hangup to reap —
     /// both surface through a read attempt).
     pub fn readable(&self, i: usize) -> bool {
@@ -166,14 +176,6 @@ impl PollSet {
     }
 }
 
-/// Waits for one socket to become readable. `Ok(true)` means a read (or
-/// accept) will not block; `Ok(false)` is a timeout.
-pub fn wait_readable<S: Pollable>(sock: &S, timeout: Duration) -> io::Result<bool> {
-    let mut set = PollSet::new();
-    set.push(sock, true, false);
-    Ok(set.wait(timeout)? > 0 && set.readable(0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,13 +186,14 @@ mod tests {
     fn listener_readiness_follows_pending_connections() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
+        let mut set = PollSet::new();
         assert!(
-            !wait_readable(&listener, Duration::from_millis(10)).unwrap(),
+            !set.wait_readable(&listener, Duration::from_millis(10)).unwrap(),
             "no pending connection yet"
         );
         let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         assert!(
-            wait_readable(&listener, Duration::from_millis(1000)).unwrap(),
+            set.wait_readable(&listener, Duration::from_millis(1000)).unwrap(),
             "pending connection must mark the listener readable"
         );
     }

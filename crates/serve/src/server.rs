@@ -15,6 +15,7 @@ use crate::error::{Result, ServeError};
 use crate::feed::CompositionFeed;
 use crate::model::ModelSlot;
 use crate::overload::{OverloadMachine, OverloadState};
+use crate::poll::PollSet;
 use crate::session::{refuse, refuse_busy, run_session, SessionConfig, SessionEnd};
 use crate::stats::ServerStats;
 use appclass_core::ClassifierPipeline;
@@ -350,6 +351,7 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &Sender<TcpStream>) 
     // loop parks in poll(2) with a short timeout. Shutdown is observed
     // within one interval without any wake-up connection, so the
     // refusal accounting only ever sees real clients.
+    let mut poll = PollSet::new();
     let _ = listener.set_nonblocking(true);
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -361,7 +363,7 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &Sender<TcpStream>) 
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                let _ = crate::poll::wait_readable(listener, ACCEPT_POLL_INTERVAL);
+                let _ = poll.wait_readable(listener, ACCEPT_POLL_INTERVAL);
                 continue;
             }
             Err(_) => {

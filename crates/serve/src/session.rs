@@ -443,7 +443,7 @@ fn run_generation(
                     }
                 };
                 let (mut repaired, mut dropped) = (0u64, 0u64);
-                for (slot, verdict) in decoded_slots.into_iter().zip(&verdicts) {
+                for (slot, verdict) in decoded_slots.into_iter().zip(verdicts) {
                     statuses[slot] = match verdict {
                         FrameVerdict::Accepted => FrameDisposition::Accepted,
                         FrameVerdict::Repaired { .. } => {

@@ -51,7 +51,7 @@ use crate::stats::{ServerStats, SessionOutcome};
 use appclass_core::online::OnlineClassifier;
 use appclass_core::ClassifierPipeline;
 use appclass_metrics::wire::{self, ControlFrameRef};
-use appclass_metrics::{ByeReason, ControlFrame, FrameDisposition, FrameVerdict};
+use appclass_metrics::{ByeReason, ControlFrame, FrameDisposition, FrameVerdict, Snapshot};
 use appclass_obs::span::SpanName;
 use appclass_obs::{Counter, Gauge, Histogram, Observability, TraceScope};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -241,6 +241,20 @@ impl ConnIo {
     fn has_pending_writes(&self) -> bool {
         self.write_pos < self.write_buf.len()
     }
+}
+
+/// Buffers one shard thread reuses for every connection and request it
+/// serves, so that a warm request allocates nothing of its own.
+#[derive(Default)]
+struct ShardScratch {
+    /// Destination of each `read(2)`.
+    read_chunk: Vec<u8>,
+    /// A `SnapshotBatch` request's decoded snapshots.
+    snapshots: Vec<Snapshot>,
+    /// The batch position each decoded snapshot came from.
+    slots: Vec<usize>,
+    /// Per-item dispositions: the `VerdictBatch` reply's payload.
+    statuses: Vec<FrameDisposition>,
 }
 
 /// Session-side state of one connection.
@@ -481,6 +495,7 @@ fn shard_accept_loop(
     let capacity = shared.config.max_sessions.max(1) + shared.config.backlog;
     let mut admitted = 0u64;
     let mut next_shard = 0usize;
+    let mut poll = PollSet::new();
     let _ = listener.set_nonblocking(true);
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -492,7 +507,7 @@ fn shard_accept_loop(
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                let _ = crate::poll::wait_readable(listener, ACCEPT_POLL_INTERVAL);
+                let _ = poll.wait_readable(listener, ACCEPT_POLL_INTERVAL);
                 continue;
             }
             Err(_) => {
@@ -539,7 +554,7 @@ fn shard_loop(shared: &ShardShared, rx: &Receiver<TcpStream>) -> ServerStats {
     let mut stats = ServerStats::default();
     let mut conns: Vec<Conn> = Vec::new();
     let mut poll = PollSet::new();
-    let mut tmp = vec![0u8; READ_CHUNK];
+    let mut scratch = ShardScratch { read_chunk: vec![0u8; READ_CHUNK], ..Default::default() };
     let sobs = ShardObs::new(&shared.obs);
     let stall_budget = shared.config.read_timeout.saturating_mul(MID_FRAME_TIMEOUT_BUDGET);
 
@@ -618,7 +633,7 @@ fn shard_loop(shared: &ShardShared, rx: &Receiver<TcpStream>) -> ServerStats {
                 writable,
                 shared,
                 &sobs,
-                &mut tmp,
+                &mut scratch,
                 stall_budget,
             );
             // Retire once the close decision is made and the farewell
@@ -696,13 +711,13 @@ fn serve_conn_turn(
     writable: bool,
     shared: &ShardShared,
     sobs: &ShardObs,
-    tmp: &mut [u8],
+    scratch: &mut ShardScratch,
     stall_budget: Duration,
 ) {
     if readable && conn.closing.is_none() {
-        match conn.io.pump_read(tmp) {
+        match conn.io.pump_read(&mut scratch.read_chunk) {
             Ok(eof) => {
-                serve_pending_frames(conn, shared, sobs);
+                serve_pending_frames(conn, shared, sobs, scratch);
                 if eof && conn.closing.is_none() {
                     // Peer vanished without Bye: mirror the threaded
                     // read path's ConnectionClosed.
@@ -792,7 +807,12 @@ fn rebuild_if_swapped(sess: &mut Sess, shared: &ShardShared, sobs: &ShardObs) {
 /// Parses every complete frame in the connection's read buffer and
 /// serves it. Frames are decoded zero-copy: snapshot payloads are
 /// classified straight out of `read_buf`.
-fn serve_pending_frames(conn: &mut Conn, shared: &ShardShared, sobs: &ShardObs) {
+fn serve_pending_frames(
+    conn: &mut Conn,
+    shared: &ShardShared,
+    sobs: &ShardObs,
+    scratch: &mut ShardScratch,
+) {
     let Conn { io, sess, closing } = conn;
     let ConnIo { read_buf, write_buf, frame_started, .. } = io;
     let mut at = 0usize;
@@ -821,7 +841,7 @@ fn serve_pending_frames(conn: &mut Conn, shared: &ShardShared, sobs: &ShardObs) 
         // later frames in the same buffer were all ready "now".
         let arrival =
             if consumed_any { Instant::now() } else { frame_started.unwrap_or_else(Instant::now) };
-        let step = serve_frame(sess, body, arrival, write_buf, shared, sobs);
+        let step = serve_frame(sess, body, arrival, write_buf, shared, sobs, scratch);
         at += 4 + len;
         consumed_any = true;
         match step {
@@ -847,7 +867,8 @@ fn serve_pending_frames(conn: &mut Conn, shared: &ShardShared, sobs: &ShardObs) 
 /// Serves one frame body (no length prefix) against the session,
 /// appending any reply to `write_buf`. The session semantics here are a
 /// line-for-line mirror of `session::run_generation`; the difference is
-/// purely mechanical (borrowed payloads, buffered writes).
+/// purely mechanical (borrowed payloads, buffered writes, per-request
+/// vectors kept in the shard's `scratch`).
 fn serve_frame(
     sess: &mut Sess,
     body: &[u8],
@@ -855,6 +876,7 @@ fn serve_frame(
     write_buf: &mut Vec<u8>,
     shared: &ShardShared,
     sobs: &ShardObs,
+    scratch: &mut ShardScratch,
 ) -> Step {
     let session_config = shared.config.session;
     let frame = match wire::decode_control_borrowed(body) {
@@ -975,20 +997,23 @@ fn serve_frame(
                 sess.outcome.frames_deadline_shed += n;
                 sobs.frames_deadline_shed.add(n);
                 note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "deadline shed");
-                let statuses = vec![FrameDisposition::Expired; wires.len()];
-                let reply = ControlFrame::VerdictBatch { statuses };
-                append_frame(write_buf, &reply);
+                let statuses = &mut scratch.statuses;
+                statuses.clear();
+                statuses.resize(wires.len(), FrameDisposition::Expired);
+                append_verdict_batch(write_buf, statuses);
                 return Step::Continue;
             }
             let gen = sess.gen.as_mut().expect("steady phase always has a generation");
-            let mut statuses = vec![FrameDisposition::Malformed; wires.len()];
-            let mut snapshots = Vec::with_capacity(wires.len());
-            let mut decoded_slots = Vec::with_capacity(wires.len());
+            let ShardScratch { snapshots, slots, statuses, .. } = scratch;
+            snapshots.clear();
+            slots.clear();
+            statuses.clear();
+            statuses.resize(wires.len(), FrameDisposition::Malformed);
             let mut malformed = 0u64;
             for (i, bytes) in wires.iter().enumerate() {
                 match wire::decode(bytes) {
                     Ok(snapshot) => {
-                        decoded_slots.push(i);
+                        slots.push(i);
                         snapshots.push(snapshot);
                     }
                     Err(_) => {
@@ -997,12 +1022,12 @@ fn serve_frame(
                     }
                 }
             }
-            let verdicts = match gen.classifier.push_batch_guarded(&snapshots) {
+            let verdicts = match gen.classifier.push_batch_guarded(snapshots) {
                 Ok(v) => v,
                 Err(e) => return Step::Close(CloseKind::Failed(e.into())),
             };
             let (mut repaired, mut dropped) = (0u64, 0u64);
-            for (slot, verdict) in decoded_slots.into_iter().zip(&verdicts) {
+            for (&slot, verdict) in slots.iter().zip(verdicts) {
                 statuses[slot] = match verdict {
                     FrameVerdict::Accepted => FrameDisposition::Accepted,
                     FrameVerdict::Repaired { .. } => {
@@ -1030,8 +1055,7 @@ fn serve_frame(
                 sobs.frames_malformed.add(malformed);
                 note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "malformed");
             }
-            let reply = ControlFrame::VerdictBatch { statuses };
-            append_frame(write_buf, &reply);
+            append_verdict_batch(write_buf, statuses);
             publish_feed(
                 Some(&shared.feed),
                 sess.session_id,
@@ -1121,6 +1145,16 @@ fn serve_frame(
     }
 }
 
+/// Appends the `VerdictBatch` reply for `statuses`: the vector is lent to
+/// the frame for the encode and taken back afterwards.
+fn append_verdict_batch(write_buf: &mut Vec<u8>, statuses: &mut Vec<FrameDisposition>) {
+    let reply = ControlFrame::VerdictBatch { statuses: std::mem::take(statuses) };
+    append_frame(write_buf, &reply);
+    if let ControlFrame::VerdictBatch { statuses: lent } = reply {
+        *statuses = lent;
+    }
+}
+
 /// One flight-recorder incident per session degradation episode,
 /// mirroring `SessionObs::note_degraded`. Takes the latch alone so the
 /// caller can hold disjoint borrows into the rest of the session.
@@ -1134,7 +1168,6 @@ fn note_degraded(noted: &mut bool, sobs: &ShardObs, session_id: u32, what: &str)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::poll::wait_readable;
 
     #[test]
     fn one_read_turn_buffers_at_most_a_maximal_frame_and_a_chunk() {
@@ -1161,9 +1194,13 @@ mod tests {
             frame_started: None,
         };
         let mut tmp = vec![0u8; READ_CHUNK];
+        let mut poll = PollSet::new();
         let (mut received, mut largest_turn) = (0, 0);
         loop {
-            assert!(wait_readable(&io.stream, Duration::from_secs(10)).unwrap(), "peer stalled");
+            assert!(
+                poll.wait_readable(&io.stream, Duration::from_secs(10)).unwrap(),
+                "peer stalled"
+            );
             let eof = io.pump_read(&mut tmp).unwrap();
             largest_turn = largest_turn.max(io.read_buf.len());
             received += io.read_buf.len();

@@ -463,9 +463,9 @@ impl VirtualMachine {
     }
 
     /// Like [`VirtualMachine::metric_frame`], but writing into a
-    /// caller-provided frame so the steady-state monitoring tick reuses
-    /// one allocation per VM slot (the cluster controller samples
-    /// hundreds of hosts every second).
+    /// caller-provided frame, which the steady-state monitoring tick
+    /// keeps one of per VM slot (the cluster controller samples hundreds
+    /// of hosts every second).
     pub fn metric_frame_into(&mut self, f: &mut MetricFrame) {
         let n = self.acc_secs.max(1) as f64;
         let a = std::mem::take(&mut self.acc);

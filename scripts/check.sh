@@ -25,16 +25,18 @@ cargo test --release --manifest-path perfbench/Cargo.toml
 
 # Lint and format right after the tests, ahead of the smoke and timing
 # steps, so their verdict is reported even when a timing gate fails.
-echo "== cargo clippy --workspace -- -D warnings =="
-cargo clippy --workspace -- -D warnings
+# Every target: tests, benches and examples as well as the libraries
+# and binaries.
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo fmt --check =="
 cargo fmt --check
 
 echo "== compile the criterion benches =="
-# Neither the build nor the tests above compile crates/bench/benches/*,
-# and clippy only lints library and binary targets, so an API change
-# that breaks a bench would otherwise pass this gate.
+# clippy above type-checks crates/bench/benches/*; this step also builds
+# and links them in the bench profile, exactly as `cargo bench` runs
+# them.
 cargo bench --workspace --no-run
 
 echo "== server smoke test =="
