@@ -10,16 +10,20 @@
 //!
 //! Construction sorts the training rows by their first coordinate — PC1,
 //! the highest-variance axis the PCA stage emits — into an exact
-//! neighbour index. A query binary-searches its PC1 value and scans
-//! outward, stopping a side once the PC1 gap alone exceeds the current
-//! k-th distance, so it visits a few dozen rows instead of all of them.
-//! Streaming and batch classification run this one search, so their
-//! labels are identical by construction (DESIGN.md §10).
+//! neighbour index, stored as columns: the first coordinate, the second,
+//! and the rest row-major. A query binary-searches its PC1 value and
+//! scans outward, stopping a side once the PC1 gap alone exceeds the
+//! current k-th distance, so it visits a few dozen rows instead of all of
+//! them. With so few visits the cost is in each one: a visited row costs
+//! a few subtractions, folded inline into its distance, and one compare
+//! against the k-th entry, which the scan holds in a local. Streaming and
+//! batch classification run this one search, so their labels are
+//! identical by construction (DESIGN.md §10).
 
 use crate::class::AppClass;
 use crate::error::{Error, Result};
 use crate::stage::{Stage, StreamingStage};
-use appclass_linalg::{vector, Matrix};
+use appclass_linalg::Matrix;
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Distance metric for neighbour search. The paper's geometric "closest"
@@ -64,14 +68,19 @@ pub struct KnnClassifier {
     labels: Vec<AppClass>,
     distance: Distance,
     /// The neighbour index: `points` rows stably sorted by their first
-    /// coordinate, stored contiguously (row-major, `dim` values each).
+    /// coordinate and split into columns, one index row per training row.
     /// Derived from `points`, so excluded from the serialized form and
     /// rebuilt on deserialization.
-    sorted: Vec<f64>,
-    /// First coordinate of each `sorted` row (0 for zero-width points):
-    /// the binary-search and pruning key.
+    ///
+    /// First coordinate of each index row (0 for zero-width points): the
+    /// binary-search and pruning key.
     keys: Vec<f64>,
-    /// Original `points` row index of each `sorted` row.
+    /// Second coordinate of each index row (0 below two dimensions).
+    second: Vec<f64>,
+    /// Coordinates three onward of each index row, row-major, `dim - 2`
+    /// per row (empty below three dimensions).
+    tail: Vec<f64>,
+    /// Original `points` row index of each index row.
     order: Vec<usize>,
 }
 
@@ -97,12 +106,17 @@ impl KnnClassifier {
             return Err(Error::FeatureMismatch { expected: points.rows(), got: labels.len() });
         }
         points.check_finite().map_err(Error::Linalg)?;
-        let key = |i: usize| points.row(i).first().copied().unwrap_or(0.0);
+        let coord = |i: usize, c: usize| points.row(i).get(c).copied().unwrap_or(0.0);
         let mut order: Vec<usize> = (0..points.rows()).collect();
-        order.sort_by(|&a, &b| key(a).total_cmp(&key(b)));
-        let sorted = order.iter().flat_map(|&i| points.row(i)).copied().collect();
-        let keys = order.iter().map(|&i| key(i)).collect();
-        Ok(KnnClassifier { k, points, labels, distance, sorted, keys, order })
+        order.sort_by(|&a, &b| coord(a, 0).total_cmp(&coord(b, 0)));
+        let keys = order.iter().map(|&i| coord(i, 0)).collect();
+        let second = order.iter().map(|&i| coord(i, 1)).collect();
+        let tail = order
+            .iter()
+            .flat_map(|&i| points.row(i).get(2..).unwrap_or_default())
+            .copied()
+            .collect();
+        Ok(KnnClassifier { k, points, labels, distance, keys, second, tail, order })
     }
 
     /// The paper's configuration: 3-NN with Euclidean distance.
@@ -183,9 +197,9 @@ impl KnnClassifier {
         };
         match self.distance {
             // Squared Euclidean preserves ordering and skips the sqrt.
-            Distance::Euclidean => self.nearest(point, best, |dx| dx * dx, vector::sq_euclidean),
-            Distance::Manhattan => self.nearest(point, best, f64::abs, vector::manhattan),
-            Distance::Chebyshev => self.nearest(point, best, f64::abs, vector::chebyshev),
+            Distance::Euclidean => self.nearest(point, best, |d| d * d, |a, b| a + b),
+            Distance::Manhattan => self.nearest(point, best, f64::abs, |a, b| a + b),
+            Distance::Chebyshev => self.nearest(point, best, f64::abs, f64::max),
         }
         self.vote(best)
     }
@@ -194,63 +208,86 @@ impl KnnClassifier {
     /// sorted by `(distance, original row index)`; every slot must start
     /// as the `(+∞, usize::MAX)` sentinel.
     ///
+    /// A row's distance is the metric's per-coordinate `term` of each
+    /// difference, folded with `combine` in coordinate order. That is the
+    /// fold `vector::{sq_euclidean, manhattan, chebyshev}` perform, bit
+    /// for bit: every term is non-negative, their fold's signed-zero
+    /// start is absorbed exactly by the first addition or `max`, and the
+    /// second coordinate a narrower pool lacks contributes `term(0 − 0)`,
+    /// which leaves a non-negative value unchanged.
+    ///
     /// The scan starts at the query's PC1 position and walks outward on
     /// both sides in step. A side stops at the first row whose gap — the
-    /// metric's bound from the first coordinate alone, `gap(dx)` with `dx`
-    /// the same subtraction `dist` performs there — is *strictly* above
-    /// the current k-th distance. No row further out can enter: its gap
-    /// is at least as large (keys are sorted and rounding is monotone),
-    /// its distance only adds non-negative terms to its gap, and the k-th
-    /// distance only shrinks. A row whose distance ties the k-th (and may
-    /// win the tie on its lower index) is still visited.
+    /// first coordinate's term alone — is *strictly* above the current
+    /// k-th distance. No row further out can enter: its gap is at least
+    /// as large (keys are sorted and rounding is monotone), its distance
+    /// only folds non-negative terms onto its gap, and the k-th distance
+    /// only shrinks. A row whose distance ties the k-th (and may win the
+    /// tie on its lower index) is still visited. The k-th entry is held in
+    /// a local, refreshed only when an entry is inserted, so a visited row
+    /// costs a few subtractions and one compare against it.
     fn nearest(
         &self,
         point: &[f64],
         best: &mut [(f64, usize)],
-        gap: impl Fn(f64) -> f64,
-        dist: impl Fn(&[f64], &[f64]) -> f64,
+        term: impl Fn(f64) -> f64,
+        combine: impl Fn(f64, f64) -> f64,
     ) {
-        let dim = point.len();
         let x0 = point.first().copied().unwrap_or(0.0);
+        let y0 = point.get(1).copied().unwrap_or(0.0);
+        let rest = point.get(2..).unwrap_or_default();
+        let width = rest.len();
         let n = self.keys.len();
-        let keys = &self.keys[..];
-        let sorted = &self.sorted[..];
-        let order = &self.order[..];
-        // Offers sorted row `s` unless its gap prunes its side.
-        let visit = |s: usize, best: &mut [(f64, usize)]| {
-            let k = best.len();
-            if gap(x0 - keys[s]) > best[k - 1].0 {
-                return false;
-            }
-            let entry = (dist(point, &sorted[s * dim..(s + 1) * dim]), order[s]);
-            // One insertion step keeps `best` sorted; k is small.
-            if entry < best[k - 1] {
-                let mut pos = k - 1;
-                while pos > 0 && entry < best[pos - 1] {
-                    best[pos] = best[pos - 1];
-                    pos -= 1;
-                }
-                best[pos] = entry;
-            }
-            true
-        };
+        // Slicing every column to `n` once lets the compiler drop the
+        // per-visit bounds checks after the one on `keys`.
+        let (keys, second, tail, order) =
+            (&self.keys[..n], &self.second[..n], &self.tail[..n * width], &self.order[..n]);
+        let k = best.len();
+        let mut kth = best[k - 1];
         // Sorted positions `[0, left)` remain to the left of the query in
         // PC1, `[right, n)` to its right.
         let mut left = keys.partition_point(|&t| t < x0);
         let mut right = left;
         let (mut left_open, mut right_open) = (left > 0, right < n);
+        // Two explicit blocks, not a per-visit closure or a loop over the
+        // sides: the generated code is sensitive to this shape, which
+        // keeps `kth` in registers (DESIGN.md §10).
         while left_open || right_open {
             if left_open {
-                left_open = visit(left - 1, best);
-                if left_open {
-                    left -= 1;
-                    left_open = left > 0;
+                let s = left - 1;
+                let gap = term(x0 - keys[s]);
+                if gap > kth.0 {
+                    left_open = false;
+                } else {
+                    let mut d = combine(gap, term(y0 - second[s]));
+                    for (j, x) in rest.iter().enumerate() {
+                        d = combine(d, term(x - tail[s * width + j]));
+                    }
+                    let entry = (d, order[s]);
+                    if entry < kth {
+                        insert(best, entry);
+                        kth = best[k - 1];
+                    }
+                    left = s;
+                    left_open = s > 0;
                 }
             }
             if right_open {
-                right_open = visit(right, best);
-                if right_open {
-                    right += 1;
+                let s = right;
+                let gap = term(x0 - keys[s]);
+                if gap > kth.0 {
+                    right_open = false;
+                } else {
+                    let mut d = combine(gap, term(y0 - second[s]));
+                    for (j, x) in rest.iter().enumerate() {
+                        d = combine(d, term(x - tail[s * width + j]));
+                    }
+                    let entry = (d, order[s]);
+                    if entry < kth {
+                        insert(best, entry);
+                        kth = best[k - 1];
+                    }
+                    right = s + 1;
                     right_open = right < n;
                 }
             }
@@ -270,6 +307,18 @@ impl KnnClassifier {
             .find(|c| counts[c.index()] == max_count)
             .expect("k >= 1 neighbours")
     }
+}
+
+/// Inserts `entry`, which sorts before the last slot, into the sorted
+/// `best`, dropping the last slot: one insertion step; k is small.
+#[inline]
+fn insert(best: &mut [(f64, usize)], entry: (f64, usize)) {
+    let mut pos = best.len() - 1;
+    while pos > 0 && entry < best[pos - 1] {
+        best[pos] = best[pos - 1];
+        pos -= 1;
+    }
+    best[pos] = entry;
 }
 
 // The index is derived from `points`; the wire format carries only the
@@ -329,6 +378,7 @@ impl StreamingStage for KnnClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use appclass_linalg::vector;
 
     /// Two clusters on the x axis: class Cpu at x=+10, class Idle at x=-10.
     fn two_clusters() -> KnnClassifier {
@@ -542,11 +592,12 @@ mod tests {
     }
 
     /// Pools large enough that the index prunes most rows, every metric,
-    /// k up to 9, and widths beyond the paper's q = 2 (where only the
-    /// first coordinate prunes).
+    /// k up to 33 (past the 32-slot stack buffer, onto the heap path),
+    /// a zero-width pool (every row ties at distance 0), and widths
+    /// beyond the paper's q = 2 (where only the first coordinate prunes).
     #[test]
     fn index_matches_brute_force_on_large_pools() {
-        for (dim, seed) in [(1, 3u64), (2, 5), (3, 7), (8, 11)] {
+        for (dim, seed) in [(0, 2u64), (1, 3), (2, 5), (3, 7), (8, 11)] {
             let pool = xorshift_rows(400, dim, seed);
             // Round half the pool onto a coarse grid so PC1 keys repeat
             // and distances tie.
@@ -568,7 +619,7 @@ mod tests {
             queries.extend(points.iter().step_by(7).cloned());
             let queries = Matrix::from_rows(&queries).unwrap();
             for distance in [Distance::Euclidean, Distance::Manhattan, Distance::Chebyshev] {
-                for k in [1, 3, 5, 9] {
+                for k in [1, 3, 5, 9, 33] {
                     let knn = KnnClassifier::new(
                         k,
                         Matrix::from_rows(&points).unwrap(),
@@ -629,7 +680,7 @@ mod tests {
         let back: KnnClassifier = serde_json::from_str(&json).unwrap();
         assert_eq!(knn, back);
         // The derived index is rebuilt, not shipped on the wire.
-        for derived in ["sorted", "keys", "order"] {
+        for derived in ["keys", "second", "tail", "order"] {
             assert!(!json.contains(derived), "{derived} serialized");
         }
     }

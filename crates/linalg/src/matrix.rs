@@ -196,9 +196,10 @@ impl Matrix {
         (0..self.rows).map(|i| self.data[i * self.cols + j]).collect()
     }
 
-    /// Iterator over rows as slices.
+    /// Iterator over rows as slices. A zero-width matrix yields `rows`
+    /// empty slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols)
+        (0..self.rows).map(move |i| self.row(i))
     }
 
     /// Returns the transpose.

@@ -13,14 +13,19 @@
 //!   seven-word record into the ring slot with a seqlock protocol —
 //!   atomics only, no allocation.
 //!
-//! Seqlock protocol per slot: the writer for ticket `t` stores
-//! `seq = 2t+1` (odd: write in progress), then the record words, then
-//! `seq = 2t+2` (even: ticket `t` committed). A reader accepts a slot
-//! only if `seq` reads `2t+2` before *and* after copying the words and
-//! the record's first word echoes `t`. Because tickets increase
-//! strictly, a torn read (writer wrapped into the slot mid-copy) can
-//! never reproduce the expected pair, so readers drop it instead of
-//! returning garbage. Readers never block writers and vice versa.
+//! Seqlock protocol per slot: the writer for ticket `t` enters by one
+//! compare-and-swap of `seq` from an even value below `2t+1` to `2t+1`
+//! (odd: write in progress), stores the record words, then stores
+//! `seq = 2t+2` (even: ticket `t` committed). Tickets `t` and `t + cap`
+//! share a slot, so a writer that finds the slot holding a newer record,
+//! or another writer inside it, leaves it alone: a descheduled writer
+//! never overwrites a newer record, and two writers never interleave
+//! their stores. A reader accepts the record a slot holds only if `seq`
+//! reads the same even value before *and* after copying the words and
+//! the record's first word echoes that value's ticket. A writer that
+//! entered the slot mid-copy changes `seq`, so readers drop the torn
+//! copy instead of returning garbage. Readers never block writers, and
+//! writers never wait.
 //!
 //! Timing uses one [`Instant`] pair per span. Callers that already read
 //! the clock for their own bookkeeping (e.g. a stage runner keeping
@@ -323,39 +328,77 @@ impl Tracer {
     }
 
     fn commit(&self, id: u64, parent: u64, name: SpanName, start_ns: u64, end_ns: u64) {
+        self.publish(self.claim(), id, parent, name, start_ns, end_ns);
+    }
+
+    /// Claims the next ring ticket.
+    fn claim(&self) -> u64 {
+        self.inner.cursor.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Publishes a record under `ticket` into its slot, unless the slot
+    /// already holds a newer record or another writer is inside it; then
+    /// the record is dropped (it still counts in [`Tracer::recorded`]).
+    fn publish(
+        &self,
+        ticket: u64,
+        id: u64,
+        parent: u64,
+        name: SpanName,
+        start_ns: u64,
+        end_ns: u64,
+    ) {
         let inner = &*self.inner;
-        let ticket = inner.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &inner.slots[(ticket & inner.mask) as usize];
+        let writing = 2 * ticket + 1;
+        let seq = slot.seq.load(Ordering::Relaxed);
+        // Enter only from an even (committed or empty) sequence of an
+        // older ticket. One attempt: a writer never waits for another.
+        // The swap's Acquire pairs with the previous writer's Release
+        // store of its even sequence, so these stores land after its.
+        if seq % 2 == 1
+            || seq > writing
+            || slot
+                .seq
+                .compare_exchange(seq, writing, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+        {
+            return;
+        }
         let trace = CURRENT_TRACE.with(|cur| cur.get());
         let words = [id, parent, u64::from(name.0), start_ns, end_ns, thread_tag(), trace];
-        // Standard seqlock writer fences: the Release fence after the odd
-        // store pairs with the reader's Acquire fence, so any reader whose
-        // word copy observed one of the stores below is guaranteed to see
-        // at least the odd sequence value on its re-check and discard the
-        // slot instead of accepting a torn record.
-        slot.seq.store(2 * ticket + 1, Ordering::Relaxed);
+        // Standard seqlock writer fences: the Release fence after the swap
+        // to the odd value pairs with the reader's Acquire fence, so any
+        // reader whose word copy observed one of the stores below is
+        // guaranteed to see at least the odd sequence value on its
+        // re-check and discard the slot instead of accepting a torn record.
         std::sync::atomic::fence(Ordering::Release);
         slot.data[0].store(ticket, Ordering::Relaxed);
         for (cell, word) in slot.data[1..].iter().zip(words) {
             cell.store(word, Ordering::Relaxed);
         }
-        slot.seq.store(2 * ticket + 2, Ordering::Release);
+        slot.seq.store(writing + 1, Ordering::Release);
     }
 
-    /// Copies out up to `n` of the most recent committed spans, oldest
-    /// first. Spans a writer is concurrently overwriting are skipped
-    /// rather than returned torn.
+    /// Copies out the spans held by the ring slots of the `n` most
+    /// recent tickets (at most the capacity), oldest first. A slot whose
+    /// newest writer left it alone still holds an older span, which is
+    /// returned in its ticket order. Spans a writer is concurrently
+    /// overwriting are skipped rather than returned torn.
     pub fn recent(&self, n: usize) -> Vec<Span> {
         let inner = &*self.inner;
         let names: Vec<&'static str> =
             inner.names.lock().expect("span name table poisoned").clone();
         let cursor = inner.cursor.load(Ordering::Acquire);
         let take = (n as u64).min(cursor).min(inner.slots.len() as u64);
-        let mut out = Vec::with_capacity(take as usize);
+        let mut held = Vec::with_capacity(take as usize);
         for ticket in (cursor - take)..cursor {
             let slot = &inner.slots[(ticket & inner.mask) as usize];
+            // The slot holds whichever ticket last committed into it: an
+            // even `seq = 2t + 2` names it (0 is a never-written slot, odd
+            // a write in progress).
             let before = slot.seq.load(Ordering::Acquire);
-            if before != 2 * ticket + 2 {
+            if before == 0 || before % 2 == 1 {
                 continue;
             }
             let mut words = [0u64; WORDS];
@@ -364,12 +407,12 @@ impl Tracer {
             }
             std::sync::atomic::fence(Ordering::Acquire);
             let after = slot.seq.load(Ordering::SeqCst);
-            if after != before || words[0] != ticket {
+            if after != before || words[0] != before / 2 - 1 {
                 continue;
             }
-            let [_, id, parent, name_idx, start_ns, end_ns, thread, trace] = words;
+            let [held_ticket, id, parent, name_idx, start_ns, end_ns, thread, trace] = words;
             let Some(&name) = names.get(name_idx as usize) else { continue };
-            out.push(Span {
+            let span = Span {
                 id,
                 parent: (parent != NO_PARENT).then_some(parent),
                 name,
@@ -377,9 +420,11 @@ impl Tracer {
                 end_ns,
                 thread,
                 trace: (trace != NO_TRACE).then_some(trace),
-            });
+            };
+            held.push((held_ticket, span));
         }
-        out
+        held.sort_unstable_by_key(|&(ticket, _)| ticket);
+        held.into_iter().map(|(_, span)| span).collect()
     }
 }
 
@@ -558,6 +603,28 @@ mod tests {
         // Oldest-first and ids strictly increase.
         assert!(spans.windows(2).all(|w| w[0].id < w[1].id));
         assert_eq!(spans.last().unwrap().id, 20);
+    }
+
+    /// Regression: a writer descheduled between claiming its ticket and
+    /// publishing it used to overwrite the newer record a full lap later
+    /// had committed into the shared slot, and `recent` then skipped that
+    /// slot, returning one span short.
+    #[test]
+    fn a_late_writer_leaves_a_newer_record_in_place() {
+        let tracer = Tracer::new(8);
+        let name = tracer.register("lap");
+        let cap = tracer.capacity() as u64;
+        let late = tracer.claim();
+        for _ in 0..cap {
+            let ticket = tracer.claim();
+            tracer.publish(ticket, ticket + 1, NO_PARENT, name, 0, 1);
+        }
+        tracer.publish(late, late + 1, NO_PARENT, name, 0, 1);
+        assert_eq!(tracer.recorded(), cap + 1);
+        let spans = tracer.recent(cap as usize);
+        assert_eq!(spans.len(), cap as usize, "a slot was lost");
+        assert!(spans.windows(2).all(|w| w[0].id < w[1].id));
+        assert_eq!(spans.last().unwrap().id, cap + 1, "the newest record survives");
     }
 
     #[test]

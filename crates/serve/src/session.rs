@@ -170,7 +170,8 @@ enum GenExit {
 /// registry live, answers `Stats` frames with the exposition text, and
 /// flight-records its first degraded frame, any model swap, and any
 /// failure. With `feed` present the session publishes its classifier's
-/// running verdict after every snapshot, for the cluster controller.
+/// running verdict after every snapshot, for the cluster controller,
+/// and retires its entry when it ends.
 pub fn run_session(
     stream: TcpStream,
     session_id: u32,
@@ -184,6 +185,9 @@ pub fn run_session(
     let end = run_session_inner(stream, session_id, slot, config, shutdown, &mut sobs, feed);
     if let (SessionEnd::Failed(_, e), Some(s)) = (&end, &sobs) {
         s.note_failure(e);
+    }
+    if let Some(feed) = feed {
+        feed.retire(session_id);
     }
     end
 }

@@ -777,6 +777,7 @@ fn retire(
         finish(outcome, &g.classifier);
     }
     stats.absorb(outcome);
+    shared.feed.retire(*session_id);
     match &kind {
         CloseKind::Clean | CloseKind::Shutdown => {
             stats.sessions_finished += 1;

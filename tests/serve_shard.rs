@@ -7,7 +7,10 @@ mod common;
 
 use appclass::metrics::{NodeId, Snapshot};
 use appclass::prelude::AppClass;
-use appclass::serve::{ClientConfig, ServeClient, ServeError, Server, ServerConfig, ShardServer};
+use appclass::serve::feed::RETIRED_KEPT;
+use appclass::serve::{
+    ClientConfig, CompositionFeed, ServeClient, ServeError, Server, ServerConfig, ShardServer,
+};
 use appclass::sim::runner::run_spec;
 use appclass::sim::workload::registry::{training_specs, WorkloadSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -291,4 +294,53 @@ fn shard_sessions_survive_a_hot_swap() {
     let stats = server.join().unwrap();
     assert_eq!(stats.sessions_finished, 2);
     assert_eq!(stats.session_errors, 0);
+}
+
+/// Runs `n` sessions one after another, each publishing one snapshot's
+/// verdict, and returns their session ids.
+fn short_sessions(addr: std::net::SocketAddr, n: usize, snap: &Snapshot) -> Vec<u32> {
+    (0..n)
+        .map(|_| {
+            let mut client = ServeClient::connect(addr, ClientConfig::default()).unwrap();
+            let session = client.session();
+            client.stream_snapshots(std::slice::from_ref(snap)).unwrap();
+            assert_eq!(client.bye().unwrap(), appclass::metrics::ByeReason::Normal);
+            session
+        })
+        .collect()
+}
+
+/// What the feed holds after `ids` all ended: exactly the latest
+/// `RETIRED_KEPT` of them.
+fn assert_feed_keeps_latest(feed: &CompositionFeed, ids: &[u32], server: &str) {
+    let kept = &ids[ids.len() - RETIRED_KEPT..];
+    assert_eq!(feed.len(), RETIRED_KEPT, "{server}: the feed must stop growing");
+    assert!(kept.iter().all(|&s| feed.get(s).is_some()), "{server}: latest verdicts lost");
+    assert!(ids[..ids.len() - RETIRED_KEPT].iter().all(|&s| feed.get(s).is_none()));
+}
+
+/// Both servers retire every session they end, so a server that has
+/// served many sessions keeps only the latest `RETIRED_KEPT` ended
+/// sessions' verdicts on its feed instead of one per session ever
+/// served.
+#[test]
+fn both_servers_keep_only_the_latest_ended_sessions_on_the_feed() {
+    let pipeline = Arc::new(common::trained_pipeline());
+    let snap = snapshots_of(&training_specs()[0], 82, 9200)[0].clone();
+    let sessions = RETIRED_KEPT + 8;
+
+    let server =
+        ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
+    let feed = server.composition_feed();
+    let ids = short_sessions(server.local_addr(), sessions, &snap);
+    server.shutdown();
+    assert_eq!(server.join().unwrap().sessions_finished, sessions as u64);
+    assert_feed_keeps_latest(&feed, &ids, "sharded");
+
+    let server = Server::bind("127.0.0.1:0", pipeline, ServerConfig::default()).unwrap();
+    let feed = server.composition_feed();
+    let ids = short_sessions(server.local_addr(), sessions, &snap);
+    server.shutdown();
+    assert_eq!(server.join().unwrap().sessions_finished, sessions as u64);
+    assert_feed_keeps_latest(&feed, &ids, "threaded");
 }
