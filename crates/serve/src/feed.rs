@@ -80,10 +80,11 @@ impl CompositionFeed {
 
     /// Marks a session ended. Its last observation stays readable until
     /// [`RETIRED_KEPT`] later sessions have ended; then it is forgotten.
-    /// A session that never published leaves nothing to keep.
+    /// A session that never published leaves nothing to keep, and a
+    /// session already marked ended keeps its place.
     pub fn retire(&self, session: u32) {
         let mut state = self.inner.lock();
-        if !state.entries.contains_key(&session) {
+        if !state.entries.contains_key(&session) || state.retired.contains(&session) {
             return;
         }
         state.retired.push_back(session);
@@ -179,6 +180,7 @@ mod tests {
             feed.retire(s);
         }
         feed.retire(last + 1);
+        feed.retire(last); // ended already: it must not take a second place
         assert_eq!(feed.len(), RETIRED_KEPT + 1, "the live session plus the kept ones");
         assert!(feed.get(0).is_some(), "a live session is never evicted");
         assert!(feed.get(1).is_none() && feed.get(2).is_none(), "the two oldest are gone");

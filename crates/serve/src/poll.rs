@@ -6,17 +6,25 @@
 //! the listener with a throwaway connection — a poke indistinguishable
 //! from a real client, which could land in the shedding/refusal
 //! accounting. Readiness polling removes the need for any wake-up
-//! traffic: every loop parks in `poll(2)` with a short timeout and
-//! re-checks the shutdown flag on each wake.
+//! traffic through the listener. The threaded server's acceptor parks in
+//! `poll(2)` with a short timeout and re-checks its shutdown flag on each
+//! wake. The sharded loops park with no timeout at all (a shard's one
+//! exception is a partial frame's stall deadline): each also polls its
+//! `Waker`, a socket pair private to the process, which whoever hands
+//! the loop work or asks it to stop writes one byte to.
 //!
 //! `poll(2)` is declared with a three-line `extern "C"` prototype; the
 //! symbol already lives in every binary std links, so this adds no
 //! dependency. On non-unix targets the module degrades to a timed sleep
 //! that reports everything ready — callers use nonblocking operations
 //! that simply return `WouldBlock`, so correctness is preserved at the
-//! cost of a bounded busy-poll.
+//! cost of a bounded busy-poll, and a `Waker` does nothing.
 
 use std::io;
+#[cfg(unix)]
+use std::io::{Read, Write};
+#[cfg(unix)]
+use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
 #[cfg(unix)]
@@ -107,17 +115,20 @@ impl PollSet {
         }
     }
 
-    /// Blocks until at least one registered socket is ready or the
-    /// timeout elapses. Returns how many are ready (0 on timeout).
+    /// Blocks until at least one registered socket is ready or, when
+    /// given, `timeout` has elapsed; `None` waits for readiness alone.
+    /// The timeout is rounded up to whole milliseconds, so a wait never
+    /// ends before it and a sub-millisecond remainder cannot become a
+    /// zero-timeout spin. Returns how many are ready (0 on timeout).
     /// `EINTR` reports as 0 ready — callers loop anyway.
-    pub fn wait(&mut self, timeout: Duration) -> io::Result<usize> {
+    pub fn wait(&mut self, timeout: Option<Duration>) -> io::Result<usize> {
         #[cfg(unix)]
         {
-            if self.fds.is_empty() {
-                std::thread::sleep(timeout);
-                return Ok(0);
-            }
-            let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+            let ms = timeout
+                .map_or(-1, |t| t.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32);
+            // SAFETY: `fds` is a live, exclusively borrowed buffer of
+            // `fds.len()` `pollfd` records, which poll(2) only reads and
+            // writes within that length.
             let rc = unsafe {
                 sys::poll(self.fds.as_mut_ptr(), self.fds.len() as std::os::raw::c_ulong, ms)
             };
@@ -134,7 +145,8 @@ impl PollSet {
         {
             // Bounded busy-poll: report everything ready after a short
             // sleep; nonblocking callers see WouldBlock when idle.
-            std::thread::sleep(timeout.min(Duration::from_millis(5)));
+            let nap = Duration::from_millis(5);
+            std::thread::sleep(timeout.map_or(nap, |t| t.min(nap)));
             Ok(self.len)
         }
     }
@@ -146,7 +158,7 @@ impl PollSet {
     pub fn wait_readable<S: Pollable>(&mut self, sock: &S, timeout: Duration) -> io::Result<bool> {
         self.clear();
         self.push(sock, true, false);
-        Ok(self.wait(timeout)? > 0 && self.readable(0))
+        Ok(self.wait(Some(timeout))? > 0 && self.readable(0))
     }
 
     /// Whether slot `i` is readable (or has an error/hangup to reap —
@@ -176,11 +188,66 @@ impl PollSet {
     }
 }
 
+/// Wakes a thread parked in [`PollSet::wait`]: a connected pair of Unix
+/// sockets, whose read end the parked thread registers (a `Waker` is
+/// [`Pollable`] through that end) and anyone else writes a byte to. It
+/// never touches a listener, so a wake-up can never be counted as a
+/// client.
+pub(crate) struct Waker {
+    #[cfg(unix)]
+    rx: UnixStream,
+    #[cfg(unix)]
+    tx: UnixStream,
+}
+
+impl Waker {
+    /// A waker with nothing pending.
+    pub(crate) fn new() -> io::Result<Waker> {
+        #[cfg(unix)]
+        {
+            let (rx, tx) = UnixStream::pair()?;
+            rx.set_nonblocking(true)?;
+            tx.set_nonblocking(true)?;
+            Ok(Waker { rx, tx })
+        }
+        #[cfg(not(unix))]
+        Ok(Waker {})
+    }
+
+    /// Makes the read end readable. A write that would block finds the
+    /// socket buffer full of earlier wake-ups, which the parked thread
+    /// has not drained yet, so it is already readable.
+    pub(crate) fn wake(&self) {
+        #[cfg(unix)]
+        let _ = (&self.tx).write(&[1]);
+    }
+
+    /// Consumes every pending wake-up, so the next wait blocks until the
+    /// next [`Waker::wake`]. Call it before looking at the state the
+    /// wakers signal: a wake-up that lands after the drain stays pending.
+    pub(crate) fn drain(&self) {
+        #[cfg(unix)]
+        {
+            let mut sink = [0u8; 64];
+            while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
+        }
+    }
+}
+
+#[cfg(unix)]
+impl std::os::unix::io::AsRawFd for Waker {
+    fn as_raw_fd(&self) -> std::os::unix::io::RawFd {
+        self.rx.as_raw_fd()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
+    use std::sync::Arc;
+    use std::time::Instant;
 
     #[test]
     fn listener_readiness_follows_pending_connections() {
@@ -207,14 +274,37 @@ mod tests {
 
         let mut set = PollSet::new();
         let slot = set.push(&server_side, true, true);
-        assert!(set.wait(Duration::from_millis(50)).unwrap() > 0);
+        assert!(set.wait(Some(Duration::from_millis(50))).unwrap() > 0);
         assert!(set.writable(slot), "idle socket is writable");
 
         client.write_all(b"x").unwrap();
         client.flush().unwrap();
         set.clear();
         let slot = set.push(&server_side, true, false);
-        assert!(set.wait(Duration::from_millis(1000)).unwrap() > 0);
+        assert!(set.wait(Some(Duration::from_millis(1000))).unwrap() > 0);
         assert!(set.readable(slot), "buffered byte must mark the socket readable");
+    }
+
+    #[test]
+    fn waker_ends_an_indefinite_wait_and_drain_rearms_it() {
+        let waker = Arc::new(Waker::new().unwrap());
+        let mut set = PollSet::new();
+        let slot = set.push(&*waker, true, false);
+        // Nothing pending: even a sub-millisecond timeout is waited out
+        // in full, rounded up rather than down to a zero-timeout spin.
+        let start = Instant::now();
+        assert_eq!(set.wait(Some(Duration::from_micros(300))).unwrap(), 0);
+        assert!(start.elapsed() >= Duration::from_micros(300), "the wait ended early");
+
+        let remote = Arc::clone(&waker);
+        let wakes = std::thread::spawn(move || {
+            remote.wake();
+            remote.wake();
+        });
+        assert_eq!(set.wait(None).unwrap(), 1, "a wake must end an indefinite wait");
+        assert!(set.readable(slot));
+        wakes.join().unwrap();
+        waker.drain();
+        assert_eq!(set.wait(Some(Duration::ZERO)).unwrap(), 0, "drain consumes every wake-up");
     }
 }

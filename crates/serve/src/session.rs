@@ -565,6 +565,11 @@ fn run_generation(
                 }
             }
             ControlFrame::Bye { .. } => {
+                // Retire before answering, so a client that has its Bye
+                // back finds the session among the feed's ended ones.
+                if let Some(feed) = feed {
+                    feed.retire(session_id);
+                }
                 let _ = write_frame(writer, &ControlFrame::Bye { reason: ByeReason::Normal });
                 finish(outcome, &classifier);
                 return GenExit::Clean;

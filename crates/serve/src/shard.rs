@@ -16,7 +16,11 @@
 //!   parks in `poll(2)` ([`crate::poll`]) and only touches sockets the
 //!   kernel reports ready. No async runtime, per the workspace's
 //!   no-tokio stance: the event loop is a plain `loop` on a plain
-//!   thread.
+//!   thread. No thread wakes on a timer: the acceptor and every shard
+//!   also poll a `Waker`, which the acceptor rings after each
+//!   hand-off and [`ShardServer::shutdown`] rings to stop them, and a
+//!   shard's one timeout is the stall deadline of the oldest partial
+//!   frame it holds.
 //! - **Zero-copy decode.** Frames are parsed in place from the shard's
 //!   read buffer with
 //!   [`decode_control_borrowed`](wire::decode_control_borrowed):
@@ -41,7 +45,7 @@ use crate::error::{Result, ServeError};
 use crate::feed::CompositionFeed;
 use crate::model::ModelSlot;
 use crate::overload::{OverloadMachine, OverloadState};
-use crate::poll::PollSet;
+use crate::poll::{PollSet, Waker};
 use crate::proto::{append_frame, MAX_FRAME_BYTES, MID_FRAME_TIMEOUT_BUDGET};
 use crate::server::{ServerConfig, SessionCounters};
 use crate::session::{
@@ -54,24 +58,15 @@ use appclass_metrics::wire::{self, ControlFrameRef};
 use appclass_metrics::{ByeReason, ControlFrame, FrameDisposition, FrameVerdict, Snapshot};
 use appclass_obs::span::SpanName;
 use appclass_obs::{Counter, Gauge, Histogram, Observability, TraceScope};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long the acceptor parks in `poll(2)` before re-checking flags.
-const ACCEPT_POLL_INTERVAL: Duration = Duration::from_millis(25);
-/// How long a shard parks in `poll(2)` when its sockets are quiet; the
-/// upper bound on new-connection pickup latency.
-const SHARD_POLL_INTERVAL: Duration = Duration::from_millis(5);
-/// Idle cadence: how long a shard with no connections waits on its
-/// intake channel (or, draining for shutdown, sleeps) before re-checking
-/// its flags.
-const SHARD_IDLE_SLEEP: Duration = Duration::from_millis(1);
 /// Read chunk size per `read(2)` call on a ready socket.
 const READ_CHUNK: usize = 64 * 1024;
 /// Buffered bytes that end a connection's read turn: one maximal frame
@@ -195,13 +190,17 @@ struct ConnIo {
 }
 
 impl ConnIo {
-    /// Reads what the socket has ready, ending the turn once `read_buf`
-    /// holds [`READ_TURN_BYTES`]: by then its first frame is complete (or
-    /// its prefix is oversized and closes the connection), so every turn
+    /// Reads what the socket has ready. The turn ends at the first read
+    /// that fills less than `tmp`, which has taken everything the socket
+    /// held, so a request pays one `read(2)` and no extra call that
+    /// returns `EAGAIN`. It also ends once `read_buf` holds
+    /// [`READ_TURN_BYTES`]: by then its first frame is complete (or its
+    /// prefix is oversized and closes the connection), so every turn
     /// makes progress while a peer that keeps its socket full can neither
     /// grow the buffer without bound nor starve the shard's other
-    /// connections. poll(2) is level-triggered, so what is left is read
-    /// on the next turn. Returns `true` if the peer closed the read side.
+    /// connections. poll(2) is level-triggered, so whatever is left or
+    /// arrives later is read on a later turn. Returns `true` if the peer
+    /// closed the read side.
     fn pump_read(&mut self, tmp: &mut [u8]) -> std::io::Result<bool> {
         while self.read_buf.len() < READ_TURN_BYTES {
             match self.stream.read(tmp) {
@@ -211,6 +210,9 @@ impl ConnIo {
                         self.frame_started = Some(Instant::now());
                     }
                     self.read_buf.extend_from_slice(&tmp[..n]);
+                    if n < tmp.len() {
+                        return Ok(false);
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -287,7 +289,17 @@ struct ShardShared {
     slot: Arc<ModelSlot>,
     config: ServerConfig,
     shutdown: AtomicBool,
-    acceptor_done: AtomicBool,
+    /// Wakes the acceptor out of its wait on the listener.
+    acceptor_waker: Waker,
+    /// Wakes shard `i` out of its wait on its sockets.
+    shard_wakers: Vec<Waker>,
+    /// Set once the acceptor has exited and woken every shard; signalled
+    /// through `acceptor_exited`.
+    acceptor_done: Mutex<bool>,
+    acceptor_exited: Condvar,
+    /// `serve_loop_wakeups_total`: returns from `poll(2)` in the acceptor
+    /// and every shard.
+    wakeups: Counter,
     /// Connections admitted (dealt to a shard) and not yet retired.
     in_flight: AtomicUsize,
     next_session: AtomicU32,
@@ -338,11 +350,16 @@ impl ShardServer {
         let _ = obs.registry.counter("serve_deadline_shed_total");
         let overload_gauge = obs.registry.gauge("serve_overload_state");
         let queue_depth_gauge = obs.registry.gauge("serve_queue_depth");
+        let nshards = config.shards.max(1);
         let shared = Arc::new(ShardShared {
             slot: Arc::new(ModelSlot::new(pipeline)),
             config,
             shutdown: AtomicBool::new(false),
-            acceptor_done: AtomicBool::new(false),
+            acceptor_waker: Waker::new()?,
+            shard_wakers: (0..nshards).map(|_| Waker::new()).collect::<std::io::Result<_>>()?,
+            acceptor_done: Mutex::new(false),
+            acceptor_exited: Condvar::new(),
+            wakeups: obs.registry.counter("serve_loop_wakeups_total"),
             in_flight: AtomicUsize::new(0),
             next_session: AtomicU32::new(1),
             overload: Mutex::new(OverloadMachine::new(
@@ -356,14 +373,13 @@ impl ShardServer {
             feed: CompositionFeed::new(),
         });
 
-        let nshards = config.shards.max(1);
         let mut txs = Vec::with_capacity(nshards);
         let mut shards = Vec::with_capacity(nshards);
-        for _ in 0..nshards {
+        for index in 0..nshards {
             let (tx, rx) = unbounded::<TcpStream>();
             txs.push(tx);
             let shared = Arc::clone(&shared);
-            shards.push(std::thread::spawn(move || shard_loop(&shared, &rx)));
+            shards.push(std::thread::spawn(move || shard_loop(&shared, index, &rx)));
         }
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -413,19 +429,24 @@ impl ShardServer {
         (old, new)
     }
 
-    /// Asks the acceptor and every shard to wind down. Like
-    /// [`Server::shutdown`](crate::Server::shutdown) this only sets a
-    /// flag that the readiness loops observe within one poll interval —
-    /// no wake-up connection, so refusal accounting only ever counts
-    /// real clients.
+    /// Asks the acceptor and every shard to wind down, and returns once
+    /// the acceptor has stopped admitting. It sets a flag and wakes each
+    /// thread through its `Waker`, a socket pair private to the server:
+    /// like [`Server::shutdown`](crate::Server::shutdown) it makes no
+    /// wake-up connection, so refusal accounting only ever counts real
+    /// clients. A woken shard says `Bye(Shutdown)` to each of its
+    /// sessions before it serves anything else; [`ShardServer::join`]
+    /// waits for the shards.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        for _ in 0..100 {
-            if self.shared.acceptor_done.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(5));
+        let shared = &self.shared;
+        shared.shutdown.store(true, Ordering::SeqCst);
+        shared.acceptor_waker.wake();
+        for waker in &shared.shard_wakers {
+            waker.wake();
         }
+        // Returns early only on a poisoned lock, which nothing that holds
+        // it can cause: it guards a bool that is only ever set.
+        drop(shared.acceptor_exited.wait_while(shared.acceptor_done.lock(), |done| !*done));
     }
 
     /// Waits for the acceptor and every shard, then merges the
@@ -481,16 +502,37 @@ fn update_overload(shared: &ShardShared) -> OverloadState {
     state
 }
 
+/// The acceptor's exit, however it comes (shutdown, the accept limit, or
+/// a panic): disconnects every shard's intake, then wakes each shard so it
+/// sees that, then releases [`ShardServer::shutdown`].
+struct AcceptorExit<'a> {
+    shared: &'a ShardShared,
+    intakes: Vec<Sender<TcpStream>>,
+}
+
+impl Drop for AcceptorExit<'_> {
+    fn drop(&mut self) {
+        self.intakes.clear();
+        for waker in &self.shared.shard_wakers {
+            waker.wake();
+        }
+        *self.shared.acceptor_done.lock() = true;
+        self.shared.acceptor_exited.notify_all();
+    }
+}
+
 /// Readiness-driven acceptor: identical admission control to the
 /// threaded server (hard `SessionLimit` cap, then soft `Busy`
 /// shedding), dealing admitted sockets round-robin across the shard
-/// channels. Returns the admission-side statistics (rejected/busy),
-/// which it owns single-threaded — no lock on the refusal path.
+/// channels and waking the shard each one went to. Returns the
+/// admission-side statistics (rejected/busy), which it owns
+/// single-threaded — no lock on the refusal path.
 fn shard_accept_loop(
     shared: &ShardShared,
     listener: &TcpListener,
-    txs: Vec<Sender<TcpStream>>,
+    intakes: Vec<Sender<TcpStream>>,
 ) -> ServerStats {
+    let exit = AcceptorExit { shared, intakes };
     let mut stats = ServerStats::default();
     let capacity = shared.config.max_sessions.max(1) + shared.config.backlog;
     let mut admitted = 0u64;
@@ -507,7 +549,15 @@ fn shard_accept_loop(
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                let _ = poll.wait_readable(listener, ACCEPT_POLL_INTERVAL);
+                // Park until a client connects or `shutdown` wakes us.
+                poll.clear();
+                poll.push(listener, true, false);
+                let waker = poll.push(&shared.acceptor_waker, true, false);
+                let _ = poll.wait(None);
+                shared.wakeups.inc();
+                if poll.readable(waker) {
+                    shared.acceptor_waker.drain();
+                }
                 continue;
             }
             Err(_) => {
@@ -536,21 +586,23 @@ fn shard_accept_loop(
         }
         shared.in_flight.fetch_add(1, Ordering::SeqCst);
         admitted += 1;
-        if txs[next_shard % txs.len()].send(stream).is_err() {
+        let shard = next_shard % exit.intakes.len();
+        if exit.intakes[shard].send(stream).is_err() {
             shared.in_flight.fetch_sub(1, Ordering::SeqCst);
             break; // shards are gone; nothing can serve
         }
+        shared.shard_wakers[shard].wake();
         next_shard = next_shard.wrapping_add(1);
     }
-    shared.acceptor_done.store(true, Ordering::SeqCst);
     stats
-    // Dropping `txs` disconnects the channels; drained shards exit.
 }
 
-/// One shard's event loop: drain the intake channel, poll every owned
-/// socket, pump reads, parse-and-serve frames zero-copy, flush writes,
-/// retire finished connections. Returns the shard's final stats.
-fn shard_loop(shared: &ShardShared, rx: &Receiver<TcpStream>) -> ServerStats {
+/// One shard's event loop: drain the intake channel, park in `poll(2)`
+/// over the shard's waker and every owned socket, pump reads,
+/// parse-and-serve frames zero-copy, flush writes, retire finished
+/// connections. Returns the shard's final stats.
+fn shard_loop(shared: &ShardShared, index: usize, rx: &Receiver<TcpStream>) -> ServerStats {
+    let waker = &shared.shard_wakers[index];
     let mut stats = ServerStats::default();
     let mut conns: Vec<Conn> = Vec::new();
     let mut poll = PollSet::new();
@@ -592,41 +644,36 @@ fn shard_loop(shared: &ShardShared, rx: &Receiver<TcpStream>) -> ServerStats {
                 let _ = conn.io.pump_write(); // best-effort farewell
                 retire(conn, kind, &mut stats, shared, &sobs);
             }
-            if disconnected {
-                break;
-            }
-            std::thread::sleep(SHARD_IDLE_SLEEP);
-            continue;
+        }
+        if disconnected && conns.is_empty() {
+            break; // the acceptor is gone and nothing is left to serve
         }
 
-        if conns.is_empty() {
-            if disconnected {
-                break; // accept limit drained and nothing left to serve
-            }
-            // Idle: park on the intake channel itself, so a hand-off
-            // wakes the shard at once instead of after a sleep.
-            match rx.recv_timeout(SHARD_IDLE_SLEEP) {
-                Ok(stream) => {
-                    let shutting_down = shared.shutdown.load(Ordering::SeqCst);
-                    admit(stream, shutting_down, &mut conns, &mut stats, shared);
-                }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-
-        // --- readiness ---------------------------------------------------
+        // --- park until there is work ------------------------------------
+        // Slot 0 is the waker: the acceptor rings it after each hand-off
+        // and on its exit, `shutdown` on the flag. Drain it before the
+        // next look at the intake and the flag, so a ring that lands in
+        // between stays pending instead of being lost.
         poll.clear();
+        poll.push(waker, true, false);
         for conn in &conns {
             poll.push(&conn.io.stream, conn.closing.is_none(), conn.io.has_pending_writes());
         }
-        let _ = poll.wait(SHARD_POLL_INTERVAL);
+        let _ = poll.wait(stall_timeout(&conns, stall_budget));
+        shared.wakeups.inc();
+        if poll.readable(0) {
+            waker.drain();
+        }
+        if shared.shutdown.load(Ordering::SeqCst) {
+            continue; // say farewell before serving whatever woke with the flag
+        }
 
         // --- serve every ready connection --------------------------------
-        let mut i = 0;
-        while i < conns.len() {
-            let readable = poll.readable(i);
-            let writable = poll.writable(i);
+        // Back to front, so `swap_remove` only ever moves a connection
+        // that has had its turn, and every other keeps its poll slot.
+        for i in (0..conns.len()).rev() {
+            let readable = poll.readable(i + 1);
+            let writable = poll.writable(i + 1);
             serve_conn_turn(
                 &mut conns[i],
                 readable,
@@ -642,12 +689,23 @@ fn shard_loop(shared: &ShardShared, rx: &Receiver<TcpStream>) -> ServerStats {
                 let mut conn = conns.swap_remove(i);
                 let kind = conn.closing.take().unwrap_or(CloseKind::Clean);
                 retire(conn, kind, &mut stats, shared, &sobs);
-            } else {
-                i += 1;
             }
         }
     }
     stats
+}
+
+/// How long a shard may park before the oldest partial frame among its
+/// open connections outlives the mid-frame stall budget; `None`, to park
+/// until a socket or the waker is ready, when no connection holds one.
+fn stall_timeout(conns: &[Conn], budget: Duration) -> Option<Duration> {
+    let oldest = conns
+        .iter()
+        .filter(|c| c.closing.is_none() && !c.io.read_buf.is_empty())
+        .filter_map(|c| c.io.frame_started)
+        .min()?;
+    let deadline = oldest.checked_add(budget)?;
+    Some(deadline.saturating_duration_since(Instant::now()))
 }
 
 /// Takes one connection the acceptor dealt to this shard: refused with
@@ -702,8 +760,8 @@ fn admit(
     });
 }
 
-/// One event-loop turn for one connection: pump reads, serve complete
-/// frames, poll the swap epoch and the stall budget, flush writes.
+/// One event-loop turn for one connection: pump reads and serve complete
+/// frames, or on a quiet socket enforce the stall budget; flush writes.
 #[allow(clippy::too_many_arguments)]
 fn serve_conn_turn(
     conn: &mut Conn,
@@ -731,9 +789,9 @@ fn serve_conn_turn(
             }
         }
     } else if conn.closing.is_none() {
-        // Quiet socket: poll the swap epoch and the mid-frame stall
-        // budget, like the threaded loop's idle ticks.
-        rebuild_if_swapped(&mut conn.sess, shared, sobs);
+        // Quiet socket: enforce the mid-frame stall budget, like the
+        // threaded loop's idle ticks. A swap is observed before the next
+        // frame is served.
         if let Some(started) = conn.io.frame_started {
             if !conn.io.read_buf.is_empty() && started.elapsed() > stall_budget {
                 conn.closing = Some(CloseKind::Failed(ServeError::Io(std::io::Error::from(
@@ -1133,6 +1191,8 @@ fn serve_frame(
             Step::Continue
         }
         ControlFrameRef::Other(ControlFrame::Bye { .. }) => {
+            // Retire before answering, like the threaded session.
+            shared.feed.retire(sess.session_id);
             append_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Normal });
             Step::Close(CloseKind::Clean)
         }

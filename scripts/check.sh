@@ -216,6 +216,29 @@ grep -q "(100.0% goodput ratio)" "$tmp/fleet.log"
 grep -q ", 0 errored" "$tmp/fleet_serve.log"
 echo "sharded fleet smoke OK (40 VMs served across 2 shards, clean drain)"
 
+echo "== idle server smoke test =="
+# An idle sharded server parks every thread until work arrives, so over
+# 2 s its CPU time (utime + stime, fields 14 and 15 of /proc/<pid>/stat,
+# in clock ticks) may grow by at most one tick. A server that wakes on a
+# timer reads several.
+if [ -r /proc/self/stat ]; then
+    ./target/release/appclass serve --addr 127.0.0.1:0 --model "$tmp/pipeline.json" \
+        --shards 2 > "$tmp/idle_serve.log" &
+    idle_pid=$!
+    wait_addr "$tmp/idle_serve.log" > /dev/null \
+        || { echo "idle server never announced its address"; kill "$idle_pid"; exit 1; }
+    t0=$(awk '{ print $14 + $15 }' "/proc/$idle_pid/stat")
+    sleep 2
+    t1=$(awk '{ print $14 + $15 }' "/proc/$idle_pid/stat")
+    kill "$idle_pid"
+    wait "$idle_pid" 2> /dev/null || true
+    [ $((t1 - t0)) -le 1 ] \
+        || { echo "idle server used $((t1 - t0)) clock ticks of CPU in 2 s"; exit 1; }
+    echo "idle server smoke OK ($((t1 - t0)) clock ticks of CPU in 2 s)"
+else
+    echo "idle server smoke skipped: no /proc to read CPU time from"
+fi
+
 echo "== cluster scheduling smoke test =="
 # Class-aware placement across a 16-host fleet, driven entirely by
 # pipeline-observed compositions: it must not lose to the averaged

@@ -13,7 +13,7 @@ mod common;
 
 use appclass::metrics::{ByeReason, NodeId, Snapshot};
 use appclass::serve::chaos::{ChaosPlan, ChaosProxy, FaultEvent};
-use appclass::serve::{ClientConfig, ServeClient, ServeError, Server, ServerConfig};
+use appclass::serve::{ClientConfig, ServeClient, ServeError, Server, ServerConfig, ShardServer};
 use appclass::sim::runner::run_spec;
 use appclass::sim::workload::registry::training_specs;
 use std::sync::Arc;
@@ -34,6 +34,18 @@ fn chaos_server(pipeline: &Arc<appclass::prelude::ClassifierPipeline>) -> Server
         ..ServerConfig::default()
     };
     Server::bind("127.0.0.1:0", Arc::clone(pipeline), config).unwrap()
+}
+
+/// The sharded server under the same short read timeout: its mid-frame
+/// stall budget, enforced from the shard's clock, is one second too.
+fn chaos_shard_server(pipeline: &Arc<appclass::prelude::ClassifierPipeline>) -> ShardServer {
+    let config = ServerConfig {
+        max_sessions: 2,
+        read_timeout: Duration::from_millis(10),
+        shards: 1,
+        ..ServerConfig::default()
+    };
+    ShardServer::bind("127.0.0.1:0", Arc::clone(pipeline), config).unwrap()
 }
 
 /// After any fault scenario the server must still serve: a fresh direct
@@ -101,6 +113,62 @@ fn mid_frame_stall_under_the_budget_is_absorbed() {
     let stats = server.join().unwrap();
     proxy.shutdown();
     assert_eq!(stats.session_errors, 0, "{stats}");
+}
+
+/// The sharded server absorbs a mid-frame stall inside its budget, the
+/// same as the threaded server: the session finishes cleanly.
+#[test]
+fn mid_frame_stall_under_the_budget_is_absorbed_by_the_shard_server() {
+    let pipeline = Arc::new(common::trained_pipeline());
+    let server = chaos_shard_server(&pipeline);
+    // Stall 200 ms inside the first snapshot frame, against a 1 s budget.
+    let plan = ChaosPlan::lossless(22).with_stall(40, Duration::from_millis(200));
+    let proxy = ChaosProxy::spawn(server.local_addr(), plan).unwrap();
+
+    let snaps = snapshots(81, 5002);
+    let short = &snaps[..snaps.len().min(12)];
+    let mut client = ServeClient::connect(proxy.local_addr(), ClientConfig::default()).unwrap();
+    client.stream_snapshots(short).unwrap();
+    client.classify().unwrap();
+    assert_eq!(client.bye().unwrap(), ByeReason::Normal);
+    assert_eq!(proxy.events(), vec![FaultEvent::Stall { offset: 40 }]);
+
+    assert_server_alive(server.local_addr());
+    server.shutdown();
+    let stats = server.join().unwrap();
+    proxy.shutdown();
+    assert_eq!(stats.session_errors, 0, "{stats}");
+}
+
+/// A stall past the budget: the shard's only timeout, the stalled
+/// frame's deadline, wakes it with no traffic to do so, and it gives the
+/// session up. The client sees a typed transport error, the server
+/// counts exactly one failed session, and a fresh client is served.
+#[test]
+fn mid_frame_stall_over_the_budget_fails_typed_on_the_shard_server() {
+    let pipeline = Arc::new(common::trained_pipeline());
+    let server = chaos_shard_server(&pipeline);
+    // Stall 3 s inside the first snapshot frame, against a 1 s budget.
+    let plan = ChaosPlan::lossless(24).with_stall(40, Duration::from_secs(3));
+    let proxy = ChaosProxy::spawn(server.local_addr(), plan).unwrap();
+
+    let snaps = snapshots(84, 5005);
+    let short = &snaps[..snaps.len().min(12)];
+    let mut client = ServeClient::connect(proxy.local_addr(), ClientConfig::default()).unwrap();
+    let outcome = client.stream_snapshots(short).and_then(|_| client.classify().map(|_| ()));
+    match outcome {
+        Err(ServeError::Io(_) | ServeError::ConnectionClosed | ServeError::Wire(_)) => {}
+        Err(other) => panic!("a stalled-out session must fail as transport, got {other}"),
+        Ok(()) => panic!("the server must give up a session stalled past its budget"),
+    }
+    assert_eq!(proxy.events(), vec![FaultEvent::Stall { offset: 40 }]);
+
+    assert_server_alive(server.local_addr());
+    server.shutdown();
+    let stats = server.join().unwrap();
+    proxy.shutdown();
+    assert_eq!(stats.session_errors, 1, "{stats}");
+    assert_eq!(stats.sessions_finished, 1, "{stats}");
 }
 
 /// An abrupt connection abort mid-stream: the client gets a typed

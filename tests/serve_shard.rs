@@ -14,7 +14,9 @@ use appclass::serve::{
 use appclass::sim::runner::run_spec;
 use appclass::sim::workload::registry::{training_specs, WorkloadSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn snapshots_of(spec: &WorkloadSpec, node: u32, seed: u64) -> Vec<Snapshot> {
     let rec = run_spec(spec, NodeId(node), seed);
@@ -343,4 +345,84 @@ fn both_servers_keep_only_the_latest_ended_sessions_on_the_feed() {
     server.shutdown();
     assert_eq!(server.join().unwrap().sessions_finished, sessions as u64);
     assert_feed_keeps_latest(&feed, &ids, "threaded");
+}
+
+/// `serve_loop_wakeups_total`: returns from `poll(2)` in the acceptor and
+/// every shard of `server`.
+fn wakeups(server: &ShardServer) -> u64 {
+    server.observability().registry.counter("serve_loop_wakeups_total").get()
+}
+
+/// An idle sharded server parks every thread until work arrives: no
+/// timer wakes the acceptor or either shard.
+#[test]
+fn idle_shard_server_never_wakes() {
+    let pipeline = Arc::new(common::trained_pipeline());
+    let config = ServerConfig { shards: 2, ..ServerConfig::default() };
+    let server = ShardServer::bind("127.0.0.1:0", pipeline, config).unwrap();
+    let before = wakeups(&server);
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(wakeups(&server), before, "an idle server woke up");
+    server.shutdown();
+    server.join().unwrap();
+}
+
+/// Runs `f` on a thread of its own and waits at most 5 s for it, so a
+/// lost wake-up fails the test instead of hanging it.
+fn within_5s<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || tx.send(f()));
+    match rx.recv_timeout(Duration::from_secs(5)) {
+        Ok(value) => {
+            let _ = worker.join(); // it has sent `value` and only returns now
+            value
+        }
+        // The sender is gone only if `f` panicked: rethrow that panic.
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("`f` dropped its sender"))
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("{what} took over 5 s"),
+    }
+}
+
+/// A session that has had its request answered and then goes quiet costs
+/// its shard nothing: no timer wakes the shard to look at it. A second
+/// session is still served while the first stays quiet, because the
+/// acceptor's hand-off wakes the parked shard.
+#[test]
+fn a_quiet_session_never_wakes_its_shard_but_a_hand_off_does() {
+    let pipeline = Arc::new(common::trained_pipeline());
+    let config = ServerConfig { shards: 1, ..ServerConfig::default() };
+    let server = ShardServer::bind("127.0.0.1:0", pipeline, config).unwrap();
+    let addr = server.local_addr();
+
+    // The one answered request: the exposition, which names the counter.
+    let (quiet, exposition) = within_5s("the first session", move || {
+        let mut client = ServeClient::connect(addr, ClientConfig::default()).unwrap();
+        let exposition = client.stats().unwrap();
+        (client, exposition)
+    });
+    assert!(
+        exposition.lines().any(|line| line.starts_with("serve_loop_wakeups_total ")),
+        "the Stats exposition must carry the wake-up counter:\n{exposition}"
+    );
+    let before = wakeups(&server);
+    assert!(before > 0, "accepting and serving the session must have counted wake-ups");
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(wakeups(&server), before, "a quiet session woke its shard");
+
+    let snaps = snapshots_of(&training_specs()[0], 83, 9300);
+    let farewell = within_5s("the second session", move || {
+        let mut client = ServeClient::connect(addr, ClientConfig::default()).unwrap();
+        client.stream_snapshots(&snaps[..10]).unwrap();
+        client.classify().unwrap();
+        client.bye().unwrap()
+    });
+    assert_eq!(farewell, appclass::metrics::ByeReason::Normal);
+
+    assert_eq!(quiet.bye().unwrap(), appclass::metrics::ByeReason::Normal);
+    server.shutdown();
+    let stats = server.join().unwrap();
+    assert_eq!(stats.sessions_finished, 2);
+    assert_eq!(stats.session_errors, 0);
 }
