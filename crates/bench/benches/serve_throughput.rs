@@ -10,7 +10,7 @@
 
 use appclass_bench::fixtures::trained_pipeline;
 use appclass_metrics::{NodeId, Snapshot};
-use appclass_serve::{ClientConfig, ServeClient, Server, ServerConfig};
+use appclass_serve::{ClientConfig, ServeClient, ServerConfig, ShardServer};
 use appclass_sim::runner::run_spec;
 use appclass_sim::workload::registry::training_specs;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -27,7 +27,7 @@ fn fixture_snapshots(node: u32, seed: u64) -> Vec<Snapshot> {
 fn bench_single_session(c: &mut Criterion) {
     let pipeline = Arc::new(trained_pipeline(42));
     let snaps = fixture_snapshots(60, 1000);
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default())
+    let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default())
         .expect("bind loopback");
     let addr = server.local_addr();
 
@@ -56,7 +56,7 @@ fn bench_single_session(c: &mut Criterion) {
 fn bench_batched_session(c: &mut Criterion) {
     let pipeline = Arc::new(trained_pipeline(42));
     let snaps = fixture_snapshots(62, 3000);
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default())
+    let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default())
         .expect("bind loopback");
     let addr = server.local_addr();
 
@@ -85,7 +85,8 @@ fn bench_concurrent_sessions(c: &mut Criterion) {
     let pipeline = Arc::new(trained_pipeline(42));
     let snaps = Arc::new(fixture_snapshots(61, 2000));
     let config = ServerConfig { max_sessions: 8, ..ServerConfig::default() };
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), config).expect("bind loopback");
+    let server =
+        ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), config).expect("bind loopback");
     let addr = server.local_addr();
 
     let mut group = c.benchmark_group("serve_concurrent");

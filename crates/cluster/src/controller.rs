@@ -130,7 +130,7 @@ impl ClusterController {
     }
 
     /// The controller's observability bundle — same shape as
-    /// `Server::observability()`, so a fleet monitor can scrape serving
+    /// `ShardServer::observability()`, so a fleet monitor can scrape serving
     /// and scheduling through one code path.
     pub fn observability(&self) -> &Observability {
         &self.obs

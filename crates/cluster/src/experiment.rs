@@ -7,8 +7,7 @@
 //! drawn from the training exemplars, and — crucially — placement driven
 //! by what the trained pipeline *observes* about each VM's telemetry,
 //! never by ground truth. Each VM is solo-profiled for a short window,
-//! its monitoring stream is pushed through an
-//! [`OnlineClassifier`](appclass_core::online::OnlineClassifier) over
+//! its monitoring stream is pushed through an [`OnlineClassifier`] over
 //! the real trained pipeline, and the resulting composition is what the
 //! class-aware policy places with. A misclassified VM therefore lands on
 //! the wrong host, and the gap to the oracle run (same policy, truth

@@ -1,6 +1,6 @@
 //! Cross-process trace propagation and assembly.
 //!
-//! A span [`Tracer`](crate::Tracer) is strictly per-process: ids restart
+//! A span [`Tracer`] is strictly per-process: ids restart
 //! at 1, times count from a process-local epoch, and nothing connects a
 //! client's `client_classify` span to the server's `classify` span that
 //! served it. This module closes that gap with three small pieces:

@@ -2,20 +2,20 @@
 //! transport faults PR 2's frame-layer plans cannot express.
 //!
 //! [`ChaosProxy`] sits between a [`ServeClient`](crate::ServeClient) and
-//! a [`Server`](crate::Server), forwarding bytes in both directions
-//! while mangling the client→server direction according to a seeded
-//! [`ChaosPlan`]: partial writes (frames torn across many tiny TCP
-//! segments), mid-frame stalls (calibrated against
-//! [`MID_FRAME_TIMEOUT_BUDGET`](crate::proto::MID_FRAME_TIMEOUT_BUDGET)),
-//! abrupt connection aborts, and byte flips on the stream. Every fault
+//! a [`ShardServer`](crate::ShardServer), forwarding bytes in both
+//! directions while mangling the client→server direction according to a
+//! seeded [`ChaosPlan`]: partial writes (frames torn across many tiny
+//! TCP segments), mid-frame stalls (calibrated against the server's
+//! [`stall_budget`](crate::ServerConfig::stall_budget)), abrupt
+//! connection aborts, and byte flips on the stream. Every fault
 //! decision is drawn from a splitmix64 stream seeded per connection, and
 //! every injected fault is recorded as a [`FaultEvent`] — two runs of
 //! the same plan over the same byte stream mangle identically, which is
 //! what lets the chaos suite assert bitwise reproducibility per seed.
 //!
 //! The contract under test: whatever this proxy does to the stream, the
-//! server worker survives to serve the next session and the client gets
-//! a typed error (or a clean retry) — never a panic, never a wedge.
+//! server survives to serve the next session and the client gets a
+//! typed error (or a clean retry) — never a panic, never a wedge.
 
 use parking_lot::Mutex;
 use std::io::{Read, Write};

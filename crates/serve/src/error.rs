@@ -54,7 +54,8 @@ pub enum ServeError {
         /// The frame kind that actually arrived.
         got: &'static str,
     },
-    /// A server worker thread panicked (observed at join time).
+    /// A server thread — the acceptor or a shard — panicked (observed at
+    /// join time).
     WorkerPanicked,
     /// The server refused the connection because it is shedding load.
     /// Unlike [`ServeError::Rejected`] with `SessionLimit` this is a soft
@@ -100,7 +101,7 @@ impl fmt::Display for ServeError {
             ServeError::UnexpectedFrame { expected, got } => {
                 write!(f, "protocol violation: expected {expected}, got {got}")
             }
-            ServeError::WorkerPanicked => write!(f, "a server worker thread panicked"),
+            ServeError::WorkerPanicked => write!(f, "a server thread panicked"),
             ServeError::Busy { retry_after_ms } => {
                 write!(f, "server busy: retry after {retry_after_ms} ms")
             }

@@ -3,28 +3,29 @@
 //!
 //! The paper's deployment story (§6) is a monitoring daemon per node
 //! feeding a central learner. This crate is that central end: a TCP
-//! server that holds one trained [`ClassifierPipeline`] in a
-//! hot-swappable [`ModelSlot`] and serves many monitoring clients
-//! concurrently, each session running its own
-//! [`OnlineClassifier`](appclass_core::OnlineClassifier) behind a
-//! [`FrameGuard`](appclass_metrics::FrameGuard) so a degraded client
+//! server, [`ShardServer`], that holds one trained
+//! [`ClassifierPipeline`] in a hot-swappable [`ModelSlot`] and serves
+//! many monitoring clients concurrently, each session running its own
+//! [`OnlineClassifier`](appclass_core::online::OnlineClassifier) behind
+//! a [`FrameGuard`](appclass_metrics::FrameGuard) so a degraded client
 //! degrades only its own verdicts. A `SwapModel` frame (or
-//! [`Server::swap_model`]) installs a retrained pipeline while
+//! [`ShardServer::swap_model`]) installs a retrained pipeline while
 //! established sessions drain onto the new fingerprint without
 //! dropping their connections.
 //!
 //! The protocol is deliberately plain: length-prefixed, checksummed
 //! [`ControlFrame`]s ([`appclass_metrics::wire`]) over plain
-//! `std::net::TcpStream`s, served by a fixed thread pool — no async
-//! runtime, no external dependencies beyond the workspace's vendored
-//! shims.
+//! `std::net::TcpStream`s. The session protocol is written once, as a
+//! socket-free core ([`session`]); the server ([`shard`]) serves it on
+//! a few `poll(2)` event loops — no async runtime, no external
+//! dependencies beyond the workspace's vendored shims.
 //!
 //! ```no_run
-//! use appclass_serve::{ClientConfig, ServeClient, Server, ServerConfig};
+//! use appclass_serve::{ClientConfig, ServeClient, ServerConfig, ShardServer};
 //! use std::sync::Arc;
 //! # fn pipeline() -> appclass_core::ClassifierPipeline { unimplemented!() }
 //!
-//! let server = Server::bind("127.0.0.1:0", Arc::new(pipeline()), ServerConfig::default())?;
+//! let server = ShardServer::bind("127.0.0.1:0", Arc::new(pipeline()), ServerConfig::default())?;
 //! let mut client = ServeClient::connect(server.local_addr(), ClientConfig::default())?;
 //! // client.stream_snapshots(...); client.classify()?; ...
 //! client.bye()?;
@@ -48,7 +49,6 @@ pub mod overload;
 pub mod poll;
 pub mod proto;
 pub mod retry;
-pub mod server;
 pub mod session;
 pub mod shard;
 pub mod stats;
@@ -61,7 +61,6 @@ pub use feed::{CompositionFeed, FeedEntry};
 pub use model::ModelSlot;
 pub use overload::{OverloadMachine, OverloadState};
 pub use retry::{connect_with_retry, BreakerState, CircuitBreaker, RetryPolicy, RetryReport};
-pub use server::{Server, ServerConfig};
 pub use session::SessionConfig;
-pub use shard::ShardServer;
+pub use shard::{ServerConfig, ShardServer};
 pub use stats::{LatencyHistogram, ServerStats, SessionOutcome};

@@ -4,10 +4,10 @@
 //! `Arc` that sessions clone per *generation*: a session builds its
 //! `OnlineClassifier` against one pinned `Arc`, and polls the slot's
 //! epoch between frames. When [`ModelSlot::swap`] installs a new
-//! pipeline the epoch bumps; each session notices at its next frame (or
-//! idle tick), drains its current classifier's telemetry into the
-//! session outcome, and rebuilds against the new pipeline — the TCP
-//! connection never drops.
+//! pipeline the epoch bumps; each session notices at its next frame,
+//! drains its current classifier's telemetry into the session outcome,
+//! and rebuilds against the new pipeline — the TCP connection never
+//! drops.
 //!
 //! The previous fingerprint is remembered so `Hello` gating can accept
 //! clients pinned to the superseded model during the drain window:

@@ -1,10 +1,9 @@
 //! Admission-queue overload state machine: `Healthy → Degraded →
 //! Shedding` with hysteresis.
 //!
-//! The acceptor owns a bounded queue between itself and the worker pool;
-//! its *depth* (admitted connections beyond the active worker set) is
-//! the overload signal. Two watermarks give the state machine
-//! hysteresis so it cannot flap on every accept:
+//! The overload signal is the server's *queue depth*: admitted sessions
+//! beyond the `max_sessions` it expects to serve at once. Two watermarks
+//! give the state machine hysteresis so it cannot flap on every accept:
 //!
 //! ```text
 //!              depth >= low            depth >= high
@@ -47,7 +46,7 @@ impl OverloadState {
 /// Watermark-driven state machine over the admission-queue depth.
 ///
 /// `update` is called with the current depth on every admission decision
-/// (and when workers drain the queue); it returns the new state and
+/// (and whenever a session ends); it returns the new state and
 /// whether this call *entered* `Shedding` — the edge the server uses to
 /// latch a flight-recorder incident once per episode.
 #[derive(Debug)]

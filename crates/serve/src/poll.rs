@@ -1,17 +1,13 @@
-//! Minimal `poll(2)`-based socket readiness, shared by the classic
-//! acceptor and the sharded event loops.
+//! Minimal `poll(2)`-based socket readiness for the server's event
+//! loops.
 //!
-//! The workspace's no-async stance rules out a runtime, but blocking
-//! accepts forced [`Server::shutdown`](crate::Server::shutdown) to poke
-//! the listener with a throwaway connection — a poke indistinguishable
-//! from a real client, which could land in the shedding/refusal
-//! accounting. Readiness polling removes the need for any wake-up
-//! traffic through the listener. The threaded server's acceptor parks in
-//! `poll(2)` with a short timeout and re-checks its shutdown flag on each
-//! wake. The sharded loops park with no timeout at all (a shard's one
+//! The workspace's no-async stance rules out a runtime. The acceptor and
+//! every shard park in `poll(2)` with no timeout at all (a shard's one
 //! exception is a partial frame's stall deadline): each also polls its
 //! `Waker`, a socket pair private to the process, which whoever hands
-//! the loop work or asks it to stop writes one byte to.
+//! the loop work or asks it to stop writes one byte to. No wake-up ever
+//! travels through the listener, where it would be indistinguishable
+//! from a real client and could land in the shedding/refusal accounting.
 //!
 //! `poll(2)` is declared with a three-line `extern "C"` prototype; the
 //! symbol already lives in every binary std links, so this adds no
@@ -151,16 +147,6 @@ impl PollSet {
         }
     }
 
-    /// Waits for one socket to become readable, replacing whatever the
-    /// set held; a loop that keeps one set allocates only on its first
-    /// wait. `Ok(true)` means a read (or accept) will not block;
-    /// `Ok(false)` is a timeout.
-    pub fn wait_readable<S: Pollable>(&mut self, sock: &S, timeout: Duration) -> io::Result<bool> {
-        self.clear();
-        self.push(sock, true, false);
-        Ok(self.wait(Some(timeout))? > 0 && self.readable(0))
-    }
-
     /// Whether slot `i` is readable (or has an error/hangup to reap —
     /// both surface through a read attempt).
     pub fn readable(&self, i: usize) -> bool {
@@ -254,15 +240,15 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let mut set = PollSet::new();
-        assert!(
-            !set.wait_readable(&listener, Duration::from_millis(10)).unwrap(),
+        let slot = set.push(&listener, true, false);
+        assert_eq!(
+            set.wait(Some(Duration::from_millis(10))).unwrap(),
+            0,
             "no pending connection yet"
         );
         let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        assert!(
-            set.wait_readable(&listener, Duration::from_millis(1000)).unwrap(),
-            "pending connection must mark the listener readable"
-        );
+        assert!(set.wait(Some(Duration::from_millis(1000))).unwrap() > 0);
+        assert!(set.readable(slot), "pending connection must mark the listener readable");
     }
 
     #[test]

@@ -19,14 +19,6 @@ use std::io::{ErrorKind, Read, Write};
 /// Hard cap on one framed message: the largest legal control frame.
 pub const MAX_FRAME_BYTES: usize = MAX_CONTROL_SIZE;
 
-/// How many read timeouts mid-frame are tolerated before the peer is
-/// declared gone. Timeouts *between* frames are normal (that is how the
-/// session loop polls its shutdown flag); a peer that stalls in the
-/// middle of a frame is broken. The wall-clock budget is therefore this
-/// count times the socket's read timeout — the chaos suite's mid-frame
-/// stalls are calibrated against exactly that product.
-pub const MID_FRAME_TIMEOUT_BUDGET: u32 = 100;
-
 /// Appends one control frame to `buf` as it travels on the stream:
 /// length prefix, then the encoded frame, both written in place.
 pub fn append_frame(buf: &mut Vec<u8>, frame: &ControlFrame) {
@@ -70,102 +62,27 @@ fn patch_prefix(buf: &mut [u8], at: usize) {
     buf[at..at + 4].copy_from_slice(&len.to_be_bytes());
 }
 
-/// Reads one control frame, blocking until it arrives.
+/// Reads one control frame, blocking until it arrives: the length
+/// prefix, a check against [`MAX_FRAME_BYTES`] before anything is
+/// allocated, then the body. A stream that ends before the frame does is
+/// [`ServeError::ConnectionClosed`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<ControlFrame> {
-    match read_frame_or_idle(r)? {
-        Some(frame) => Ok(frame),
-        // Only possible on sockets with a read timeout configured.
-        None => Err(ServeError::Io(std::io::Error::from(ErrorKind::TimedOut))),
-    }
-}
-
-/// Reads one control frame from a stream that may have a read timeout
-/// configured. Returns `Ok(None)` when the timeout fired before *any*
-/// byte of the next frame arrived — the idle case the server's session
-/// loop uses to poll its shutdown flag. Once a frame has started, short
-/// timeouts are retried (up to a budget) so a frame split across packets
-/// is never torn.
-pub fn read_frame_or_idle<R: Read>(r: &mut R) -> Result<Option<ControlFrame>> {
-    Ok(read_frame_or_idle_timed(r)?.map(|(frame, _)| frame))
-}
-
-/// Like [`read_frame_or_idle`], but also reports *when the frame started
-/// arriving* (the instant the first prefix byte was read). The session's
-/// deadline budget is measured from that instant: a frame that trickled
-/// in slowly — mid-frame stalls, a congested proxy — is already old by
-/// the time it decodes, and the deadline layer can shed it before
-/// spending classification work on it.
-pub fn read_frame_or_idle_timed<R: Read>(
-    r: &mut R,
-) -> Result<Option<(ControlFrame, std::time::Instant)>> {
     let mut prefix = [0u8; 4];
-    let arrival = match read_exact_or_idle(r, &mut prefix)? {
-        Some(at) => at,
-        None => return Ok(None),
-    };
+    r.read_exact(&mut prefix).map_err(closed_at_eof)?;
     let len = u32::from_be_bytes(prefix) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(ServeError::FrameTooLarge { size: len, max: MAX_FRAME_BYTES });
     }
     let mut body = vec![0u8; len];
-    fill(r, &mut body, 0)?;
-    Ok(Some((wire::decode_control(&body)?, arrival)))
+    r.read_exact(&mut body).map_err(closed_at_eof)?;
+    Ok(wire::decode_control(&body)?)
 }
 
-/// Like `read_exact`, but returns `Ok(None)` if a read timeout fires
-/// before the first byte; otherwise the instant the first byte arrived.
-fn read_exact_or_idle<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<Option<std::time::Instant>> {
-    let mut got = 0usize;
-    let mut arrival = None;
-    let mut timeouts = 0u32;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => return Err(ServeError::ConnectionClosed),
-            Ok(n) => {
-                if arrival.is_none() {
-                    arrival = Some(std::time::Instant::now());
-                }
-                got += n;
-            }
-            Err(e) if is_timeout(&e) && got == 0 => return Ok(None),
-            Err(e) if is_timeout(&e) => {
-                // Mid-prefix stalls draw on the same budget as mid-body
-                // ones: every timeout after the first byte counts.
-                timeouts += 1;
-                if timeouts > MID_FRAME_TIMEOUT_BUDGET {
-                    return Err(ServeError::Io(e));
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
+fn closed_at_eof(e: std::io::Error) -> ServeError {
+    match e.kind() {
+        ErrorKind::UnexpectedEof => ServeError::ConnectionClosed,
+        _ => ServeError::Io(e),
     }
-    Ok(arrival)
-}
-
-/// Completes `buf` from offset `got`, retrying timeouts up to the
-/// mid-frame budget.
-fn fill<R: Read>(r: &mut R, buf: &mut [u8], mut got: usize) -> Result<()> {
-    let mut timeouts = 0u32;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => return Err(ServeError::ConnectionClosed),
-            Ok(n) => got += n,
-            Err(e) if is_timeout(&e) => {
-                timeouts += 1;
-                if timeouts > MID_FRAME_TIMEOUT_BUDGET {
-                    return Err(ServeError::Io(e));
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(())
-}
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
 #[cfg(test)]
@@ -275,120 +192,5 @@ mod tests {
         pipe.truncate(pipe.len() - 3);
         let mut r = Cursor::new(pipe);
         assert!(matches!(read_frame(&mut r), Err(ServeError::ConnectionClosed)));
-    }
-
-    /// A reader that delivers its bytes one at a time, injecting
-    /// `WouldBlock` "timeouts" — the shape of a peer trickling a frame
-    /// through a stalled link, without needing a real socket or a real
-    /// clock. `timeouts_per_byte` stalls uniformly before every byte
-    /// after the first; `stall_at` injects one long burst of timeouts
-    /// before the byte at that position.
-    struct StutterReader {
-        data: Vec<u8>,
-        pos: usize,
-        /// Timeouts still to fire before the next byte is delivered.
-        pending_timeouts: u32,
-        /// Timeouts to fire before *each* subsequent byte.
-        timeouts_per_byte: u32,
-        /// One-shot stall: `(byte index, timeout count)`.
-        stall_at: Option<(usize, u32)>,
-    }
-
-    impl StutterReader {
-        fn new(data: Vec<u8>, timeouts_per_byte: u32) -> Self {
-            // The first byte is delivered eagerly (the idle path would
-            // otherwise return `None`); stalls start mid-frame.
-            StutterReader { data, pos: 0, pending_timeouts: 0, timeouts_per_byte, stall_at: None }
-        }
-
-        fn with_stall(mut self, at: usize, timeouts: u32) -> Self {
-            self.stall_at = Some((at, timeouts));
-            self
-        }
-    }
-
-    impl Read for StutterReader {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.pos >= self.data.len() {
-                return Ok(0);
-            }
-            if let Some((at, left)) = self.stall_at {
-                if at == self.pos && left > 0 {
-                    self.stall_at = Some((at, left - 1));
-                    return Err(std::io::Error::from(ErrorKind::WouldBlock));
-                }
-            }
-            if self.pending_timeouts > 0 {
-                self.pending_timeouts -= 1;
-                return Err(std::io::Error::from(ErrorKind::WouldBlock));
-            }
-            buf[0] = self.data[self.pos];
-            self.pos += 1;
-            self.pending_timeouts = self.timeouts_per_byte;
-            Ok(1)
-        }
-    }
-
-    #[test]
-    fn frame_split_across_stalled_reads_survives_under_the_budget() {
-        // Every byte after the first is preceded by a timeout; the frame
-        // is ~30 bytes, so the total stays far below the per-fill budget
-        // and the frame must reassemble exactly.
-        let mut pipe = Vec::new();
-        let frame = ControlFrame::Hello { session: 9, model_id: 0xABCD };
-        write_frame(&mut pipe, &frame).unwrap();
-        let mut r = StutterReader::new(pipe, 1);
-        let got = read_frame_or_idle(&mut r).unwrap();
-        assert_eq!(got, Some(frame));
-    }
-
-    #[test]
-    fn stall_exactly_at_the_budget_still_succeeds() {
-        // A single mid-body stall of exactly `MID_FRAME_TIMEOUT_BUDGET`
-        // timeouts is within contract: the frame must still reassemble.
-        let mut pipe = Vec::new();
-        let frame = ControlFrame::Hello { session: 5, model_id: 77 };
-        write_frame(&mut pipe, &frame).unwrap();
-        let mut r = StutterReader::new(pipe, 0).with_stall(10, MID_FRAME_TIMEOUT_BUDGET);
-        let got = read_frame_or_idle(&mut r).unwrap();
-        assert_eq!(got, Some(frame));
-    }
-
-    #[test]
-    fn stall_one_past_the_budget_is_a_typed_error_not_a_panic() {
-        // One more timeout than the budget mid-body and the reader gives
-        // the peer up with a typed Io error — never a panic, never a
-        // torn frame handed to the decoder.
-        let mut pipe = Vec::new();
-        write_frame(&mut pipe, &ControlFrame::Hello { session: 5, model_id: 77 }).unwrap();
-        let mut r = StutterReader::new(pipe, 0).with_stall(10, MID_FRAME_TIMEOUT_BUDGET + 1);
-        let err = read_frame_or_idle(&mut r).expect_err("one past the budget must fail");
-        match err {
-            ServeError::Io(e) => assert!(is_timeout(&e), "unexpected kind: {e}"),
-            other => panic!("expected a typed Io timeout, got {other}"),
-        }
-    }
-
-    #[test]
-    fn stall_in_the_length_prefix_is_budgeted_too() {
-        // The stall lands inside the 4-byte prefix (after byte 0, so the
-        // idle path is already past): same typed failure.
-        let mut pipe = Vec::new();
-        write_frame(&mut pipe, &ControlFrame::Classify { ctx: None }).unwrap();
-        let mut r = StutterReader::new(pipe, 0).with_stall(2, MID_FRAME_TIMEOUT_BUDGET + 1);
-        let err = read_frame_or_idle(&mut r).expect_err("prefix stall past budget");
-        assert!(matches!(err, ServeError::Io(_)), "typed Io expected, got {err}");
-    }
-
-    #[test]
-    fn timed_reader_reports_an_arrival_instant() {
-        let mut pipe = Vec::new();
-        let frame = ControlFrame::Classify { ctx: None };
-        write_frame(&mut pipe, &frame).unwrap();
-        let before = std::time::Instant::now();
-        let mut r = Cursor::new(pipe);
-        let (got, arrival) = read_frame_or_idle_timed(&mut r).unwrap().unwrap();
-        assert_eq!(got, frame);
-        assert!(arrival >= before && arrival.elapsed() < std::time::Duration::from_secs(5));
     }
 }

@@ -458,7 +458,7 @@ mod tests {
             // client's deadline.
             while !stop_accept.load(Ordering::SeqCst) {
                 match listener.accept() {
-                    Ok((stream, _)) => crate::session::refuse_busy(stream, Duration::from_secs(30)),
+                    Ok((stream, _)) => crate::shard::refuse_busy(stream, Duration::from_secs(30)),
                     Err(_) => break,
                 }
             }

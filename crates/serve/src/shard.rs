@@ -1,17 +1,18 @@
-//! The sharded session fabric: readiness-driven event loops over
-//! nonblocking sockets, one session table per shard.
+//! The classification server: an acceptor and readiness-driven event
+//! loops over nonblocking sockets, one session table per shard.
 //!
-//! The thread-per-session [`Server`](crate::Server) tops out where its
-//! economics do: one blocking thread per concurrent session, a global
-//! stats mutex, and a fresh allocation per decoded snapshot payload.
-//! [`ShardServer`] keeps the wire protocol, the admission control, and
-//! the session semantics bit-identical while changing the execution
-//! model:
+//! [`ShardServer`] owns the sockets, admission control and accounting;
+//! what each session's frames mean is decided by the socket-free session
+//! core ([`crate::session`]). The execution model:
 //!
+//! - **Admission.** One acceptor thread owns the listener. A full queue
+//!   earns a hard `Bye(SessionLimit)`, a shedding server a soft `Busy`
+//!   (see [`crate::overload`]); every other connection is admitted.
 //! - **Sharded session table.** Admitted connections are dealt
-//!   round-robin to `config.shards` worker groups. Each shard owns its
-//!   connections outright — session state never crosses a shard
-//!   boundary, so there is no session-table lock anywhere.
+//!   round-robin to `config.shards` event loops, and each is served at
+//!   once. Each shard owns its connections outright — session state
+//!   never crosses a shard boundary, so there is no session-table lock
+//!   anywhere.
 //! - **Readiness-driven I/O.** Every socket is nonblocking; each shard
 //!   parks in `poll(2)` ([`crate::poll`]) and only touches sockets the
 //!   kernel reports ready. No async runtime, per the workspace's
@@ -23,160 +24,140 @@
 //!   frame it holds.
 //! - **Zero-copy decode.** Frames are parsed in place from the shard's
 //!   read buffer with
-//!   [`decode_control_borrowed`](wire::decode_control_borrowed):
+//!   [`decode_control_borrowed`](appclass_metrics::wire::decode_control_borrowed):
 //!   snapshot datagrams are classified straight out of the buffer the
 //!   kernel filled, never copied into per-frame `Vec`s. A property test
 //!   pins the borrowed decode bit-identical to the allocating path.
 //! - **Lock-free stats.** Each shard accumulates its own
 //!   [`ServerStats`]; live observability flows through the shared
-//!   registry's atomic counters (the same `serve_*` names the threaded
-//!   server exports). The only merge is at [`ShardServer::join`], after
-//!   every shard has exited.
+//!   registry's atomic counters. The only merge is at
+//!   [`ShardServer::join`], after every shard has exited.
 //!
 //! Ownership rule for the zero-copy path: a borrowed frame lives
-//! exactly as long as one call to the per-frame handler — nothing
-//! borrowed from the read buffer survives into connection state. The
-//! handler either consumes the payload (classification reads the
-//! snapshot out of it) or converts to an owned
-//! [`ControlFrame`] for the rare control-plane kinds; after it returns,
-//! the consumed prefix of the read buffer is discarded.
+//! exactly as long as one call to the session core — nothing borrowed
+//! from the read buffer survives into connection state. After the call
+//! returns, the consumed prefix of the read buffer is discarded.
 
 use crate::error::{Result, ServeError};
 use crate::feed::CompositionFeed;
 use crate::model::ModelSlot;
 use crate::overload::{OverloadMachine, OverloadState};
 use crate::poll::{PollSet, Waker};
-use crate::proto::{append_frame, MAX_FRAME_BYTES, MID_FRAME_TIMEOUT_BUDGET};
-use crate::server::{ServerConfig, SessionCounters};
-use crate::session::{
-    busy_frame, deadline_exceeded, finish, publish_feed, refuse, refuse_busy, verdict_frame,
-};
-use crate::stats::{ServerStats, SessionOutcome};
-use appclass_core::online::OnlineClassifier;
+use crate::proto::{write_frame, MAX_FRAME_BYTES};
+use crate::session::{busy, Close, Session, SessionConfig, SessionEnv};
+use crate::stats::ServerStats;
 use appclass_core::ClassifierPipeline;
-use appclass_metrics::wire::{self, ControlFrameRef};
-use appclass_metrics::{ByeReason, ControlFrame, FrameDisposition, FrameVerdict, Snapshot};
-use appclass_obs::span::SpanName;
-use appclass_obs::{Counter, Gauge, Histogram, Observability, TraceScope};
+use appclass_metrics::{ByeReason, ControlFrame};
+use appclass_obs::{Counter, Gauge, Histogram, Observability};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Server-wide policy, fixed at bind time.
+#[derive(Debug, Clone, Copy)]
+pub struct ServerConfig {
+    /// Sessions the server expects to serve at once. Every admitted
+    /// session is served straight away; admissions beyond this many are
+    /// the queue depth the shedding watermarks and `backlog` measure.
+    pub max_sessions: usize,
+    /// Queue depth allowed beyond `max_sessions` before admission
+    /// control starts refusing with `Bye(SessionLimit)`.
+    pub backlog: usize,
+    /// Stop accepting after this many admitted sessions and let
+    /// [`ShardServer::join`] return once they end (`None` = serve until
+    /// [`ShardServer::shutdown`]).
+    pub accept_limit: Option<u64>,
+    /// How long a frame may take to arrive once its first byte has: a
+    /// peer still short of a whole frame after this long is given up
+    /// with a typed `Io(TimedOut)` failure.
+    pub stall_budget: Duration,
+    /// Low watermark of the overload state machine: queue depth at or
+    /// above it marks the server `Degraded`, and an active shedding
+    /// episode does not end until the queue drains back to it.
+    pub shed_low_watermark: usize,
+    /// High watermark: queue depth at or above it flips the server into
+    /// `Shedding`, where new connections get a soft `Busy` refusal
+    /// instead of being admitted. Kept below `backlog` by default so soft
+    /// refusals engage before the hard `SessionLimit` cap.
+    pub shed_high_watermark: usize,
+    /// The `retry_after_ms` hint carried by every `Busy` frame: the
+    /// acceptor's refusals while shedding and a session's deadline
+    /// notices alike.
+    pub busy_retry_after: Duration,
+    /// Event-loop threads: admitted sessions are dealt round-robin
+    /// across this many shards, each serving all of its sessions on one
+    /// thread.
+    pub shards: usize,
+    /// Per-session policy.
+    pub session: SessionConfig,
+}
+
+impl Default for ServerConfig {
+    fn default() -> Self {
+        ServerConfig {
+            max_sessions: 8,
+            backlog: 8,
+            accept_limit: None,
+            stall_budget: Duration::from_secs(5),
+            shed_low_watermark: 4,
+            shed_high_watermark: 6,
+            busy_retry_after: Duration::from_millis(100),
+            shards: 2,
+            session: SessionConfig::default(),
+        }
+    }
+}
+
+/// Registry counters that track the session-lifecycle fields of
+/// [`ServerStats`] live, for the `Stats` exposition. Every shard
+/// increments the same registry atomics — the lock-free merge.
+struct SessionCounters {
+    started: Counter,
+    finished: Counter,
+    rejected: Counter,
+    /// Soft `Busy` refusals while shedding (`serve_shed_total`).
+    shed: Counter,
+    errors: Counter,
+    /// Pre-registered at bind (the session core registers the same
+    /// names), so `model_swap_total` and its latency histogram appear in
+    /// the `Stats` exposition even before the first swap.
+    swap_total: Counter,
+    swap_latency: Histogram,
+}
+
+impl SessionCounters {
+    fn new(obs: &Observability) -> Self {
+        SessionCounters {
+            started: obs.registry.counter("serve_sessions_started_total"),
+            finished: obs.registry.counter("serve_sessions_finished_total"),
+            rejected: obs.registry.counter("serve_sessions_rejected_total"),
+            shed: obs.registry.counter("serve_shed_total"),
+            errors: obs.registry.counter("serve_session_errors_total"),
+            swap_total: obs.registry.counter("serve_model_swap_total"),
+            swap_latency: obs.registry.histogram("serve_model_swap_latency"),
+        }
+    }
+}
+
 /// Read chunk size per `read(2)` call on a ready socket.
 const READ_CHUNK: usize = 64 * 1024;
 /// Buffered bytes that end a connection's read turn: one maximal frame
 /// with its length prefix.
 const READ_TURN_BYTES: usize = 4 + MAX_FRAME_BYTES;
-/// Hard cap on un-flushed reply bytes per connection. The threaded
-/// server applies backpressure by blocking in `write`; an event loop
-/// cannot, so a client that streams requests while never draining its
-/// acks is failed once its pending replies cross this bound.
+/// Hard cap on un-flushed reply bytes per connection. An event loop
+/// cannot apply backpressure by blocking in `write`, so a client that
+/// streams requests while never draining its acks is failed once its
+/// pending replies cross this bound.
 const MAX_WRITE_BACKLOG: usize = 16 * 1024 * 1024;
 
-/// One model generation of one sharded session: an [`OnlineClassifier`]
-/// pinned to the pipeline `Arc` it borrows from.
-///
-/// `OnlineClassifier<'a>` borrows its pipeline, which fits the threaded
-/// server (a generation lives on one stack frame) but not an event
-/// loop, where per-connection state must be storable. This cell makes
-/// the borrow self-referential under a narrow, documented contract.
-///
-/// SAFETY invariants:
-/// - `pipeline` is an `Arc`: the `ClassifierPipeline` lives on the heap
-///   and its address is stable for as long as this cell holds the Arc,
-///   no matter how the cell itself moves.
-/// - The pipeline is never mutated (the classifier takes `&`, and the
-///   slot hands out fresh `Arc`s on swap rather than mutating).
-/// - Field order: `classifier` is declared before `pipeline`, so it
-///   drops first and the fabricated `'static` borrow can never outlive
-///   the allocation backing it.
-struct Generation {
-    classifier: OnlineClassifier<'static>,
-    /// Owns the allocation `classifier` borrows; never read, only held.
-    #[allow(dead_code)]
-    pipeline: Arc<ClassifierPipeline>,
-    epoch: u64,
-    model_id: u64,
-}
-
-impl Generation {
-    fn new(slot: &ModelSlot, config: &ServerConfig, obs: &Observability) -> Generation {
-        let epoch = slot.epoch();
-        let pipeline = slot.current();
-        let model_id = pipeline.model_id();
-        // SAFETY: see the struct-level invariants — the reference targets
-        // the Arc's heap allocation, which outlives `classifier` by field
-        // order, is address-stable, and is never mutated.
-        let pinned: &'static ClassifierPipeline = unsafe { &*Arc::as_ptr(&pipeline) };
-        let mut classifier = match config.session.window {
-            Some(w) => OnlineClassifier::with_window(pinned, w),
-            None => OnlineClassifier::new(pinned),
-        };
-        classifier.set_tracer(obs.tracer.clone());
-        Generation { classifier, pipeline, epoch, model_id }
-    }
-}
-
-/// Registry handles one shard clones once and shares across all its
-/// connections. The counters are the same named atomics every other
-/// shard (and the threaded server) increments — the shared registry is
-/// the lock-free merge point for live stats.
-struct ShardObs {
-    obs: Observability,
-    frames_in: Counter,
-    frames_repaired: Counter,
-    frames_dropped: Counter,
-    frames_malformed: Counter,
-    frames_deadline_shed: Counter,
-    classify_total: Counter,
-    classify_latency: Histogram,
-    swap_total: Counter,
-    swap_latency: Histogram,
-    classify_span: SpanName,
-}
-
-impl ShardObs {
-    fn new(obs: &Observability) -> ShardObs {
-        ShardObs {
-            frames_in: obs.registry.counter("serve_frames_in_total"),
-            frames_repaired: obs.registry.counter("serve_frames_repaired_total"),
-            frames_dropped: obs.registry.counter("serve_frames_dropped_total"),
-            frames_malformed: obs.registry.counter("serve_frames_malformed_total"),
-            frames_deadline_shed: obs.registry.counter("serve_deadline_shed_total"),
-            classify_total: obs.registry.counter("serve_classify_total"),
-            classify_latency: obs.registry.histogram("serve_classify_latency"),
-            swap_total: obs.registry.counter("serve_model_swap_total"),
-            swap_latency: obs.registry.histogram("serve_model_swap_latency"),
-            classify_span: obs.tracer.register("classify"),
-            obs: obs.clone(),
-        }
-    }
-}
-
-/// Protocol phase of one sharded connection.
-enum Phase {
-    /// Waiting for the client's `Hello`.
-    Handshake,
-    /// Handshake done; streaming frames against the generation.
-    Steady,
-}
-
-/// Why a connection is being closed (mirrors the
-/// [`SessionEnd`](crate::session::SessionEnd) arms).
-enum CloseKind {
-    Clean,
-    Shutdown,
-    Failed(ServeError),
-}
-
 /// Socket-side state of one connection, kept separate from the session
-/// state so a frame borrowed from `read_buf` can be processed while
-/// replies append to `write_buf` (disjoint field borrows).
+/// so a frame borrowed from `read_buf` can be served while replies
+/// append to `write_buf` (disjoint field borrows).
 struct ConnIo {
     stream: TcpStream,
     read_buf: Vec<u8>,
@@ -184,12 +165,21 @@ struct ConnIo {
     write_pos: usize,
     /// When the first byte of the currently-pending (unparsed) frame
     /// arrived; `None` while the read buffer is empty. This is what the
-    /// mid-frame stall budget and the per-frame deadline measure from,
-    /// mirroring `read_frame_or_idle_timed`'s arrival stamp.
+    /// stall budget and the per-frame deadline measure from.
     frame_started: Option<Instant>,
 }
 
 impl ConnIo {
+    fn new(stream: TcpStream) -> ConnIo {
+        ConnIo {
+            stream,
+            read_buf: Vec::new(),
+            write_buf: Vec::new(),
+            write_pos: 0,
+            frame_started: None,
+        }
+    }
+
     /// Reads what the socket has ready. The turn ends at the first read
     /// that fills less than `tmp`, which has taken everything the socket
     /// held, so a request pays one `read(2)` and no extra call that
@@ -245,43 +235,10 @@ impl ConnIo {
     }
 }
 
-/// Buffers one shard thread reuses for every connection and request it
-/// serves, so that a warm request allocates nothing of its own.
-#[derive(Default)]
-struct ShardScratch {
-    /// Destination of each `read(2)`.
-    read_chunk: Vec<u8>,
-    /// A `SnapshotBatch` request's decoded snapshots.
-    snapshots: Vec<Snapshot>,
-    /// The batch position each decoded snapshot came from.
-    slots: Vec<usize>,
-    /// Per-item dispositions: the `VerdictBatch` reply's payload.
-    statuses: Vec<FrameDisposition>,
-}
-
-/// Session-side state of one connection.
-struct Sess {
-    session_id: u32,
-    phase: Phase,
-    gen: Option<Generation>,
-    outcome: SessionOutcome,
-    /// Trace id last seen on this session's telemetry (0 = untraced).
-    last_trace: u64,
-    /// One flight-recorder incident per degradation episode, mirroring
-    /// `SessionObs::note_degraded`.
-    degraded_noted: bool,
-}
-
 struct Conn {
     io: ConnIo,
-    sess: Sess,
-    closing: Option<CloseKind>,
-}
-
-/// What one frame's handler asks the loop to do next.
-enum Step {
-    Continue,
-    Close(CloseKind),
+    sess: Session,
+    closing: Option<Close>,
 }
 
 /// State shared by the acceptor, every shard, and the handle.
@@ -311,11 +268,11 @@ struct ShardShared {
     feed: CompositionFeed,
 }
 
-/// The sharded classification server. Protocol-compatible with
-/// [`Server`](crate::Server) — same handshake, same frames, same
-/// admission control, same counter names — but serving its sessions on
-/// `config.shards` readiness-driven event loops instead of a
-/// thread-per-session pool.
+/// A running classification server.
+///
+/// Bind, hand out [`ShardServer::local_addr`] to clients, then either
+/// [`ShardServer::join`] (blocks until the accept limit drains) or
+/// [`ShardServer::shutdown`] followed by `join`.
 pub struct ShardServer {
     local_addr: SocketAddr,
     shared: Arc<ShardShared>,
@@ -326,24 +283,17 @@ pub struct ShardServer {
 impl ShardServer {
     /// Binds the listener and spawns the acceptor plus the shard event
     /// loops.
+    ///
+    /// `addr` may carry port 0 to let the OS pick an ephemeral port;
+    /// read the real one back with [`ShardServer::local_addr`].
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         pipeline: Arc<ClassifierPipeline>,
         config: ServerConfig,
     ) -> Result<ShardServer> {
-        ShardServer::bind_with_observability(addr, pipeline, config, Observability::new())
-    }
-
-    /// Like [`ShardServer::bind`], but instrumenting into a
-    /// caller-supplied [`Observability`] bundle.
-    pub fn bind_with_observability<A: ToSocketAddrs>(
-        addr: A,
-        pipeline: Arc<ClassifierPipeline>,
-        config: ServerConfig,
-        obs: Observability,
-    ) -> Result<ShardServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
+        let obs = Observability::new();
         let counters = SessionCounters::new(&obs);
         // Pre-register so the exposition names the deadline counter even
         // before the first session sheds a frame.
@@ -396,12 +346,16 @@ impl ShardServer {
         self.local_addr
     }
 
-    /// The observability bundle every shard instruments into.
+    /// The observability bundle every shard instruments into. Clones
+    /// share state, so a returned handle stays live while the server runs.
     pub fn observability(&self) -> &Observability {
         &self.shared.obs
     }
 
-    /// The serve→cluster composition feed (shared with every shard).
+    /// The serve→cluster composition feed every session publishes into:
+    /// the latest observed class/composition per session, the input a
+    /// class-aware placement controller consumes. Clones share state, so
+    /// a returned handle stays live while the server runs.
     pub fn composition_feed(&self) -> CompositionFeed {
         self.shared.feed.clone()
     }
@@ -411,13 +365,18 @@ impl ShardServer {
         self.shared.slot.current_id()
     }
 
-    /// The shared model slot every shard polls between frames.
+    /// The shared model slot every session checks between frames, so a
+    /// swap through a cloned handle behaves exactly like
+    /// [`ShardServer::swap_model`] minus the metrics.
     pub fn model_slot(&self) -> Arc<ModelSlot> {
         Arc::clone(&self.shared.slot)
     }
 
-    /// Hot-swaps the served model; established sessions on every shard
-    /// drain onto the new pipeline at their next frame.
+    /// Hot-swaps the served model. Established sessions on every shard
+    /// drain onto the new pipeline at their next frame without dropping
+    /// the connection; clients pinned to the old fingerprint stay
+    /// admissible through the drain window. Returns `(old_id, new_id)` —
+    /// equal when the offered model is already the one served (a no-op).
     pub fn swap_model(&self, pipeline: Arc<ClassifierPipeline>) -> (u64, u64) {
         let start = Instant::now();
         let (old, new) = self.shared.slot.swap(pipeline);
@@ -431,11 +390,10 @@ impl ShardServer {
 
     /// Asks the acceptor and every shard to wind down, and returns once
     /// the acceptor has stopped admitting. It sets a flag and wakes each
-    /// thread through its `Waker`, a socket pair private to the server:
-    /// like [`Server::shutdown`](crate::Server::shutdown) it makes no
-    /// wake-up connection, so refusal accounting only ever counts real
-    /// clients. A woken shard says `Bye(Shutdown)` to each of its
-    /// sessions before it serves anything else; [`ShardServer::join`]
+    /// thread through its `Waker`, a socket pair private to the server.
+    /// It makes no wake-up connection, so refusal accounting only ever
+    /// counts real clients. A woken shard says `Bye(Shutdown)` to each of
+    /// its sessions before it serves anything else; [`ShardServer::join`]
     /// waits for the shards.
     pub fn shutdown(&self) {
         let shared = &self.shared;
@@ -476,6 +434,7 @@ impl ShardServer {
 
 impl Drop for ShardServer {
     fn drop(&mut self) {
+        // A dropped-without-join server must not leak parked threads.
         if self.acceptor.is_some() || !self.shards.is_empty() {
             self.shutdown();
             if let Some(h) = self.acceptor.take() {
@@ -488,8 +447,10 @@ impl Drop for ShardServer {
     }
 }
 
-/// Same depth→state mapping as the threaded server's overload update:
-/// queue depth is admissions beyond the nominal concurrency target.
+/// Recomputes the queue depth (admissions beyond `max_sessions`), feeds
+/// it through the overload state machine, and sets both registry
+/// gauges. Entering `Shedding` latches one flight-recorder incident per
+/// episode.
 fn update_overload(shared: &ShardShared) -> OverloadState {
     let depth =
         shared.in_flight.load(Ordering::SeqCst).saturating_sub(shared.config.max_sessions.max(1));
@@ -500,6 +461,22 @@ fn update_overload(shared: &ShardShared) -> OverloadState {
         shared.obs.incident(&format!("server: load shedding engaged (queue depth {depth})"));
     }
     state
+}
+
+/// Refuses a connection before any session state exists: best-effort
+/// `Bye` with the given reason, then the stream drops.
+fn refuse(stream: TcpStream, reason: ByeReason) {
+    let _ = stream.set_nonblocking(false);
+    let _ = write_frame(&mut BufWriter::new(stream), &ControlFrame::Bye { reason });
+}
+
+/// Soft-refuses a connection the server is shedding: best-effort `Busy`
+/// with a retry hint, then the stream drops. Unlike [`refuse`] with
+/// `SessionLimit`, this tells the client the server is alive and worth
+/// retrying after a backoff.
+pub(crate) fn refuse_busy(stream: TcpStream, retry_after: Duration) {
+    let _ = stream.set_nonblocking(false);
+    let _ = write_frame(&mut BufWriter::new(stream), &busy(retry_after));
 }
 
 /// The acceptor's exit, however it comes (shutdown, the accept limit, or
@@ -521,11 +498,10 @@ impl Drop for AcceptorExit<'_> {
     }
 }
 
-/// Readiness-driven acceptor: identical admission control to the
-/// threaded server (hard `SessionLimit` cap, then soft `Busy`
-/// shedding), dealing admitted sockets round-robin across the shard
-/// channels and waking the shard each one went to. Returns the
-/// admission-side statistics (rejected/busy), which it owns
+/// Readiness-driven acceptor: admission control (hard `SessionLimit`
+/// cap, then soft `Busy` shedding), dealing admitted sockets round-robin
+/// across the shard channels and waking the shard each one went to.
+/// Returns the admission-side statistics (rejected/busy), which it owns
 /// single-threaded — no lock on the refusal path.
 fn shard_accept_loop(
     shared: &ShardShared,
@@ -561,26 +537,27 @@ fn shard_accept_loop(
                 continue;
             }
             Err(_) => {
+                // Transient accept failure (e.g. the peer aborted the
+                // handshake); don't let an unexpected hard error spin.
                 std::thread::sleep(Duration::from_millis(1));
                 continue;
             }
         };
         if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = stream.set_nonblocking(false);
+            // A client that lost the race with shutdown gets a clean
+            // refusal.
             refuse(stream, ByeReason::Shutdown);
             break;
         }
         if shared.in_flight.load(Ordering::SeqCst) >= capacity {
             stats.sessions_rejected += 1;
             shared.counters.rejected.inc();
-            let _ = stream.set_nonblocking(false);
             refuse(stream, ByeReason::SessionLimit);
             continue;
         }
         if update_overload(shared) == OverloadState::Shedding {
             stats.sessions_busy += 1;
             shared.counters.shed.inc();
-            let _ = stream.set_nonblocking(false);
             refuse_busy(stream, shared.config.busy_retry_after);
             continue;
         }
@@ -598,17 +575,18 @@ fn shard_accept_loop(
 }
 
 /// One shard's event loop: drain the intake channel, park in `poll(2)`
-/// over the shard's waker and every owned socket, pump reads,
-/// parse-and-serve frames zero-copy, flush writes, retire finished
-/// connections. Returns the shard's final stats.
+/// over the shard's waker and every owned socket, pump reads, serve
+/// complete frames through the session core, flush writes, retire
+/// finished connections. Returns the shard's final stats.
 fn shard_loop(shared: &ShardShared, index: usize, rx: &Receiver<TcpStream>) -> ServerStats {
     let waker = &shared.shard_wakers[index];
     let mut stats = ServerStats::default();
     let mut conns: Vec<Conn> = Vec::new();
     let mut poll = PollSet::new();
-    let mut scratch = ShardScratch { read_chunk: vec![0u8; READ_CHUNK], ..Default::default() };
-    let sobs = ShardObs::new(&shared.obs);
-    let stall_budget = shared.config.read_timeout.saturating_mul(MID_FRAME_TIMEOUT_BUDGET);
+    let mut read_chunk = vec![0u8; READ_CHUNK];
+    let mut env =
+        SessionEnv::new(Arc::clone(&shared.slot), shared.config, shared.feed.clone(), &shared.obs);
+    let stall_budget = shared.config.stall_budget;
 
     loop {
         let shutting_down = shared.shutdown.load(Ordering::SeqCst);
@@ -627,22 +605,16 @@ fn shard_loop(shared: &ShardShared, index: usize, rx: &Receiver<TcpStream>) -> S
         }
 
         // --- shutdown drain ----------------------------------------------
+        // A connection already closing keeps its close; every other
+        // session gets the farewell.
         if shutting_down {
             for mut conn in conns.drain(..) {
-                let kind = match conn.sess.phase {
-                    // Mirror the threaded handshake: a client that never
-                    // said Hello is refused, which counts as a failure.
-                    Phase::Handshake => {
-                        CloseKind::Failed(ServeError::Rejected { reason: ByeReason::Shutdown })
-                    }
-                    Phase::Steady => CloseKind::Shutdown,
+                let kind = match conn.closing.take() {
+                    Some(kind) => kind,
+                    None => conn.sess.farewell(&mut conn.io.write_buf),
                 };
-                append_frame(
-                    &mut conn.io.write_buf,
-                    &ControlFrame::Bye { reason: ByeReason::Shutdown },
-                );
                 let _ = conn.io.pump_write(); // best-effort farewell
-                retire(conn, kind, &mut stats, shared, &sobs);
+                retire(conn, kind, &mut stats, shared);
             }
         }
         if disconnected && conns.is_empty() {
@@ -678,17 +650,16 @@ fn shard_loop(shared: &ShardShared, index: usize, rx: &Receiver<TcpStream>) -> S
                 &mut conns[i],
                 readable,
                 writable,
-                shared,
-                &sobs,
-                &mut scratch,
+                &mut env,
+                &mut read_chunk,
                 stall_budget,
             );
             // Retire once the close decision is made and the farewell
             // (if any) is flushed; failed writes dropped their backlog.
             if conns[i].closing.is_some() && !conns[i].io.has_pending_writes() {
                 let mut conn = conns.swap_remove(i);
-                let kind = conn.closing.take().unwrap_or(CloseKind::Clean);
-                retire(conn, kind, &mut stats, shared, &sobs);
+                let kind = conn.closing.take().unwrap_or(Close::Clean);
+                retire(conn, kind, &mut stats, shared);
             }
         }
     }
@@ -696,8 +667,8 @@ fn shard_loop(shared: &ShardShared, index: usize, rx: &Receiver<TcpStream>) -> S
 }
 
 /// How long a shard may park before the oldest partial frame among its
-/// open connections outlives the mid-frame stall budget; `None`, to park
-/// until a socket or the waker is ready, when no connection holds one.
+/// open connections outlives the stall budget; `None`, to park until a
+/// socket or the waker is ready, when no connection holds one.
 fn stall_timeout(conns: &[Conn], budget: Duration) -> Option<Duration> {
     let oldest = conns
         .iter()
@@ -710,7 +681,7 @@ fn stall_timeout(conns: &[Conn], budget: Duration) -> Option<Duration> {
 
 /// Takes one connection the acceptor dealt to this shard: refused with
 /// `Bye(Shutdown)` if the shard is shutting down, otherwise made
-/// nonblocking and added to `conns` in the handshake phase.
+/// nonblocking and added to `conns` awaiting its `Hello`.
 fn admit(
     stream: TcpStream,
     shutting_down: bool,
@@ -719,8 +690,7 @@ fn admit(
     shared: &ShardShared,
 ) {
     if shutting_down {
-        // Admitted before the flag flipped; mirror the threaded worker's
-        // post-shutdown refusal.
+        // Admitted before the flag flipped, never served.
         stats.sessions_rejected += 1;
         shared.counters.rejected.inc();
         refuse(stream, ByeReason::Shutdown);
@@ -740,63 +710,41 @@ fn admit(
     let session_id = shared.next_session.fetch_add(1, Ordering::SeqCst);
     stats.sessions_started += 1;
     shared.counters.started.inc();
-    conns.push(Conn {
-        io: ConnIo {
-            stream,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            write_pos: 0,
-            frame_started: None,
-        },
-        sess: Sess {
-            session_id,
-            phase: Phase::Handshake,
-            gen: None,
-            outcome: SessionOutcome::default(),
-            last_trace: 0,
-            degraded_noted: false,
-        },
-        closing: None,
-    });
+    conns.push(Conn { io: ConnIo::new(stream), sess: Session::new(session_id), closing: None });
 }
 
 /// One event-loop turn for one connection: pump reads and serve complete
 /// frames, or on a quiet socket enforce the stall budget; flush writes.
-#[allow(clippy::too_many_arguments)]
 fn serve_conn_turn(
     conn: &mut Conn,
     readable: bool,
     writable: bool,
-    shared: &ShardShared,
-    sobs: &ShardObs,
-    scratch: &mut ShardScratch,
+    env: &mut SessionEnv,
+    read_chunk: &mut [u8],
     stall_budget: Duration,
 ) {
     if readable && conn.closing.is_none() {
-        match conn.io.pump_read(&mut scratch.read_chunk) {
+        match conn.io.pump_read(read_chunk) {
             Ok(eof) => {
-                serve_pending_frames(conn, shared, sobs, scratch);
+                serve_pending_frames(conn, env);
                 if eof && conn.closing.is_none() {
-                    // Peer vanished without Bye: mirror the threaded
-                    // read path's ConnectionClosed.
-                    conn.closing = Some(CloseKind::Failed(ServeError::ConnectionClosed));
+                    // Peer vanished without Bye.
+                    conn.closing = Some(Close::Failed(ServeError::ConnectionClosed));
                 }
             }
             Err(e) => {
                 if conn.closing.is_none() {
-                    conn.closing = Some(CloseKind::Failed(e.into()));
+                    conn.closing = Some(Close::Failed(e.into()));
                 }
             }
         }
     } else if conn.closing.is_none() {
-        // Quiet socket: enforce the mid-frame stall budget, like the
-        // threaded loop's idle ticks. A swap is observed before the next
-        // frame is served.
+        // Quiet socket: a peer stalled in the middle of a frame past the
+        // budget is given up.
         if let Some(started) = conn.io.frame_started {
             if !conn.io.read_buf.is_empty() && started.elapsed() > stall_budget {
-                conn.closing = Some(CloseKind::Failed(ServeError::Io(std::io::Error::from(
-                    ErrorKind::TimedOut,
-                ))));
+                conn.closing =
+                    Some(Close::Failed(ServeError::Io(std::io::Error::from(ErrorKind::TimedOut))));
             }
         }
     }
@@ -804,7 +752,7 @@ fn serve_conn_turn(
     if writable || conn.io.has_pending_writes() {
         if let Err(e) = conn.io.pump_write() {
             if conn.closing.is_none() {
-                conn.closing = Some(CloseKind::Failed(e.into()));
+                conn.closing = Some(Close::Failed(e.into()));
             }
             // The farewell cannot be delivered; drop the backlog so the
             // connection retires immediately.
@@ -814,82 +762,50 @@ fn serve_conn_turn(
     }
     if conn.closing.is_none() && conn.io.write_buf.len() - conn.io.write_pos > MAX_WRITE_BACKLOG {
         conn.closing =
-            Some(CloseKind::Failed(ServeError::Io(std::io::Error::from(ErrorKind::WriteZero))));
+            Some(Close::Failed(ServeError::Io(std::io::Error::from(ErrorKind::WriteZero))));
         conn.io.write_buf.clear();
         conn.io.write_pos = 0;
     }
 }
 
-/// Retires a finished connection: folds its generation and outcome into
-/// the shard stats, mirrors the lifecycle counters, releases its
-/// admission slot, and lets the overload machine observe the drain.
-fn retire(
-    mut conn: Conn,
-    kind: CloseKind,
-    stats: &mut ServerStats,
-    shared: &ShardShared,
-    sobs: &ShardObs,
-) {
-    let Sess { gen, outcome, session_id, .. } = &mut conn.sess;
-    if let Some(g) = gen.as_ref() {
-        finish(outcome, &g.classifier);
-    }
-    stats.absorb(outcome);
-    shared.feed.retire(*session_id);
+/// Retires a finished connection: ends its session, folds the outcome
+/// into the shard stats, counts it in the lifecycle counters, releases
+/// its admission slot, and lets the overload machine observe the drain.
+fn retire(conn: Conn, kind: Close, stats: &mut ServerStats, shared: &ShardShared) {
+    let session_id = conn.sess.id();
+    stats.absorb(&conn.sess.end(&shared.feed));
     match &kind {
-        CloseKind::Clean | CloseKind::Shutdown => {
+        Close::Clean | Close::Shutdown => {
             stats.sessions_finished += 1;
             shared.counters.finished.inc();
         }
-        CloseKind::Failed(e) => {
+        Close::Failed(e) => {
             stats.session_errors += 1;
             shared.counters.errors.inc();
-            sobs.obs.incident(&format!("session {session_id} failed: {e}"));
+            shared.obs.incident(&format!("session {session_id} failed: {e}"));
         }
     }
     shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     update_overload(shared);
 }
 
-/// If another session swapped the model, drain this connection's
-/// generation into its outcome and rebuild against the new pipeline —
-/// same-connection hot swap, exactly like the threaded `GenExit::Rebuild`.
-fn rebuild_if_swapped(sess: &mut Sess, shared: &ShardShared, sobs: &ShardObs) {
-    let Some(gen) = sess.gen.as_ref() else { return };
-    if shared.slot.epoch() == gen.epoch {
-        return;
-    }
-    finish(&mut sess.outcome, &gen.classifier);
-    sess.gen = Some(Generation::new(&shared.slot, &shared.config, &sobs.obs));
-}
-
-/// Parses every complete frame in the connection's read buffer and
-/// serves it. Frames are decoded zero-copy: snapshot payloads are
-/// classified straight out of `read_buf`.
-fn serve_pending_frames(
-    conn: &mut Conn,
-    shared: &ShardShared,
-    sobs: &ShardObs,
-    scratch: &mut ShardScratch,
-) {
+/// Hands every complete frame in the connection's read buffer to the
+/// session core, each with the instant its first byte arrived, then
+/// discards the consumed bytes.
+fn serve_pending_frames(conn: &mut Conn, env: &mut SessionEnv) {
     let Conn { io, sess, closing } = conn;
     let ConnIo { read_buf, write_buf, frame_started, .. } = io;
     let mut at = 0usize;
     let mut consumed_any = false;
     loop {
-        // Between frames is where swaps are observed, like the threaded
-        // loop checking the epoch before each read.
-        rebuild_if_swapped(sess, shared, sobs);
         let rest = &read_buf[at..];
         if rest.len() < 4 {
             break;
         }
         let len = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
         if len > MAX_FRAME_BYTES {
-            *closing = Some(CloseKind::Failed(ServeError::FrameTooLarge {
-                size: len,
-                max: MAX_FRAME_BYTES,
-            }));
+            *closing =
+                Some(Close::Failed(ServeError::FrameTooLarge { size: len, max: MAX_FRAME_BYTES }));
             break;
         }
         if rest.len() < 4 + len {
@@ -900,15 +816,12 @@ fn serve_pending_frames(
         // later frames in the same buffer were all ready "now".
         let arrival =
             if consumed_any { Instant::now() } else { frame_started.unwrap_or_else(Instant::now) };
-        let step = serve_frame(sess, body, arrival, write_buf, shared, sobs, scratch);
+        let close = sess.serve_frame(body, arrival, write_buf, env);
         at += 4 + len;
         consumed_any = true;
-        match step {
-            Step::Continue => {}
-            Step::Close(kind) => {
-                *closing = Some(kind);
-                break;
-            }
+        if close.is_some() {
+            *closing = close;
+            break;
         }
     }
     if at > 0 {
@@ -920,309 +833,6 @@ fn serve_pending_frames(
         // A new frame's first bytes are pending; its age starts at the
         // last parse boundary, not at the previous frame's arrival.
         *frame_started = Some(Instant::now());
-    }
-}
-
-/// Serves one frame body (no length prefix) against the session,
-/// appending any reply to `write_buf`. The session semantics here are a
-/// line-for-line mirror of `session::run_generation`; the difference is
-/// purely mechanical (borrowed payloads, buffered writes, per-request
-/// vectors kept in the shard's `scratch`).
-fn serve_frame(
-    sess: &mut Sess,
-    body: &[u8],
-    arrival: Instant,
-    write_buf: &mut Vec<u8>,
-    shared: &ShardShared,
-    sobs: &ShardObs,
-    scratch: &mut ShardScratch,
-) -> Step {
-    let session_config = shared.config.session;
-    let frame = match wire::decode_control_borrowed(body) {
-        Ok(frame) => frame,
-        Err(_) => {
-            // The session envelope itself is corrupt: framing is lost.
-            append_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Protocol });
-            if let Some(gen) = sess.gen.as_mut() {
-                gen.classifier.note_malformed();
-            }
-            return Step::Close(CloseKind::Failed(ServeError::Handshake {
-                reason: "framing lost",
-            }));
-        }
-    };
-
-    if matches!(sess.phase, Phase::Handshake) {
-        return match frame.to_owned_frame() {
-            ControlFrame::Hello { model_id, .. } => {
-                let served = shared.slot.current_id();
-                if !shared.slot.accepts(model_id) {
-                    append_frame(
-                        write_buf,
-                        &ControlFrame::Bye { reason: ByeReason::ModelMismatch },
-                    );
-                    return Step::Close(CloseKind::Failed(ServeError::ModelMismatch {
-                        offered: model_id,
-                        served,
-                    }));
-                }
-                append_frame(
-                    write_buf,
-                    &ControlFrame::Hello { session: sess.session_id, model_id: served },
-                );
-                sess.phase = Phase::Steady;
-                sess.gen = Some(Generation::new(&shared.slot, &shared.config, &sobs.obs));
-                Step::Continue
-            }
-            other => {
-                append_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Protocol });
-                Step::Close(CloseKind::Failed(ServeError::UnexpectedFrame {
-                    expected: "Hello",
-                    got: other.name(),
-                }))
-            }
-        };
-    }
-
-    let model_id = sess.gen.as_ref().expect("steady phase always has a generation").model_id;
-    match frame {
-        ControlFrameRef::Snapshot { wire: bytes, ctx } => {
-            let _scope = TraceScope::enter(ctx.map(|c| c.trace_id));
-            if let Some(c) = ctx {
-                sess.last_trace = c.trace_id;
-            }
-            sess.outcome.frames_in += 1;
-            sobs.frames_in.inc();
-            if sess.outcome.frames_in > session_config.frame_budget {
-                append_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::FrameBudget });
-                return Step::Close(CloseKind::Clean);
-            }
-            if deadline_exceeded(&session_config, arrival) {
-                sess.outcome.frames_deadline_shed += 1;
-                sobs.frames_deadline_shed.inc();
-                note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "deadline shed");
-                let notice = busy_frame(&session_config);
-                append_frame(write_buf, &notice);
-                return Step::Continue;
-            }
-            // The inner datagram crossed the client's (possibly faulty)
-            // telemetry channel unprotected: decode failures here are
-            // expected degradation, not protocol errors.
-            let gen = sess.gen.as_mut().expect("steady phase always has a generation");
-            match wire::decode(bytes) {
-                Ok(snapshot) => match gen.classifier.push_guarded(&snapshot) {
-                    Ok(FrameVerdict::Repaired { .. }) => {
-                        sess.outcome.frames_repaired += 1;
-                        sobs.frames_repaired.inc();
-                        note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "repaired");
-                    }
-                    Ok(FrameVerdict::Dropped { .. }) => {
-                        sess.outcome.frames_dropped += 1;
-                        sobs.frames_dropped.inc();
-                        note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "dropped");
-                    }
-                    Ok(FrameVerdict::Accepted) => {}
-                    Err(e) => return Step::Close(CloseKind::Failed(e.into())),
-                },
-                Err(_) => {
-                    sess.outcome.frames_malformed += 1;
-                    gen.classifier.note_malformed();
-                    sobs.frames_malformed.inc();
-                    note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "malformed");
-                }
-            }
-            publish_feed(
-                Some(&shared.feed),
-                sess.session_id,
-                &gen.classifier,
-                model_id,
-                sess.last_trace,
-            );
-            Step::Continue
-        }
-        ControlFrameRef::SnapshotBatch { wires, ctx } => {
-            let _scope = TraceScope::enter(ctx.map(|c| c.trace_id));
-            if let Some(c) = ctx {
-                sess.last_trace = c.trace_id;
-            }
-            let n = wires.len() as u64;
-            sess.outcome.frames_in += n;
-            sobs.frames_in.add(n);
-            if sess.outcome.frames_in > session_config.frame_budget {
-                append_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::FrameBudget });
-                return Step::Close(CloseKind::Clean);
-            }
-            if deadline_exceeded(&session_config, arrival) {
-                sess.outcome.frames_deadline_shed += n;
-                sobs.frames_deadline_shed.add(n);
-                note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "deadline shed");
-                let statuses = &mut scratch.statuses;
-                statuses.clear();
-                statuses.resize(wires.len(), FrameDisposition::Expired);
-                append_verdict_batch(write_buf, statuses);
-                return Step::Continue;
-            }
-            let gen = sess.gen.as_mut().expect("steady phase always has a generation");
-            let ShardScratch { snapshots, slots, statuses, .. } = scratch;
-            snapshots.clear();
-            slots.clear();
-            statuses.clear();
-            statuses.resize(wires.len(), FrameDisposition::Malformed);
-            let mut malformed = 0u64;
-            for (i, bytes) in wires.iter().enumerate() {
-                match wire::decode(bytes) {
-                    Ok(snapshot) => {
-                        slots.push(i);
-                        snapshots.push(snapshot);
-                    }
-                    Err(_) => {
-                        malformed += 1;
-                        gen.classifier.note_malformed();
-                    }
-                }
-            }
-            let verdicts = match gen.classifier.push_batch_guarded(snapshots) {
-                Ok(v) => v,
-                Err(e) => return Step::Close(CloseKind::Failed(e.into())),
-            };
-            let (mut repaired, mut dropped) = (0u64, 0u64);
-            for (&slot, verdict) in slots.iter().zip(verdicts) {
-                statuses[slot] = match verdict {
-                    FrameVerdict::Accepted => FrameDisposition::Accepted,
-                    FrameVerdict::Repaired { .. } => {
-                        repaired += 1;
-                        FrameDisposition::Repaired
-                    }
-                    FrameVerdict::Dropped { .. } => {
-                        dropped += 1;
-                        FrameDisposition::Dropped
-                    }
-                };
-            }
-            sess.outcome.frames_repaired += repaired;
-            sess.outcome.frames_dropped += dropped;
-            sess.outcome.frames_malformed += malformed;
-            if repaired > 0 {
-                sobs.frames_repaired.add(repaired);
-                note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "repaired");
-            }
-            if dropped > 0 {
-                sobs.frames_dropped.add(dropped);
-                note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "dropped");
-            }
-            if malformed > 0 {
-                sobs.frames_malformed.add(malformed);
-                note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "malformed");
-            }
-            append_verdict_batch(write_buf, statuses);
-            publish_feed(
-                Some(&shared.feed),
-                sess.session_id,
-                &gen.classifier,
-                model_id,
-                sess.last_trace,
-            );
-            Step::Continue
-        }
-        ControlFrameRef::Other(ControlFrame::Classify { ctx }) => {
-            let _scope = TraceScope::enter(ctx.map(|c| c.trace_id));
-            if let Some(c) = ctx {
-                sess.last_trace = c.trace_id;
-            }
-            let gen = sess.gen.as_ref().expect("steady phase always has a generation");
-            let span = sobs.obs.tracer.span(sobs.classify_span);
-            let start = Instant::now();
-            let verdict = verdict_frame(&gen.classifier, model_id, ctx);
-            append_frame(write_buf, &verdict);
-            drop(span);
-            let elapsed = start.elapsed();
-            sess.outcome.classify_latency.record(elapsed);
-            sobs.classify_latency.record(elapsed);
-            sobs.classify_total.inc();
-            sess.outcome.verdicts += 1;
-            publish_feed(
-                Some(&shared.feed),
-                sess.session_id,
-                &gen.classifier,
-                model_id,
-                sess.last_trace,
-            );
-            Step::Continue
-        }
-        ControlFrameRef::Other(ControlFrame::SwapModel { json }) => {
-            let start = Instant::now();
-            let new = match ClassifierPipeline::from_json(&json) {
-                Ok(p) => Arc::new(p),
-                Err(e) => {
-                    // An undecodable model is a protocol-level failure:
-                    // nothing was installed, and the typed core error
-                    // says why.
-                    append_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Protocol });
-                    return Step::Close(CloseKind::Failed(e.into()));
-                }
-            };
-            let (old, new_id) = shared.slot.swap(new);
-            if old != new_id {
-                sobs.swap_total.inc();
-                sobs.swap_latency.record(start.elapsed());
-                sobs.obs.incident(&format!(
-                    "session {}: model swap {old:#018x} -> {new_id:#018x}",
-                    sess.session_id
-                ));
-            }
-            let ack = ControlFrame::SwapAck { old_model: old, new_model: new_id };
-            append_frame(write_buf, &ack);
-            if old != new_id {
-                // Our own swap: rebuild eagerly rather than waiting for
-                // the next frame's epoch poll.
-                rebuild_if_swapped(sess, shared, sobs);
-            }
-            Step::Continue
-        }
-        ControlFrameRef::Other(ControlFrame::Stats { .. }) => {
-            let text = sobs.obs.registry.render();
-            append_frame(write_buf, &ControlFrame::Stats { text });
-            Step::Continue
-        }
-        ControlFrameRef::Other(ControlFrame::Health(_)) => {
-            let gen = sess.gen.as_ref().expect("steady phase always has a generation");
-            let reply = ControlFrame::Health(gen.classifier.telemetry().clone());
-            append_frame(write_buf, &reply);
-            Step::Continue
-        }
-        ControlFrameRef::Other(ControlFrame::Bye { .. }) => {
-            // Retire before answering, like the threaded session.
-            shared.feed.retire(sess.session_id);
-            append_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Normal });
-            Step::Close(CloseKind::Clean)
-        }
-        ControlFrameRef::Other(other) => {
-            append_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Protocol });
-            Step::Close(CloseKind::Failed(ServeError::UnexpectedFrame {
-                expected: "Snapshot/SnapshotBatch/Classify/SwapModel/Health/Bye",
-                got: other.name(),
-            }))
-        }
-    }
-}
-
-/// Appends the `VerdictBatch` reply for `statuses`: the vector is lent to
-/// the frame for the encode and taken back afterwards.
-fn append_verdict_batch(write_buf: &mut Vec<u8>, statuses: &mut Vec<FrameDisposition>) {
-    let reply = ControlFrame::VerdictBatch { statuses: std::mem::take(statuses) };
-    append_frame(write_buf, &reply);
-    if let ControlFrame::VerdictBatch { statuses: lent } = reply {
-        *statuses = lent;
-    }
-}
-
-/// One flight-recorder incident per session degradation episode,
-/// mirroring `SessionObs::note_degraded`. Takes the latch alone so the
-/// caller can hold disjoint borrows into the rest of the session.
-fn note_degraded(noted: &mut bool, sobs: &ShardObs, session_id: u32, what: &str) {
-    if !*noted {
-        *noted = true;
-        sobs.obs.incident(&format!("session {session_id}: first degraded frame ({what})"));
     }
 }
 
@@ -1247,21 +857,14 @@ mod tests {
         });
         let (stream, _) = listener.accept().unwrap();
         stream.set_nonblocking(true).unwrap();
-        let mut io = ConnIo {
-            stream,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            write_pos: 0,
-            frame_started: None,
-        };
+        let mut io = ConnIo::new(stream);
         let mut tmp = vec![0u8; READ_CHUNK];
         let mut poll = PollSet::new();
         let (mut received, mut largest_turn) = (0, 0);
         loop {
-            assert!(
-                poll.wait_readable(&io.stream, Duration::from_secs(10)).unwrap(),
-                "peer stalled"
-            );
+            poll.clear();
+            poll.push(&io.stream, true, false);
+            assert!(poll.wait(Some(Duration::from_secs(10))).unwrap() > 0, "peer stalled");
             let eof = io.pump_read(&mut tmp).unwrap();
             largest_turn = largest_turn.max(io.read_buf.len());
             received += io.read_buf.len();

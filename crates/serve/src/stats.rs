@@ -1,9 +1,10 @@
 //! Aggregate serving statistics: session/frame counters, merged
 //! telemetry health, per-stage costs, and a classify-latency histogram.
 //!
-//! Every session worker accumulates its own [`SessionOutcome`]; when the
-//! session ends the server folds it into one [`ServerStats`] under a
-//! mutex, so per-frame hot paths never contend on shared state.
+//! Every session accumulates its own [`SessionOutcome`]; when the session
+//! ends its shard folds it into the shard's own [`ServerStats`], and the
+//! shards' stats merge once, at join, so per-frame hot paths never
+//! contend on shared state.
 
 use appclass_metrics::{StageMetrics, TelemetryHealth};
 use std::fmt;
@@ -74,7 +75,7 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Folds another aggregate into this one — how the sharded server
+    /// Folds another aggregate into this one — how the server
     /// combines per-shard stats (each owned lock-free by its shard
     /// thread) into one report at join time.
     pub fn merge(&mut self, other: &ServerStats) {

@@ -25,7 +25,7 @@ use appclass::metrics::aggregator::Aggregator;
 use appclass::metrics::gmond::{Gmond, MetricBus};
 use appclass::metrics::{MetricId, NodeId, SelfScraper};
 use appclass::prelude::*;
-use appclass::serve::{ClientConfig, ServeClient, Server, ServerConfig};
+use appclass::serve::{ClientConfig, ServeClient, ServerConfig, ShardServer};
 use appclass::sim::runner::{run_batch, run_spec};
 use appclass::sim::workload::registry::{test_specs, training_specs};
 use std::sync::Arc;
@@ -53,7 +53,7 @@ fn main() {
 
     // 2. Serve it, and keep a handle on the server's observability.
     let server =
-        Server::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
+        ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
     let addr = server.local_addr();
     let obs = server.observability().clone();
     println!("\n== serving on {addr} ==");

@@ -10,7 +10,7 @@
 
 use appclass::expected_class;
 use appclass::prelude::*;
-use appclass::serve::{ClientConfig, ServeClient, Server, ServerConfig};
+use appclass::serve::{ClientConfig, ServeClient, ServerConfig, ShardServer};
 use appclass::sim::runner::{run_batch, run_spec};
 use appclass::sim::workload::registry::training_specs;
 use appclass::{metrics::NodeId, metrics::Snapshot};
@@ -33,7 +33,7 @@ fn main() {
 
     // Serve it to concurrent clients on an ephemeral loopback port.
     let config = ServerConfig { max_sessions: 5, ..ServerConfig::default() };
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
+    let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
     let addr = server.local_addr();
 
     let handles: Vec<_> = training

@@ -17,7 +17,7 @@
 use appclass::expected_class;
 use appclass::obs::{SpanDump, TraceAssembler, Tracer};
 use appclass::prelude::*;
-use appclass::serve::{ClientConfig, ServeClient, Server, ServerConfig};
+use appclass::serve::{ClientConfig, ServeClient, ServerConfig, ShardServer};
 use appclass::sim::runner::{run_batch, run_spec};
 use appclass::sim::workload::registry::training_specs;
 use appclass::{metrics::NodeId, metrics::Snapshot};
@@ -38,7 +38,7 @@ fn main() {
         Arc::new(ClassifierPipeline::train(&labelled, &PipelineConfig::paper()).unwrap());
 
     let server =
-        Server::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
+        ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
     let addr = server.local_addr();
 
     // A traced client: every frame carries the trace extension, so the

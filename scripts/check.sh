@@ -30,6 +30,11 @@ cargo test --release --manifest-path perfbench/Cargo.toml
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc --workspace --no-deps (warnings denied) =="
+# Broken or ambiguous intra-doc links fail here, so a deleted item
+# cannot leave links to it behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
@@ -144,8 +149,10 @@ grep -q ", 0 errored" "$tmp/persist_b.log"
 echo "persistence smoke OK ($fp1 restored, hot swap observed, zero errored sessions)"
 
 echo "== overload shedding smoke test =="
-# A single-worker server with a tiny shedding queue, flooded by four
-# concurrent Busy-aware clients: at least one connection must be
+# A server that expects one session at a time (--max-sessions 1), with
+# a tiny shedding queue, flooded by four concurrent Busy-aware clients.
+# Every admitted client is served at once; while two are admitted, the
+# next connection is queue depth past --shed-high and must be
 # soft-refused (serve_shed_total > 0 in the exposition, which must stay
 # parseable), and every refused client must still classify successfully
 # after backing off. The generous --frame-deadline-ms exercises the

@@ -112,13 +112,14 @@ commands:
         [--window W] [--backlog N] [--shed-high N] [--shed-low N]
         [--retry-after-ms N] [--frame-deadline-ms N] [--shards N]
                                serve the pipeline (or the store's HEAD version)
-                               to concurrent TCP clients
-                               (--sessions N exits after N sessions drain;
-                               --shed-high/--shed-low set the queue watermarks
-                               for Busy load shedding; --frame-deadline-ms sheds
-                               snapshot frames older than the budget; --shards N
-                               uses the sharded readiness-loop server with N
-                               event-loop shards instead of the thread pool)
+                               to concurrent TCP clients on --shards event-loop
+                               threads (default 2); every admitted session is
+                               served at once (--sessions N exits after N
+                               sessions drain; admissions beyond --max-sessions
+                               are queue depth, capped by --backlog and shed
+                               with Busy between the --shed-high/--shed-low
+                               watermarks; --frame-deadline-ms sheds snapshot
+                               frames older than the budget)
   client --addr HOST:PORT --workload NAME [--seed N] [--drop-rate R] [--model-id H]
          [--batch N] [--retries N] [--backoff-ms N] [--deadline-ms N]
                                replay a workload's monitoring stream and classify
@@ -430,7 +431,7 @@ fn cmd_table4(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use appclass::serve::{Server, ServerConfig, ShardServer};
+    use appclass::serve::{ServerConfig, ShardServer};
     validate_flags(
         args,
         &[
@@ -481,7 +482,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     if let Some(ms) = opt_parsed::<u64>(args, "--retry-after-ms")? {
         config.busy_retry_after = std::time::Duration::from_millis(ms);
-        config.session.busy_retry_after = config.busy_retry_after;
     }
     if let Some(ms) = opt_parsed::<u64>(args, "--frame-deadline-ms")? {
         if ms == 0 {
@@ -489,9 +489,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         config.session.deadline = Some(std::time::Duration::from_millis(ms));
     }
-    let shards = opt_parsed::<usize>(args, "--shards")?;
-    if shards == Some(0) {
-        return Err("--shards must be at least 1".to_string());
+    if let Some(n) = opt_parsed::<usize>(args, "--shards")? {
+        if n == 0 {
+            return Err("--shards must be at least 1".to_string());
+        }
+        config.shards = n;
     }
 
     let (pipeline, origin) = match (opt(args, "--model"), opt(args, "--store")) {
@@ -523,21 +525,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
     };
-    let stats = match shards {
-        Some(n) => {
-            config.shards = n;
-            let server =
-                ShardServer::bind(addr.as_str(), pipeline, config).map_err(|e| e.to_string())?;
-            announce(server.local_addr());
-            server.join().map_err(|e| e.to_string())?
-        }
-        None => {
-            let server =
-                Server::bind(addr.as_str(), pipeline, config).map_err(|e| e.to_string())?;
-            announce(server.local_addr());
-            server.join().map_err(|e| e.to_string())?
-        }
-    };
+    let server = ShardServer::bind(addr.as_str(), pipeline, config).map_err(|e| e.to_string())?;
+    announce(server.local_addr());
+    let stats = server.join().map_err(|e| e.to_string())?;
     out!("{stats}");
     Ok(())
 }
@@ -845,7 +835,7 @@ fn percentile_ns(sorted: &[u64], p: usize) -> u64 {
 
 fn cmd_bench_classify(args: &[String]) -> Result<(), String> {
     use appclass::serve::retry::{connect_with_retry, CircuitBreaker, RetryPolicy};
-    use appclass::serve::{ClientConfig, ServeClient, Server, ServerConfig, ShardServer};
+    use appclass::serve::{ClientConfig, ServeClient, ServerConfig, ShardServer};
     use std::time::{Duration, Instant};
     validate_flags(args, &["--seed", "--frames", "--batch", "--out"])?;
     let seed = opt_seed(args)?;
@@ -855,7 +845,7 @@ fn cmd_bench_classify(args: &[String]) -> Result<(), String> {
 
     let pipeline = std::sync::Arc::new(train_pipeline(seed)?);
     let server =
-        Server::bind("127.0.0.1:0", std::sync::Arc::clone(&pipeline), ServerConfig::default())
+        ShardServer::bind("127.0.0.1:0", std::sync::Arc::clone(&pipeline), ServerConfig::default())
             .map_err(|e| e.to_string())?;
     let addr = server.local_addr();
     let snaps = bench_stream(frames, seed);
@@ -973,7 +963,7 @@ fn cmd_bench_classify(args: &[String]) -> Result<(), String> {
         busy_retry_after: Duration::from_millis(5),
         ..ServerConfig::default()
     };
-    let ov_server = Server::bind("127.0.0.1:0", std::sync::Arc::clone(&pipeline), ov_config)
+    let ov_server = ShardServer::bind("127.0.0.1:0", std::sync::Arc::clone(&pipeline), ov_config)
         .map_err(|e| e.to_string())?;
     let ov_addr = ov_server.local_addr();
     let snaps_shared = std::sync::Arc::new(snaps);

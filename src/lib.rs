@@ -98,7 +98,7 @@ pub mod prelude {
     pub use appclass_linalg::Matrix;
     pub use appclass_metrics::{DataPool, MetricFrame, MetricId, NodeId, Snapshot};
     pub use appclass_metrics::{FaultPlan, FrameGuard, FrameVerdict, GuardConfig, TelemetryHealth};
-    pub use appclass_serve::{ClientConfig, ServeClient, Server, ServerConfig, ServerStats};
+    pub use appclass_serve::{ClientConfig, ServeClient, ServerConfig, ServerStats, ShardServer};
     pub use appclass_sim::workload::{Workload, WorkloadKind};
     pub use appclass_sim::{DiskBacking, VirtualMachine, VmConfig};
 }

@@ -13,7 +13,7 @@ use appclass::cluster::{
 };
 use appclass::expected_class;
 use appclass::metrics::{ByeReason, NodeId, Snapshot};
-use appclass::serve::{ClientConfig, ServeClient, Server, ServerConfig};
+use appclass::serve::{ClientConfig, ServeClient, ServerConfig, ShardServer};
 use appclass::sim::runner::run_spec;
 use appclass::sim::vm::VirtualMachine;
 use appclass::sim::workload::registry::{training_specs, WorkloadSpec};
@@ -35,7 +35,7 @@ fn snapshots_of(spec: &WorkloadSpec, node: u32, seed: u64) -> Vec<Snapshot> {
 fn serve_feed_drives_cluster_beliefs_and_placement() {
     let pipeline = Arc::new(common::trained_pipeline());
     let config = ServerConfig { max_sessions: 9, ..ServerConfig::default() };
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
+    let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
     let addr = server.local_addr();
     let feed = server.composition_feed();
 

@@ -1,7 +1,7 @@
 //! Socket-level chaos: every transport fault the [`ChaosProxy`] can
 //! inject — torn writes, mid-frame stalls, abrupt aborts, byte flips —
 //! must surface as a typed error or a clean success, never a panic or a
-//! wedged worker, and the same seed must inject bitwise-identical
+//! wedged server, and the same seed must inject bitwise-identical
 //! faults.
 //!
 //! This is the transport-layer counterpart of the frame-layer chaos in
@@ -13,7 +13,7 @@ mod common;
 
 use appclass::metrics::{ByeReason, NodeId, Snapshot};
 use appclass::serve::chaos::{ChaosPlan, ChaosProxy, FaultEvent};
-use appclass::serve::{ClientConfig, ServeClient, ServeError, Server, ServerConfig, ShardServer};
+use appclass::serve::{ClientConfig, ServeClient, ServeError, ServerConfig, ShardServer};
 use appclass::sim::runner::run_spec;
 use appclass::sim::workload::registry::training_specs;
 use std::sync::Arc;
@@ -25,23 +25,23 @@ fn snapshots(node: u32, seed: u64) -> Vec<Snapshot> {
     rec.pool.snapshots().iter().filter(|s| s.node == rec.node).cloned().collect()
 }
 
-fn chaos_server(pipeline: &Arc<appclass::prelude::ClassifierPipeline>) -> Server {
-    // A short read timeout keeps the worst-case mid-frame wait (timeout
-    // budget × timeout) around a second instead of five.
+fn chaos_server(pipeline: &Arc<appclass::prelude::ClassifierPipeline>) -> ShardServer {
+    // A short stall budget keeps the worst-case mid-frame wait around a
+    // second instead of five.
     let config = ServerConfig {
         max_sessions: 2,
-        read_timeout: Duration::from_millis(10),
+        stall_budget: Duration::from_secs(1),
         ..ServerConfig::default()
     };
-    Server::bind("127.0.0.1:0", Arc::clone(pipeline), config).unwrap()
+    ShardServer::bind("127.0.0.1:0", Arc::clone(pipeline), config).unwrap()
 }
 
-/// The sharded server under the same short read timeout: its mid-frame
-/// stall budget, enforced from the shard's clock, is one second too.
+/// One shard under the same short stall budget: a mid-frame stall,
+/// enforced from the shard's clock, is given up after one second.
 fn chaos_shard_server(pipeline: &Arc<appclass::prelude::ClassifierPipeline>) -> ShardServer {
     let config = ServerConfig {
         max_sessions: 2,
-        read_timeout: Duration::from_millis(10),
+        stall_budget: Duration::from_secs(1),
         shards: 1,
         ..ServerConfig::default()
     };
@@ -115,8 +115,8 @@ fn mid_frame_stall_under_the_budget_is_absorbed() {
     assert_eq!(stats.session_errors, 0, "{stats}");
 }
 
-/// The sharded server absorbs a mid-frame stall inside its budget, the
-/// same as the threaded server: the session finishes cleanly.
+/// One shard absorbs a mid-frame stall inside its budget: the session
+/// finishes cleanly.
 #[test]
 fn mid_frame_stall_under_the_budget_is_absorbed_by_the_shard_server() {
     let pipeline = Arc::new(common::trained_pipeline());
@@ -162,6 +162,33 @@ fn mid_frame_stall_over_the_budget_fails_typed_on_the_shard_server() {
         Ok(()) => panic!("the server must give up a session stalled past its budget"),
     }
     assert_eq!(proxy.events(), vec![FaultEvent::Stall { offset: 40 }]);
+
+    assert_server_alive(server.local_addr());
+    server.shutdown();
+    let stats = server.join().unwrap();
+    proxy.shutdown();
+    assert_eq!(stats.session_errors, 1, "{stats}");
+    assert_eq!(stats.sessions_finished, 1, "{stats}");
+}
+
+/// A stall inside the `Hello`'s length prefix draws on the same budget
+/// as one inside a frame's body: past it, the server gives the session
+/// up, the client's handshake fails typed, and a fresh client is served.
+#[test]
+fn mid_prefix_stall_over_the_budget_fails_typed_on_the_shard_server() {
+    let pipeline = Arc::new(common::trained_pipeline());
+    let server = chaos_shard_server(&pipeline);
+    // Stall 3 s two bytes into the 4-byte length prefix, against a 1 s
+    // budget.
+    let plan = ChaosPlan::lossless(25).with_stall(2, Duration::from_secs(3));
+    let proxy = ChaosProxy::spawn(server.local_addr(), plan).unwrap();
+
+    match ServeClient::connect(proxy.local_addr(), ClientConfig::default()) {
+        Err(ServeError::Io(_) | ServeError::ConnectionClosed) => {}
+        Err(other) => panic!("a stalled-out handshake must fail as transport, got {other}"),
+        Ok(_) => panic!("the server must give up a handshake stalled past its budget"),
+    }
+    assert_eq!(proxy.events(), vec![FaultEvent::Stall { offset: 2 }]);
 
     assert_server_alive(server.local_addr());
     server.shutdown();

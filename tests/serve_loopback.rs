@@ -12,7 +12,7 @@ mod common;
 use appclass::core::modelstore::ModelStore;
 use appclass::expected_class;
 use appclass::metrics::{ByeReason, FaultPlan, NodeId, Snapshot};
-use appclass::serve::{ClientConfig, ServeClient, ServeError, Server, ServerConfig};
+use appclass::serve::{ClientConfig, ServeClient, ServeError, ServerConfig, ShardServer};
 use appclass::sim::runner::run_spec;
 use appclass::sim::workload::registry::{training_specs, WorkloadSpec};
 use std::sync::Arc;
@@ -32,7 +32,7 @@ fn snapshots_of(spec: &WorkloadSpec, node: u32, seed: u64) -> Vec<Snapshot> {
 fn concurrent_sessions_classify_independently() {
     let pipeline = Arc::new(common::trained_pipeline());
     let config = ServerConfig { max_sessions: 10, ..ServerConfig::default() };
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
+    let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
     let addr = server.local_addr();
 
     // 8 clean clients cycling the training workloads on distinct
@@ -113,7 +113,7 @@ fn concurrent_sessions_classify_independently() {
 fn stats_frame_returns_a_live_parseable_exposition() {
     let pipeline = Arc::new(common::trained_pipeline());
     let server =
-        Server::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
+        ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
     let addr = server.local_addr();
 
     let specs = training_specs();
@@ -159,7 +159,7 @@ fn stats_frame_returns_a_live_parseable_exposition() {
 fn degraded_session_leaves_a_flight_incident() {
     let pipeline = Arc::new(common::trained_pipeline());
     let server =
-        Server::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
+        ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
     let addr = server.local_addr();
 
     let specs = training_specs();
@@ -195,7 +195,7 @@ fn degraded_session_leaves_a_flight_incident() {
 fn aggregate_stage_metrics_are_the_merge_of_all_sessions() {
     let pipeline = Arc::new(common::trained_pipeline());
     let server =
-        Server::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
+        ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
     let addr = server.local_addr();
 
     let specs = training_specs();
@@ -239,7 +239,7 @@ fn aggregate_stage_metrics_are_the_merge_of_all_sessions() {
 fn batched_stream_matches_single_frame_verdicts_bitwise() {
     let pipeline = Arc::new(common::trained_pipeline());
     let config = ServerConfig { max_sessions: 4, ..ServerConfig::default() };
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
+    let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
     let addr = server.local_addr();
 
     let specs = training_specs();
@@ -289,7 +289,7 @@ fn batched_stream_matches_single_frame_verdicts_bitwise() {
 fn lossy_batched_stream_reports_dispositions() {
     let pipeline = Arc::new(common::trained_pipeline());
     let server =
-        Server::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
+        ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
     let addr = server.local_addr();
 
     let specs = training_specs();
@@ -333,7 +333,7 @@ fn frame_budget_applies_to_batched_items() {
     let pipeline = Arc::new(common::trained_pipeline());
     let mut config = ServerConfig { max_sessions: 2, ..ServerConfig::default() };
     config.session.frame_budget = 10;
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
+    let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
     let addr = server.local_addr();
 
     let specs = training_specs();
@@ -353,7 +353,7 @@ fn frame_budget_applies_to_batched_items() {
     assert_eq!(stats.sessions_finished, 1, "a budget cut is a clean end, not an error");
 }
 
-/// Admission control: with one worker and no backlog, a second
+/// Admission control: with one session slot and no backlog, a second
 /// connection arriving while the first session is parked must be
 /// refused with `Bye(SessionLimit)` — and the refusal must be typed on
 /// the client side.
@@ -361,12 +361,12 @@ fn frame_budget_applies_to_batched_items() {
 fn overflow_connection_is_refused_with_session_limit() {
     let pipeline = Arc::new(common::trained_pipeline());
     let config = ServerConfig { max_sessions: 1, backlog: 0, ..ServerConfig::default() };
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
+    let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
     let addr = server.local_addr();
 
     let occupant = ServeClient::connect(addr, ClientConfig::default()).unwrap();
     // The occupant's handshake round-trip proves its session is being
-    // served, so the slot (and the whole pool) is now busy.
+    // served, so the one slot is now taken.
     let refused = match ServeClient::connect(addr, ClientConfig::default()) {
         Err(ServeError::Rejected { reason }) => reason,
         Err(other) => panic!("second connection must be refused cleanly, got error {other}"),
@@ -389,7 +389,7 @@ fn model_fingerprint_gates_the_handshake() {
     let pipeline = Arc::new(common::trained_pipeline());
     let served = pipeline.model_id();
     let server =
-        Server::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
+        ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
     let addr = server.local_addr();
 
     let mismatched = ClientConfig { model_id: served ^ 1, ..ClientConfig::default() };
@@ -424,7 +424,7 @@ fn hot_swap_drains_sessions_without_dropping_connections() {
     assert_ne!(old_id, new_id, "distinct seeds must fingerprint differently");
 
     let config = ServerConfig { max_sessions: 4, ..ServerConfig::default() };
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&old_pipeline), config).unwrap();
+    let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&old_pipeline), config).unwrap();
     let addr = server.local_addr();
     assert_eq!(server.model_id(), old_id);
 
@@ -526,7 +526,7 @@ fn restarted_server_serves_identical_fingerprint_and_verdicts() {
     let snaps = snapshots_of(&specs[0], 65, 6565);
 
     let run_once = |pipeline: Arc<appclass::prelude::ClassifierPipeline>| {
-        let server = Server::bind("127.0.0.1:0", pipeline, ServerConfig::default()).unwrap();
+        let server = ShardServer::bind("127.0.0.1:0", pipeline, ServerConfig::default()).unwrap();
         let pinned = ClientConfig { model_id: served, ..ClientConfig::default() };
         let mut client = ServeClient::connect(server.local_addr(), pinned).unwrap();
         client.stream_snapshots(&snaps).unwrap();
@@ -565,7 +565,7 @@ fn frame_budget_ends_the_session_gracefully() {
     let mut config = ServerConfig { max_sessions: 2, ..ServerConfig::default() };
     config.session.window = Some(16);
     config.session.frame_budget = 10;
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
+    let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
     let addr = server.local_addr();
 
     let specs = training_specs();
@@ -607,7 +607,7 @@ fn trace_propagates_end_to_end_and_old_clients_classify_identically() {
 
     let pipeline = Arc::new(common::trained_pipeline());
     let config = ServerConfig { max_sessions: 2, ..ServerConfig::default() };
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
+    let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
     let addr = server.local_addr();
 
     let specs = training_specs();
@@ -692,7 +692,7 @@ fn trace_propagates_end_to_end_and_old_clients_classify_identically() {
     assert_eq!(jsonl.lines().count(), tree.len(), "one JSONL line per assembled span");
 }
 
-/// The ISSUE 9 SLO acceptance test: flooding a single-worker server past
+/// The shed-ratio SLO test: flooding a one-slot server past
 /// its per-frame deadline budget drives the shed-ratio SLO's burn rate
 /// over 1.0 in both windows within one evaluation, latches exactly one
 /// flight-recorder incident for the episode (no alert spam on repeated
@@ -708,7 +708,7 @@ fn deadline_flood_breaches_the_shed_slo_exactly_once() {
     // A 1 ns deadline budget: every snapshot is stale by the time its
     // envelope is read, so the whole flood is shed.
     config.session.deadline = Some(Duration::from_nanos(1));
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
+    let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
     let addr = server.local_addr();
     let obs = server.observability().clone();
 

@@ -9,7 +9,9 @@ mod common;
 use appclass::metrics::{ByeReason, NodeId, Snapshot};
 use appclass::serve::chaos::{ChaosPlan, ChaosProxy};
 use appclass::serve::retry::{connect_with_retry, CircuitBreaker, RetryPolicy};
-use appclass::serve::{ClientConfig, ServeClient, ServeError, Server, ServerConfig, SessionConfig};
+use appclass::serve::{
+    ClientConfig, ServeClient, ServeError, ServerConfig, SessionConfig, ShardServer,
+};
 use appclass::sim::runner::run_spec;
 use appclass::sim::workload::registry::training_specs;
 use std::net::TcpStream;
@@ -38,13 +40,13 @@ fn shedding_server_refuses_with_busy_and_recovers() {
         busy_retry_after: Duration::from_millis(25),
         ..ServerConfig::default()
     };
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
+    let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
     let addr = server.local_addr();
 
-    // The occupant's completed handshake proves the one worker is taken.
+    // The occupant's completed handshake proves the one slot is taken.
     let occupant = ServeClient::connect(addr, ClientConfig::default()).unwrap();
-    // A raw connection parks in the admission queue (it never sends its
-    // `Hello`, so it cannot be served yet) — queue depth becomes 1.
+    // A raw connection is admitted past the one slot (it never sends its
+    // `Hello`) — queue depth becomes 1.
     let parked = TcpStream::connect(addr).unwrap();
     // The next arrival sees depth >= high watermark: soft-refused.
     match ServeClient::connect(addr, ClientConfig::default()) {
@@ -96,15 +98,15 @@ fn stale_snapshots_are_shed_before_classification() {
     let pipeline = Arc::new(common::trained_pipeline());
     let mut config = ServerConfig {
         max_sessions: 2,
+        busy_retry_after: Duration::from_millis(40),
         session: SessionConfig {
             deadline: Some(Duration::from_millis(60)),
-            busy_retry_after: Duration::from_millis(40),
             ..SessionConfig::default()
         },
         ..ServerConfig::default()
     };
-    config.read_timeout = Duration::from_millis(10);
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
+    config.stall_budget = Duration::from_secs(1);
+    let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
 
     // A mid-frame stall after the handshake (the client→server Hello is
     // 31 bytes; offset 40 lands inside the first snapshot frame) makes
@@ -157,8 +159,8 @@ fn expired_batches_are_acknowledged_not_classified() {
         },
         ..ServerConfig::default()
     };
-    config.read_timeout = Duration::from_millis(10);
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
+    config.stall_budget = Duration::from_secs(1);
+    let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
 
     let plan = ChaosPlan::lossless(13).with_stall(40, Duration::from_millis(150));
     let proxy = ChaosProxy::spawn(server.local_addr(), plan).unwrap();
@@ -219,7 +221,7 @@ fn circuit_breaker_opens_on_hard_failures_and_recloses_after_recovery() {
     // the breaker again.
     std::thread::sleep(Duration::from_millis(150));
     let pipeline = Arc::new(common::trained_pipeline());
-    let server = Server::bind(dead_addr, Arc::clone(&pipeline), ServerConfig::default());
+    let server = ShardServer::bind(dead_addr, Arc::clone(&pipeline), ServerConfig::default());
     let server = match server {
         Ok(s) => s,
         // The ephemeral port was reused meanwhile — rare, but don't
@@ -234,17 +236,17 @@ fn circuit_breaker_opens_on_hard_failures_and_recloses_after_recovery() {
     server.join().unwrap();
 }
 
-/// Satellite regression: `Server::shutdown` with zero sessions must
-/// complete promptly — the self-connect poke that wakes the parked
-/// acceptor is retried until the acceptor confirms it exited, so a
-/// single lost poke can no longer wedge `join`.
+/// Regression: `ShardServer::shutdown` with zero sessions must complete
+/// promptly — the waker rouses the parked acceptor and shards, so no
+/// timeout stands between `shutdown` and `join`.
 #[test]
 fn shutdown_with_zero_sessions_completes_promptly() {
     let pipeline = Arc::new(common::trained_pipeline());
-    // A long read timeout makes any accidental reliance on timeout
-    // polling obvious: a wedged join would wait out the full 10 s.
-    let config = ServerConfig { read_timeout: Duration::from_secs(10), ..ServerConfig::default() };
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
+    // A long stall budget makes any accidental reliance on timeout
+    // polling obvious: a wedged join would wait it out.
+    let config =
+        ServerConfig { stall_budget: Duration::from_secs(1000), ..ServerConfig::default() };
+    let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
 
     let started = std::time::Instant::now();
     let (tx, rx) = std::sync::mpsc::channel();

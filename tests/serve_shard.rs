@@ -1,7 +1,7 @@
-//! Integration tests of the sharded session fabric
-//! (`appclass::serve::ShardServer`): protocol parity with the threaded
-//! server, exact accounting under heavy concurrency, and the
-//! shedding-shutdown refusal regression.
+//! Integration tests of the session fabric
+//! (`appclass::serve::ShardServer`): exact accounting under heavy
+//! concurrency and under shedding, hot swaps across shards, the bounded
+//! composition feed, and idle threads that never wake.
 
 mod common;
 
@@ -9,11 +9,10 @@ use appclass::metrics::{NodeId, Snapshot};
 use appclass::prelude::AppClass;
 use appclass::serve::feed::RETIRED_KEPT;
 use appclass::serve::{
-    ClientConfig, CompositionFeed, ServeClient, ServeError, Server, ServerConfig, ShardServer,
+    ClientConfig, CompositionFeed, ServeClient, ServeError, ServerConfig, ShardServer,
 };
 use appclass::sim::runner::run_spec;
 use appclass::sim::workload::registry::{training_specs, WorkloadSpec};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
@@ -125,91 +124,9 @@ fn two_hundred_concurrent_sessions_across_shards_stay_isolated() {
     );
 }
 
-/// Regression for the shutdown-poke accounting bug: shutting down a
-/// server that is actively *shedding* must not perturb the busy/refusal
-/// counters. The old implementation woke its blocking acceptor with a
-/// self-connect, which during a shedding episode was soft-refused like
-/// any client and inflated `sessions_busy` by one. With readiness-driven
-/// accept there is no poke, so the counts below are exact.
-#[test]
-fn shutdown_of_a_shedding_server_keeps_refusal_counts_exact() {
-    let pipeline = Arc::new(common::trained_pipeline());
-    // One worker, deep backlog, shedding from queue depth 2: the math
-    // below is deterministic because nothing ever drains mid-test.
-    let config = ServerConfig {
-        max_sessions: 1,
-        backlog: 32,
-        shed_low_watermark: 1,
-        shed_high_watermark: 2,
-        ..ServerConfig::default()
-    };
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
-    let addr = server.local_addr();
-
-    // Session 0 completes its handshake on the only worker and idles,
-    // pinning `in_flight` at 1 before any probe connects.
-    let held = ServeClient::connect(addr, ClientConfig { model_id: 0, chaos: None, tracer: None })
-        .unwrap();
-
-    // Eight probes. The acceptor serializes admissions and nothing
-    // drains (the worker is held), so the outcome is fully determined:
-    // probes are admitted while depth < 2 (two of them: depth 0, then
-    // 1), and every later probe is soft-refused Busy (six of them).
-    let busy_seen = Arc::new(AtomicU64::new(0));
-    let mut probes = Vec::new();
-    for _ in 0..8 {
-        let busy_seen = Arc::clone(&busy_seen);
-        probes.push(std::thread::spawn(move || {
-            match ServeClient::connect(
-                addr,
-                ClientConfig { model_id: 0, chaos: None, tracer: None },
-            ) {
-                // Queued probes block in the handshake until shutdown
-                // refuses them at worker pickup.
-                Err(ServeError::Busy { retry_after_ms }) => {
-                    assert!(retry_after_ms > 0, "busy refusal must carry a retry hint");
-                    busy_seen.fetch_add(1, Ordering::SeqCst);
-                    "busy"
-                }
-                Err(ServeError::Rejected { reason }) => {
-                    assert_eq!(reason, appclass::metrics::ByeReason::Shutdown);
-                    "rejected"
-                }
-                Ok(_) => "admitted",
-                Err(e) => panic!("unexpected probe outcome: {e}"),
-            }
-        }));
-    }
-
-    // Wait until all six Busy refusals have landed, proving the server
-    // is mid-shedding-episode, then shut it down in that state.
-    for _ in 0..2000 {
-        if busy_seen.load(Ordering::SeqCst) >= 6 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    assert_eq!(busy_seen.load(Ordering::SeqCst), 6, "expected exactly six busy refusals");
-    server.shutdown();
-
-    let outcomes: Vec<_> = probes.into_iter().map(|h| h.join().unwrap()).collect();
-    drop(held);
-    let stats = server.join().unwrap();
-
-    // Exact accounting: six Busy, two queued probes refused at pickup,
-    // one held session drained. A shutdown poke would show up as an
-    // extra busy or rejected count here.
-    assert_eq!(stats.sessions_busy, 6, "shutdown must not add to the busy count");
-    assert_eq!(outcomes.iter().filter(|o| **o == "busy").count(), 6);
-    assert_eq!(stats.sessions_rejected, 2, "both queued probes are refused at pickup");
-    assert_eq!(outcomes.iter().filter(|o| **o == "rejected").count(), 2);
-    assert_eq!(stats.sessions_started, 1, "only the held session ever started");
-    assert_eq!(stats.sessions_finished, 1);
-    assert_eq!(stats.session_errors, 0);
-}
-
-/// The same exactness on the sharded server: admissions, shedding and
-/// shutdown drain all resolve to exact counts with no wake-up artifacts.
+/// Admissions, shedding and shutdown drain all resolve to exact counts
+/// with no wake-up artifacts: shutting down a server in the middle of a
+/// shedding episode adds no refusal.
 #[test]
 fn shard_server_sheds_and_drains_with_exact_counts() {
     let pipeline = Arc::new(common::trained_pipeline());
@@ -224,11 +141,10 @@ fn shard_server_sheds_and_drains_with_exact_counts() {
     let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
     let addr = server.local_addr();
 
-    // Unlike the thread-pool server, shards serve every admitted
-    // connection concurrently, so held sessions complete their
-    // handshakes while still holding admission slots. Admissions are
-    // serialized by the acceptor: held0 (depth 0), held1 (depth 0),
-    // held2 (depth 1), then shedding at depth 2.
+    // Shards serve every admitted connection at once, so held sessions
+    // complete their handshakes while still holding admission slots.
+    // Admissions are serialized by the acceptor: held0 (depth 0), held1
+    // (depth 0), held2 (depth 1), then shedding at depth 2.
     let held: Vec<ServeClient> = (0..3)
         .map(|i| {
             ServeClient::connect(addr, ClientConfig { model_id: 0, chaos: None, tracer: None })
@@ -314,37 +230,29 @@ fn short_sessions(addr: std::net::SocketAddr, n: usize, snap: &Snapshot) -> Vec<
 
 /// What the feed holds after `ids` all ended: exactly the latest
 /// `RETIRED_KEPT` of them.
-fn assert_feed_keeps_latest(feed: &CompositionFeed, ids: &[u32], server: &str) {
+fn assert_feed_keeps_latest(feed: &CompositionFeed, ids: &[u32]) {
     let kept = &ids[ids.len() - RETIRED_KEPT..];
-    assert_eq!(feed.len(), RETIRED_KEPT, "{server}: the feed must stop growing");
-    assert!(kept.iter().all(|&s| feed.get(s).is_some()), "{server}: latest verdicts lost");
+    assert_eq!(feed.len(), RETIRED_KEPT, "the feed must stop growing");
+    assert!(kept.iter().all(|&s| feed.get(s).is_some()), "latest verdicts lost");
     assert!(ids[..ids.len() - RETIRED_KEPT].iter().all(|&s| feed.get(s).is_none()));
 }
 
-/// Both servers retire every session they end, so a server that has
+/// The server retires every session it ends, so a server that has
 /// served many sessions keeps only the latest `RETIRED_KEPT` ended
 /// sessions' verdicts on its feed instead of one per session ever
 /// served.
 #[test]
-fn both_servers_keep_only_the_latest_ended_sessions_on_the_feed() {
+fn the_feed_keeps_only_the_latest_ended_sessions() {
     let pipeline = Arc::new(common::trained_pipeline());
     let snap = snapshots_of(&training_specs()[0], 82, 9200)[0].clone();
     let sessions = RETIRED_KEPT + 8;
 
-    let server =
-        ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
+    let server = ShardServer::bind("127.0.0.1:0", pipeline, ServerConfig::default()).unwrap();
     let feed = server.composition_feed();
     let ids = short_sessions(server.local_addr(), sessions, &snap);
     server.shutdown();
     assert_eq!(server.join().unwrap().sessions_finished, sessions as u64);
-    assert_feed_keeps_latest(&feed, &ids, "sharded");
-
-    let server = Server::bind("127.0.0.1:0", pipeline, ServerConfig::default()).unwrap();
-    let feed = server.composition_feed();
-    let ids = short_sessions(server.local_addr(), sessions, &snap);
-    server.shutdown();
-    assert_eq!(server.join().unwrap().sessions_finished, sessions as u64);
-    assert_feed_keeps_latest(&feed, &ids, "threaded");
+    assert_feed_keeps_latest(&feed, &ids);
 }
 
 /// `serve_loop_wakeups_total`: returns from `poll(2)` in the acceptor and

@@ -1,15 +1,15 @@
 //! The zero-copy decode contract: `decode_control_borrowed` must be
 //! bit-identical to the allocating `decode_control` on every input —
-//! accepted or rejected — and the sharded server built on it must
-//! produce verdicts bit-identical to the threaded server on all five
+//! accepted or rejected — and the server built on it must produce
+//! verdicts bit-identical to the pipeline run directly on all five
 //! training workloads.
 
 mod common;
 
 use appclass::metrics::wire::{self, ControlFrameRef};
 use appclass::metrics::{ControlFrame, NodeId, Snapshot};
-use appclass::prelude::AppClass;
-use appclass::serve::{ClientConfig, ServeClient, Server, ServerConfig, ShardServer};
+use appclass::prelude::{AppClass, OnlineClassifier};
+use appclass::serve::{ClientConfig, ServeClient, ServerConfig, ShardServer};
 use appclass::sim::runner::run_spec;
 use appclass::sim::workload::registry::training_specs;
 use appclass_obs::TraceContext;
@@ -109,17 +109,15 @@ proptest! {
 }
 
 /// End-to-end bit-identity on all five training workload seeds: one
-/// snapshot stream per workload, replayed against both the threaded
-/// server (owning decode, blocking I/O) and the sharded server
-/// (borrowed decode, readiness loop). Classes, confidence bits,
-/// composition bits and guard health must all match exactly — the
-/// execution model must be unobservable in the verdicts.
+/// snapshot stream per workload, served over the borrowed decode and the
+/// readiness loop, against an `OnlineClassifier` run directly on the
+/// same stream. Classes, confidence bits, composition bits and guard
+/// health must all match exactly — the server must be unobservable in
+/// the verdicts.
 #[test]
-fn sharded_and_threaded_servers_verdict_bit_identically_on_all_workloads() {
+fn served_verdicts_match_the_pipeline_run_directly_on_all_workloads() {
     let pipeline = Arc::new(common::trained_pipeline());
-    let threaded =
-        Server::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
-    let sharded = ShardServer::bind(
+    let server = ShardServer::bind(
         "127.0.0.1:0",
         Arc::clone(&pipeline),
         ServerConfig { shards: 2, ..ServerConfig::default() },
@@ -131,42 +129,37 @@ fn sharded_and_threaded_servers_verdict_bit_identically_on_all_workloads() {
         let snaps: Vec<Snapshot> =
             rec.pool.snapshots().iter().filter(|s| s.node == rec.node).cloned().collect();
 
-        let classify_on = |addr: std::net::SocketAddr| {
-            let mut client =
-                ServeClient::connect(addr, ClientConfig { model_id: 0, chaos: None, tracer: None })
-                    .unwrap();
-            client.stream_snapshots(&snaps).unwrap();
-            let verdict = client.classify().unwrap();
-            let health = client.health().unwrap();
-            client.bye().unwrap();
-            (verdict, health)
-        };
-        let (vt, ht) = classify_on(threaded.local_addr());
-        let (vs, hs) = classify_on(sharded.local_addr());
+        let mut client =
+            ServeClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
+        client.stream_snapshots(&snaps).unwrap();
+        let served = client.classify().unwrap();
+        let health = client.health().unwrap();
+        client.bye().unwrap();
 
-        assert_eq!(vs.class, vt.class, "workload {} diverged in class", spec.name);
+        let mut direct = OnlineClassifier::new(&pipeline);
+        for snap in &snaps {
+            direct.push_guarded(snap).unwrap();
+        }
+        let class = direct.current_class().unwrap_or(AppClass::Idle);
+        assert_eq!(served.class, class, "workload {} diverged in class", spec.name);
         assert_eq!(
-            vs.confidence.to_bits(),
-            vt.confidence.to_bits(),
+            served.confidence.to_bits(),
+            direct.confidence().to_bits(),
             "workload {} diverged in confidence bits",
             spec.name
         );
+        let composition = direct.composition();
         for class in AppClass::ALL {
             assert_eq!(
-                vs.composition.fraction(class).to_bits(),
-                vt.composition.fraction(class).to_bits(),
+                served.composition.fraction(class).to_bits(),
+                composition.fraction(class).to_bits(),
                 "workload {} diverged in composition ({class:?})",
                 spec.name
             );
         }
-        assert_eq!(hs.seen, ht.seen, "workload {}: guard saw different frames", spec.name);
-        assert_eq!(hs.accepted, ht.accepted);
-        assert_eq!(hs.repaired, ht.repaired);
-        assert_eq!(hs.dropped, ht.dropped);
+        assert_eq!(&health, direct.telemetry(), "workload {}: guard health differs", spec.name);
     }
 
-    threaded.shutdown();
-    sharded.shutdown();
-    assert_eq!(threaded.join().unwrap().session_errors, 0);
-    assert_eq!(sharded.join().unwrap().session_errors, 0);
+    server.shutdown();
+    assert_eq!(server.join().unwrap().session_errors, 0);
 }
