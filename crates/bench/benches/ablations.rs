@@ -5,7 +5,7 @@
 //! classification cost (the accuracy side of the ablation lives in the
 //! `ablation_study` example).
 
-use appclass_bench::fixtures::training_runs;
+use appclass::cluster::training_runs;
 use appclass_core::knn::Distance;
 use appclass_core::pca::ComponentSelection;
 use appclass_core::pipeline::{ClassifierPipeline, PipelineConfig};
@@ -23,7 +23,7 @@ fn test_matrix() -> appclass_linalg::Matrix {
 }
 
 fn bench_k(c: &mut Criterion) {
-    let runs = training_runs(42);
+    let runs = training_runs(42).expect("training runs");
     let raw = test_matrix();
     let mut group = c.benchmark_group("ablation_k");
     group.sample_size(20);
@@ -38,7 +38,7 @@ fn bench_k(c: &mut Criterion) {
 }
 
 fn bench_components(c: &mut Criterion) {
-    let runs = training_runs(42);
+    let runs = training_runs(42).expect("training runs");
     let raw = test_matrix();
     let mut group = c.benchmark_group("ablation_components");
     group.sample_size(20);
@@ -54,7 +54,7 @@ fn bench_components(c: &mut Criterion) {
 }
 
 fn bench_feature_sets(c: &mut Criterion) {
-    let runs = training_runs(42);
+    let runs = training_runs(42).expect("training runs");
     let raw = test_matrix();
     let mut group = c.benchmark_group("ablation_features");
     group.sample_size(20);
@@ -71,7 +71,7 @@ fn bench_feature_sets(c: &mut Criterion) {
 }
 
 fn bench_distances(c: &mut Criterion) {
-    let runs = training_runs(42);
+    let runs = training_runs(42).expect("training runs");
     let raw = test_matrix();
     let mut group = c.benchmark_group("ablation_distance");
     group.sample_size(20);

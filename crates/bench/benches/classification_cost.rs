@@ -7,7 +7,7 @@
 //! classification is feasible. This bench reproduces the same three
 //! stages on a pool of the same size and reports per-sample costs.
 
-use appclass_bench::fixtures::{trained_pipeline, training_runs};
+use appclass::cluster::{train_cluster_pipeline, training_runs};
 use appclass_core::pipeline::{ClassifierPipeline, PipelineConfig};
 use appclass_core::stage::StagePipeline;
 use appclass_metrics::filter::PerformanceFilter;
@@ -41,8 +41,8 @@ fn build_pool() -> DataPool {
 
 fn bench_cost(c: &mut Criterion) {
     let pool = build_pool();
-    let pipeline = trained_pipeline(42);
-    let runs = training_runs(42);
+    let pipeline = train_cluster_pipeline(42).expect("training");
+    let runs = training_runs(42).expect("training runs");
     let config = PipelineConfig::paper();
     let target = pool.sample_matrix(NodeId(1)).unwrap();
 

@@ -1,27 +1,12 @@
-//! Bench + regeneration of **Figure 4**: system throughput of the ten
-//! schedules, and the +22.11% class-aware headline.
+//! Bench of **Figure 4**'s simulation: one run of the same-class and of
+//! the class-aware schedule. `appclass fig4` prints the figure itself.
 
-use appclass_sched::experiments::{figure4, run_schedule};
+use appclass_sched::experiments::run_schedule;
 use appclass_sched::schedule::enumerate_schedules;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench_fig4(c: &mut Criterion) {
-    // Regenerate the figure once.
-    let fig4 = figure4(20_060_101);
-    println!("\nFigure 4: system throughput of the ten schedules (regenerated)");
-    for row in &fig4.rows {
-        println!(
-            "  {:>2}  {:<24} {:>7.0} jobs/day",
-            row.id, row.label, row.throughput_jobs_per_day
-        );
-    }
-    println!(
-        "  class-aware {:.0} vs average {:.0}: {:+.2}% (paper: +22.11%)",
-        fig4.class_aware, fig4.average, fig4.improvement_pct
-    );
-
-    // Benchmark the simulation of the two extreme schedules.
     let schedules = enumerate_schedules();
     let same_class = schedules[0];
     let diverse = *schedules.last().unwrap();

@@ -1,31 +1,13 @@
-//! Bench + regeneration of **Figure 5**: per-application throughput under
-//! the class-aware schedule vs the MIN/MAX/AVG over all ten schedules.
+//! Bench of **Figure 5**'s per-application throughput extraction from a
+//! schedule outcome. `appclass fig5` prints the figure itself.
 
-use appclass_sched::experiments::{app_throughput, figure5, run_schedule};
+use appclass_sched::experiments::{app_throughput, run_schedule};
 use appclass_sched::schedule::enumerate_schedules;
 use appclass_sched::JobType;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench_fig5(c: &mut Criterion) {
-    let fig5 = figure5(20_060_101);
-    println!("\nFigure 5: per-application throughput across schedules (regenerated)");
-    println!("  {:<12} {:>8} {:>8} {:>8} {:>8}", "app", "MIN", "AVG", "MAX", "SPN");
-    for row in &fig5 {
-        println!(
-            "  {:<12?} {:>8.1} {:>8.1} {:>8.1} {:>8.1}  (SPN vs AVG {:+.1}%, max by {})",
-            row.app,
-            row.min,
-            row.avg,
-            row.max,
-            row.spn,
-            (row.spn / row.avg - 1.0) * 100.0,
-            row.max_schedule
-        );
-    }
-    println!("  (paper: SPECseis96 +24.90%, PostMark +48.13%, NetPIPE +4.29%)");
-
-    // Benchmark the per-app throughput extraction on a fixed outcome.
     let diverse = *enumerate_schedules().last().unwrap();
     let outcome = run_schedule(&diverse, 7);
     let mut group = c.benchmark_group("fig5_app_throughput");

@@ -20,9 +20,9 @@
 //! queries that fall far from the pool (NetPIPE, Autobench,
 //! PostMark_NFS), where the scan visits hundreds of rows.
 
+use appclass::cluster::{train_cluster_pipeline, training_runs};
 use appclass::sim::runner::run_spec;
 use appclass::sim::workload::registry::registry;
-use appclass_bench::fixtures;
 use appclass_core::knn::{Distance, KnnClassifier};
 use appclass_core::AppClass;
 use appclass_linalg::Matrix;
@@ -79,9 +79,10 @@ fn bench_knn_batch(c: &mut Criterion) {
 /// Batch classification against the trained pool, on training-shaped
 /// queries and on the whole registry.
 fn bench_knn_trained(c: &mut Criterion) {
-    let pipeline = fixtures::trained_pipeline(42);
+    let pipeline = train_cluster_pipeline(42).expect("training");
     let knn = pipeline.knn();
-    let near: Vec<Vec<f64>> = fixtures::training_runs(43)
+    let near: Vec<Vec<f64>> = training_runs(43)
+        .expect("training runs")
         .iter()
         .flat_map(|(raw, _)| {
             let projected = pipeline.project(raw).expect("training runs project");

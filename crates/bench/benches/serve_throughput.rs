@@ -8,7 +8,7 @@
 //! measure that the *whole* wire path stays orders of magnitude below
 //! the sampling period too.
 
-use appclass_bench::fixtures::trained_pipeline;
+use appclass::cluster::train_cluster_pipeline;
 use appclass_metrics::{NodeId, Snapshot};
 use appclass_serve::{ClientConfig, ServeClient, ServerConfig, ShardServer};
 use appclass_sim::runner::run_spec;
@@ -25,7 +25,7 @@ fn fixture_snapshots(node: u32, seed: u64) -> Vec<Snapshot> {
 /// One full session — connect, stream a training run, classify, part —
 /// measured end to end over loopback TCP.
 fn bench_single_session(c: &mut Criterion) {
-    let pipeline = Arc::new(trained_pipeline(42));
+    let pipeline = Arc::new(train_cluster_pipeline(42).expect("training"));
     let snaps = fixture_snapshots(60, 1000);
     let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default())
         .expect("bind loopback");
@@ -54,7 +54,7 @@ fn bench_single_session(c: &mut Criterion) {
 /// size changes is throughput — `batch1` is the framing-overhead
 /// baseline the larger sizes are compared against.
 fn bench_batched_session(c: &mut Criterion) {
-    let pipeline = Arc::new(trained_pipeline(42));
+    let pipeline = Arc::new(train_cluster_pipeline(42).expect("training"));
     let snaps = fixture_snapshots(62, 3000);
     let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default())
         .expect("bind loopback");
@@ -82,7 +82,7 @@ fn bench_batched_session(c: &mut Criterion) {
 /// N clients streaming concurrently against one server: wall-clock per
 /// batch of N sessions, i.e. the aggregate serving throughput.
 fn bench_concurrent_sessions(c: &mut Criterion) {
-    let pipeline = Arc::new(trained_pipeline(42));
+    let pipeline = Arc::new(train_cluster_pipeline(42).expect("training"));
     let snaps = Arc::new(fixture_snapshots(61, 2000));
     let config = ServerConfig { max_sessions: 8, ..ServerConfig::default() };
     let server =

@@ -1,51 +1,24 @@
-//! Bench + regeneration of **Table 3**: class composition of every test
-//! application.
-//!
-//! The bench measures the classification stage per workload (the paper's
-//! concern in §5.3 is that classification stays cheap relative to the
-//! sampling period); the harness prints the Table 3 rows before measuring.
+//! Bench of **Table 3**'s classification stage: one classification of
+//! each test application's run (the paper's concern in §5.3 is that
+//! classification stays cheap relative to the sampling period).
+//! `appclass table3` prints the table itself.
 
-use appclass_bench::fixtures::trained_pipeline;
-use appclass_core::class::AppClass;
-use appclass_metrics::NodeId;
-use appclass_sim::runner::run_spec;
-use appclass_sim::workload::registry::test_specs;
+use appclass::cluster::train_cluster_pipeline;
+use appclass::paper::table3_runs;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench_table3(c: &mut Criterion) {
-    let pipeline = trained_pipeline(42);
-    let specs = test_specs();
-
-    // Regenerate the table once, printed for EXPERIMENTS.md.
-    println!("\nTable 3: application class compositions (regenerated)");
-    println!(
-        "{:<15} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "Application", "#samples", "Idle", "I/O", "CPU", "Network", "Paging"
-    );
-    let mut runs = Vec::new();
-    for (i, spec) in specs.iter().enumerate() {
-        let rec = run_spec(spec, NodeId(10 + i as u32), 1000 + i as u64);
-        let raw = rec.pool.sample_matrix(rec.node).unwrap();
-        let result = pipeline.classify(&raw).unwrap();
-        let comp = &result.composition;
-        println!(
-            "{:<15} {:>8} {:>7.2}% {:>7.2}% {:>7.2}% {:>7.2}% {:>7.2}%",
-            spec.name,
-            raw.rows(),
-            comp.fraction(AppClass::Idle) * 100.0,
-            comp.fraction(AppClass::Io) * 100.0,
-            comp.fraction(AppClass::Cpu) * 100.0,
-            comp.fraction(AppClass::Net) * 100.0,
-            comp.fraction(AppClass::Mem) * 100.0,
-        );
-        runs.push((spec.name, raw));
-    }
+    let pipeline = train_cluster_pipeline(42).expect("training");
+    let runs: Vec<_> = table3_runs(42)
+        .into_iter()
+        .map(|rec| (rec.pool.sample_matrix(rec.node).expect("test samples"), rec.name))
+        .collect();
 
     let mut group = c.benchmark_group("table3_classify");
     group.sample_size(20);
-    for (name, raw) in &runs {
-        group.bench_function(*name, |b| b.iter(|| pipeline.classify(black_box(raw)).unwrap()));
+    for (raw, name) in &runs {
+        group.bench_function(name, |b| b.iter(|| pipeline.classify(black_box(raw)).unwrap()));
     }
     group.finish();
 }

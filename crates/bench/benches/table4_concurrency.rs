@@ -1,24 +1,12 @@
-//! Bench + regeneration of **Table 4**: concurrent vs sequential execution
+//! Bench of **Table 4**'s experiment: concurrent vs sequential execution
 //! of a CPU-intensive (CH3D) and an I/O-intensive (PostMark) job.
+//! `appclass table4` prints the table itself.
 
 use appclass_sched::experiments::table4;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench_table4(c: &mut Criterion) {
-    let t = table4(20_060_103);
-    println!("\nTable 4: concurrent vs sequential (regenerated, seconds)");
-    println!("  {:<12} {:>8} {:>10} {:>24}", "Execution", "CH3D", "PostMark", "2-job total");
-    println!(
-        "  {:<12} {:>8} {:>10} {:>24}",
-        "Concurrent", t.concurrent_ch3d, t.concurrent_postmark, t.concurrent_total
-    );
-    println!(
-        "  {:<12} {:>8} {:>10} {:>24}",
-        "Sequential", t.sequential_ch3d, t.sequential_postmark, t.sequential_total
-    );
-    println!("  (paper: concurrent 613/310 total 613; sequential 488/264 total 752)");
-
     let mut group = c.benchmark_group("table4");
     group.sample_size(10);
     group.bench_function("concurrent_vs_sequential", |b| b.iter(|| table4(black_box(7))));

@@ -19,7 +19,7 @@
 //! its general pass. `wire::decode` rejects non-finite values, so only
 //! an in-process caller sends the guard such frames.
 
-use appclass_bench::fixtures::training_runs;
+use appclass::cluster::training_runs;
 use appclass_core::online::OnlineClassifier;
 use appclass_core::pipeline::{ClassifierPipeline, PipelineConfig};
 use appclass_metrics::repair::FrameGuard;
@@ -93,7 +93,7 @@ fn ingest(frame: &[u8], snaps: &mut Vec<Snapshot>, oc: &mut OnlineClassifier<'_>
 }
 
 fn bench_wire_codec(c: &mut Criterion) {
-    let runs = training_runs(42);
+    let runs = training_runs(42).expect("training runs");
     let pipeline = ClassifierPipeline::train(&runs, &PipelineConfig::paper()).expect("trains");
     let samples: Vec<Vec<f64>> =
         runs.iter().flat_map(|(raw, _)| raw.iter_rows().map(<[f64]>::to_vec)).collect();

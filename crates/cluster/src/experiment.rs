@@ -36,8 +36,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
-/// Ground-truth class of a workload kind (the simulator's Table 2 label
-/// mapped onto the paper's five classes).
+/// Ground-truth class of a workload kind: the simulator's Table 2 label
+/// mapped onto the paper's five classes. Interactive workloads map to
+/// [`AppClass::Idle`] because the paper groups them under "Idle + Others":
+/// their defining trait is a substantial idle fraction mixed with other
+/// activity. This is the only such mapping; training labels and the
+/// oracle's compositions both come from it.
 pub fn truth_class(kind: WorkloadKind) -> AppClass {
     match kind {
         WorkloadKind::Cpu => AppClass::Cpu,
@@ -48,20 +52,27 @@ pub fn truth_class(kind: WorkloadKind) -> AppClass {
     }
 }
 
-/// Trains the paper pipeline on the five training applications — the
-/// same procedure as the CLI's `train`, reproduced here so the cluster
-/// experiment is self-contained.
-pub fn train_cluster_pipeline(seed: u64) -> appclass_core::Result<ClassifierPipeline> {
+/// The labelled training set: the five training applications run by
+/// [`run_batch`] under `seed`, each run's raw sample matrix labelled with
+/// its [`truth_class`].
+pub fn training_runs(seed: u64) -> appclass_core::Result<Vec<(Matrix, AppClass)>> {
     let training = training_specs();
     let runs = run_batch(&training, seed);
-    let labelled: Vec<(Matrix, AppClass)> = runs
+    let labelled = runs
         .iter()
         .zip(&training)
         .map(|(rec, spec)| {
             rec.pool.sample_matrix(rec.node).map(|m| (m, truth_class(spec.expected)))
         })
         .collect::<appclass_metrics::Result<_>>()?;
-    ClassifierPipeline::train(&labelled, &PipelineConfig::paper())
+    Ok(labelled)
+}
+
+/// Trains the paper pipeline on [`training_runs`]: the one training
+/// procedure behind the CLI, the examples, the tests, the benches and the
+/// benchmark.
+pub fn train_cluster_pipeline(seed: u64) -> appclass_core::Result<ClassifierPipeline> {
+    ClassifierPipeline::train(&training_runs(seed)?, &PipelineConfig::paper())
 }
 
 /// Knobs of one `sched_cluster` run.

@@ -45,7 +45,7 @@ pub use engine::{
     placement_order, ClassDemand, HostSpec, PlacementEngine,
 };
 pub use experiment::{
-    sched_cluster, sched_cluster_with_obs, train_cluster_pipeline, truth_class, ExperimentConfig,
-    ExperimentResult, PolicyOutcome,
+    sched_cluster, sched_cluster_with_obs, train_cluster_pipeline, training_runs, truth_class,
+    ExperimentConfig, ExperimentResult, PolicyOutcome,
 };
 pub use policy::{ClassAwarePolicy, OraclePolicy, PlacementPolicy, RandomPolicy};

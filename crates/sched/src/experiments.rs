@@ -99,7 +99,7 @@ pub fn run_schedule_with(
             schedule.machines().iter().zip(capacities).zip(outcomes.iter_mut()).enumerate()
         {
             s.spawn(move || {
-                *slot = Some(run_machine_with(mix, capacity, seed + 1000 * i as u64));
+                *slot = Some(run_machine_with(mix, capacity, seed.wrapping_add(1000 * i as u64)));
             });
         }
     });
@@ -164,7 +164,11 @@ impl Fig4Result {
 /// Runs every schedule once — the measurement both figures are derived
 /// from.
 pub fn run_all_schedules(seed: u64) -> Vec<ScheduleOutcome> {
-    all_schedules().iter().enumerate().map(|(i, s)| run_schedule(s, seed + i as u64 * 17)).collect()
+    all_schedules()
+        .iter()
+        .enumerate()
+        .map(|(i, s)| run_schedule(s, seed.wrapping_add(i as u64 * 17)))
+        .collect()
 }
 
 /// Assembles Figure 4 from schedule outcomes.
@@ -193,9 +197,9 @@ pub fn figure4(seed: u64) -> Fig4Result {
     figure4_from(&run_all_schedules(seed))
 }
 
-/// Runs the ten schedules once and assembles both figures — what the
-/// `scheduling_throughput` example uses so the simulations are not
-/// repeated.
+/// Runs the ten schedules once and assembles both figures — what
+/// `appclass::paper` renders Figures 4 and 5 from, so both come from one
+/// simulation pass.
 pub fn figure4_and_5(seed: u64) -> (Fig4Result, Vec<Fig5Row>) {
     let outcomes = run_all_schedules(seed);
     (figure4_from(&outcomes), figure5_from(&outcomes))
@@ -298,7 +302,7 @@ pub fn table4(seed: u64) -> Table4Result {
     host.add_vm(VirtualMachine::new(
         VmConfig::paper_default(NodeId(2)),
         Box::new(postmark::postmark()),
-        seed + 1,
+        seed.wrapping_add(1),
     ));
     let results = host.run_to_completion(MAX_SECS);
     let concurrent_ch3d = results[0].completion_secs.expect("ch3d finished");
@@ -312,8 +316,8 @@ pub fn table4(seed: u64) -> Table4Result {
         let r = host.run_to_completion(MAX_SECS);
         r[0].completion_secs.expect("finished")
     };
-    let sequential_ch3d = solo(Box::new(ch3d::ch3d()), seed + 2);
-    let sequential_postmark = solo(Box::new(postmark::postmark()), seed + 3);
+    let sequential_ch3d = solo(Box::new(ch3d::ch3d()), seed.wrapping_add(2));
+    let sequential_postmark = solo(Box::new(postmark::postmark()), seed.wrapping_add(3));
 
     Table4Result {
         concurrent_ch3d,

@@ -72,9 +72,10 @@ pub struct ServerConfig {
     /// [`ShardServer::join`] return once they end (`None` = serve until
     /// [`ShardServer::shutdown`]).
     pub accept_limit: Option<u64>,
-    /// How long a frame may take to arrive once its first byte has: a
-    /// peer still short of a whole frame after this long is given up
-    /// with a typed `Io(TimedOut)` failure.
+    /// How long a peer may go silent in the middle of a frame: a peer
+    /// that sends no byte of a frame it has begun for this long is given
+    /// up with a typed `Io(TimedOut)` failure. A frame that keeps
+    /// arriving, however slowly, is never a stall.
     pub stall_budget: Duration,
     /// Low watermark of the overload state machine: queue depth at or
     /// above it marks the server `Degraded`, and an active shedding
@@ -164,9 +165,12 @@ struct ConnIo {
     write_buf: Vec<u8>,
     write_pos: usize,
     /// When the first byte of the currently-pending (unparsed) frame
-    /// arrived; `None` while the read buffer is empty. This is what the
-    /// stall budget and the per-frame deadline measure from.
+    /// arrived; `None` while the read buffer is empty. The per-frame
+    /// deadline measures from here.
     frame_started: Option<Instant>,
+    /// When the latest bytes of the pending frame arrived; `None` while
+    /// the read buffer is empty. The stall budget measures from here.
+    last_read: Option<Instant>,
 }
 
 impl ConnIo {
@@ -177,6 +181,7 @@ impl ConnIo {
             write_buf: Vec::new(),
             write_pos: 0,
             frame_started: None,
+            last_read: None,
         }
     }
 
@@ -196,9 +201,11 @@ impl ConnIo {
             match self.stream.read(tmp) {
                 Ok(0) => return Ok(true),
                 Ok(n) => {
-                    if self.frame_started.is_none() {
-                        self.frame_started = Some(Instant::now());
-                    }
+                    // A frame's first read stamps both instants with one
+                    // clock read; only its later reads read it again.
+                    let now = Instant::now();
+                    self.frame_started.get_or_insert(now);
+                    self.last_read = Some(now);
                     self.read_buf.extend_from_slice(&tmp[..n]);
                     if n < tmp.len() {
                         return Ok(false);
@@ -666,14 +673,14 @@ fn shard_loop(shared: &ShardShared, index: usize, rx: &Receiver<TcpStream>) -> S
     stats
 }
 
-/// How long a shard may park before the oldest partial frame among its
-/// open connections outlives the stall budget; `None`, to park until a
-/// socket or the waker is ready, when no connection holds one.
+/// How long a shard may park before the longest-silent partial frame
+/// among its open connections outlives the stall budget; `None`, to park
+/// until a socket or the waker is ready, when no connection holds one.
 fn stall_timeout(conns: &[Conn], budget: Duration) -> Option<Duration> {
     let oldest = conns
         .iter()
         .filter(|c| c.closing.is_none() && !c.io.read_buf.is_empty())
-        .filter_map(|c| c.io.frame_started)
+        .filter_map(|c| c.io.last_read)
         .min()?;
     let deadline = oldest.checked_add(budget)?;
     Some(deadline.saturating_duration_since(Instant::now()))
@@ -739,10 +746,10 @@ fn serve_conn_turn(
             }
         }
     } else if conn.closing.is_none() {
-        // Quiet socket: a peer stalled in the middle of a frame past the
+        // Quiet socket: a peer silent in the middle of a frame past the
         // budget is given up.
-        if let Some(started) = conn.io.frame_started {
-            if !conn.io.read_buf.is_empty() && started.elapsed() > stall_budget {
+        if let Some(last_read) = conn.io.last_read {
+            if !conn.io.read_buf.is_empty() && last_read.elapsed() > stall_budget {
                 conn.closing =
                     Some(Close::Failed(ServeError::Io(std::io::Error::from(ErrorKind::TimedOut))));
             }
@@ -794,7 +801,7 @@ fn retire(conn: Conn, kind: Close, stats: &mut ServerStats, shared: &ShardShared
 /// discards the consumed bytes.
 fn serve_pending_frames(conn: &mut Conn, env: &mut SessionEnv) {
     let Conn { io, sess, closing } = conn;
-    let ConnIo { read_buf, write_buf, frame_started, .. } = io;
+    let ConnIo { read_buf, write_buf, frame_started, last_read, .. } = io;
     let mut at = 0usize;
     let mut consumed_any = false;
     loop {
@@ -829,6 +836,7 @@ fn serve_pending_frames(conn: &mut Conn, env: &mut SessionEnv) {
     }
     if read_buf.is_empty() {
         *frame_started = None;
+        *last_read = None;
     } else if consumed_any {
         // A new frame's first bytes are pending; its age starts at the
         // last parse boundary, not at the previous frame's arrival.

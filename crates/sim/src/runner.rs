@@ -93,18 +93,15 @@ pub fn run_spec_degraded(
 /// derived from `base_seed` so the batch is reproducible.
 pub fn run_batch(specs: &[WorkloadSpec], base_seed: u64) -> Vec<RunRecord> {
     let mut out: Vec<Option<RunRecord>> = (0..specs.len()).map(|_| None).collect();
-    crossbeam_scope(specs, base_seed, &mut out);
-    out.into_iter().map(|r| r.expect("runner thread completed")).collect()
-}
-
-fn crossbeam_scope(specs: &[WorkloadSpec], base_seed: u64, out: &mut [Option<RunRecord>]) {
     std::thread::scope(|s| {
         for (i, (spec, slot)) in specs.iter().zip(out.iter_mut()).enumerate() {
             s.spawn(move || {
-                *slot = Some(run_spec(spec, NodeId(i as u32 + 1), base_seed + i as u64));
+                let seed = base_seed.wrapping_add(i as u64);
+                *slot = Some(run_spec(spec, NodeId(i as u32 + 1), seed));
             });
         }
     });
+    out.into_iter().map(|r| r.expect("runner thread completed")).collect()
 }
 
 #[cfg(test)]

@@ -11,11 +11,12 @@
 //! cargo run --release --example ablation_study
 //! ```
 
+use appclass::cluster::training_runs;
 use appclass::core::knn::Distance;
 use appclass::core::pca::ComponentSelection;
 use appclass::prelude::*;
-use appclass::sim::runner::{run_batch, run_spec};
-use appclass::sim::workload::registry::{test_specs, training_specs};
+use appclass::sim::runner::run_spec;
+use appclass::sim::workload::registry::test_specs;
 use appclass::sim::workload::WorkloadKind;
 use appclass::{expected_class, metrics::NodeId};
 
@@ -42,15 +43,7 @@ fn accuracy(
 
 fn main() {
     // Train-set and test-suite runs, shared across all configurations.
-    let training = training_specs();
-    let runs = run_batch(&training, 42);
-    let labelled: Vec<(Matrix, AppClass)> = runs
-        .iter()
-        .zip(&training)
-        .map(|(rec, spec)| {
-            (rec.pool.sample_matrix(rec.node).expect("samples"), expected_class(spec.expected))
-        })
-        .collect();
+    let labelled = training_runs(42).expect("training runs");
     let suite: Vec<(String, Matrix, AppClass, bool)> = test_specs()
         .iter()
         .enumerate()

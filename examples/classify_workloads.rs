@@ -1,86 +1,54 @@
-//! Reproduces **Table 3** (application class compositions) and the
-//! **Figure 3** cluster diagrams.
+//! The **Figure 3** cluster diagrams, drawn over the rows of Table 3.
 //!
-//! Trains the paper's pipeline on the five training applications, then
-//! classifies every Table 3 test run and prints its class composition in
-//! the paper's row format. With `--clusters <dir>`, also writes the
-//! PC1/PC2 projections as CSV series (training data + the three diagrams
-//! the paper plots: SimpleScalar, Autobench, VMD).
+//! Trains the paper's pipeline and classifies every Table 3 test run
+//! through [`appclass::paper`] (seed 42; `appclass table3` prints the
+//! table itself). With `--clusters <dir>`, writes the PC1/PC2 projections
+//! as CSV series: the training data and the three diagrams the paper
+//! plots (SimpleScalar, Autobench, VMD). With `--plot`, draws panels (a)
+//! and (d) as ASCII scatter plots.
 //!
 //! ```text
-//! cargo run --release --example classify_workloads [-- --clusters out/]
+//! cargo run --release --example classify_workloads -- [--clusters out/] [--plot]
 //! ```
 
+use appclass::cluster::train_cluster_pipeline;
 use appclass::prelude::*;
-use appclass::sim::runner::{run_batch, run_spec};
-use appclass::sim::workload::registry::{test_specs, training_specs};
-use appclass::{expected_class, metrics::NodeId};
 use std::io::Write as _;
+
+const SEED: u64 = 42;
 
 fn main() {
     let cluster_dir = cluster_dir_from_args();
+    let plot = std::env::args().any(|a| a == "--plot");
 
-    // --- train ----------------------------------------------------------
-    let training = training_specs();
-    println!("training on {} applications:", training.len());
-    let runs = run_batch(&training, 42);
-    let labelled: Vec<(Matrix, AppClass)> = runs
-        .iter()
-        .zip(&training)
-        .map(|(rec, spec)| {
-            let m = rec.pool.sample_matrix(rec.node).expect("training samples");
-            println!("  {:<18} {:>4} snapshots  ({})", spec.name, m.rows(), spec.description);
-            (m, expected_class(spec.expected))
-        })
-        .collect();
-    let pipeline =
-        ClassifierPipeline::train(&labelled, &PipelineConfig::paper()).expect("training");
+    let pipeline = train_cluster_pipeline(SEED).expect("training");
     let ev = pipeline.pca().explained_variance();
     println!(
-        "\npipeline: 33 metrics -> 8 expert metrics -> {} PCs \
-         (variance: PC1 {:.1}%, PC2 {:.1}%) -> 3-NN\n",
+        "pipeline: 33 metrics -> 8 expert metrics -> {} PCs \
+         (variance: PC1 {:.1}%, PC2 {:.1}%) -> 3-NN, {} training snapshots",
         pipeline.n_components(),
         ev[0] * 100.0,
-        ev.get(1).copied().unwrap_or(0.0) * 100.0
+        ev.get(1).copied().unwrap_or(0.0) * 100.0,
+        pipeline.knn().n_training()
     );
 
+    let (proj, labels) = pipeline.training_projection();
     if let Some(dir) = &cluster_dir {
-        let (proj, labels) = pipeline.training_projection();
         write_cluster_csv(dir, "training", proj, labels);
     }
-    if plot_requested() {
-        let (proj, labels) = pipeline.training_projection();
-        println!("Figure 3(a): training-data clusters in PC space\n");
+    if plot {
+        println!("\nFigure 3(a): training-data clusters in PC space\n");
         println!("{}", appclass::plot::scatter(proj, labels, 64, 20));
     }
 
-    // --- classify Table 3 -----------------------------------------------
-    println!(
-        "{:<15} {:>8} {:>9} {:>8} {:>8} {:>8} {:>8}   class",
-        "Application", "#samples", "Idle", "I/O", "CPU", "Network", "Paging"
-    );
-    for (i, spec) in test_specs().iter().enumerate() {
-        let rec = run_spec(spec, NodeId(100 + i as u32), 1000 + i as u64);
-        let raw = rec.pool.sample_matrix(rec.node).expect("test samples");
-        let result = pipeline.classify(&raw).expect("classification");
-        let c = &result.composition;
-        println!(
-            "{:<15} {:>8} {:>8.2}% {:>7.2}% {:>7.2}% {:>7.2}% {:>7.2}%   {}",
-            spec.name,
-            raw.rows(),
-            c.fraction(AppClass::Idle) * 100.0,
-            c.fraction(AppClass::Io) * 100.0,
-            c.fraction(AppClass::Cpu) * 100.0,
-            c.fraction(AppClass::Net) * 100.0,
-            c.fraction(AppClass::Mem) * 100.0,
-            result.class,
-        );
+    for row in appclass::paper::table3(&pipeline, SEED).expect("Table 3 rows") {
+        let result = &row.result;
         if let Some(dir) = &cluster_dir {
-            if matches!(spec.name, "SimpleScalar" | "Autobench" | "VMD") {
-                write_cluster_csv(dir, spec.name, &result.projected, &result.class_vector);
+            if matches!(row.name.as_str(), "SimpleScalar" | "Autobench" | "VMD") {
+                write_cluster_csv(dir, &row.name, &result.projected, &result.class_vector);
             }
         }
-        if plot_requested() && spec.name == "VMD" {
+        if plot && row.name == "VMD" {
             println!("\nFigure 3(d): VMD snapshots in PC space\n");
             println!(
                 "{}",
@@ -91,10 +59,6 @@ fn main() {
     if let Some(dir) = &cluster_dir {
         println!("\ncluster CSVs written to {}", dir.display());
     }
-}
-
-fn plot_requested() -> bool {
-    std::env::args().any(|a| a == "--plot")
 }
 
 fn cluster_dir_from_args() -> Option<std::path::PathBuf> {

@@ -10,24 +10,16 @@
 //! cargo run --release --example cost_model
 //! ```
 
+use appclass::cluster::train_cluster_pipeline;
 use appclass::core::appdb::{AppDbWriter, ApplicationDb, RunRecord};
+use appclass::metrics::NodeId;
 use appclass::prelude::*;
-use appclass::sim::runner::{run_batch, run_spec};
-use appclass::sim::workload::registry::{test_specs, training_specs};
-use appclass::{expected_class, metrics::NodeId};
+use appclass::sim::runner::run_spec;
+use appclass::sim::workload::registry::test_specs;
 
 fn main() {
     // Train once.
-    let training = training_specs();
-    let runs = run_batch(&training, 42);
-    let labelled: Vec<(Matrix, AppClass)> = runs
-        .iter()
-        .zip(&training)
-        .map(|(rec, spec)| {
-            (rec.pool.sample_matrix(rec.node).expect("samples"), expected_class(spec.expected))
-        })
-        .collect();
-    let pipeline = ClassifierPipeline::train(&labelled, &PipelineConfig::paper()).expect("train");
+    let pipeline = train_cluster_pipeline(42).expect("train");
 
     // Classify the whole suite into the DB.
     let mut db = ApplicationDb::new();

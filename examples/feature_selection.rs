@@ -10,22 +10,15 @@
 //! cargo run --release --example feature_selection
 //! ```
 
+use appclass::cluster::training_runs;
 use appclass::core::featsel::{relevance_scores, select_features};
 use appclass::prelude::*;
-use appclass::sim::runner::{run_batch, run_spec};
-use appclass::sim::workload::registry::{test_specs, training_specs};
+use appclass::sim::runner::run_spec;
+use appclass::sim::workload::registry::test_specs;
 use appclass::{expected_class, metrics::NodeId};
 
 fn main() {
-    let training = training_specs();
-    let runs = run_batch(&training, 42);
-    let labelled: Vec<(Matrix, AppClass)> = runs
-        .iter()
-        .zip(&training)
-        .map(|(rec, spec)| {
-            (rec.pool.sample_matrix(rec.node).expect("samples"), expected_class(spec.expected))
-        })
-        .collect();
+    let labelled = training_runs(42).expect("training runs");
 
     // Rank all 33 metrics by Fisher relevance.
     let mut scores = relevance_scores(&labelled).expect("scores");

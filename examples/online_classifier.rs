@@ -11,28 +11,19 @@
 //! cargo run --release --example online_classifier
 //! ```
 
+use appclass::cluster::train_cluster_pipeline;
 use appclass::core::online::OnlineClassifier;
 use appclass::metrics::aggregator::Aggregator;
 use appclass::metrics::gmond::{Gmond, MetricBus};
+use appclass::metrics::NodeId;
 use appclass::prelude::*;
-use appclass::sim::runner::run_batch;
 use appclass::sim::vm::SoloVm;
-use appclass::sim::workload::registry::{test_specs, training_specs};
+use appclass::sim::workload::registry::test_specs;
 use appclass::sim::VirtualMachine;
-use appclass::{expected_class, metrics::NodeId};
 
 fn main() {
     // Train the pipeline.
-    let training = training_specs();
-    let runs = run_batch(&training, 42);
-    let labelled: Vec<(Matrix, AppClass)> = runs
-        .iter()
-        .zip(&training)
-        .map(|(rec, spec)| {
-            (rec.pool.sample_matrix(rec.node).expect("samples"), expected_class(spec.expected))
-        })
-        .collect();
-    let pipeline = ClassifierPipeline::train(&labelled, &PipelineConfig::paper()).expect("train");
+    let pipeline = train_cluster_pipeline(42).expect("train");
 
     // Boot VMD in a monitored VM and stream snapshots through the online
     // classifier with a 6-snapshot (30 s) sliding window.

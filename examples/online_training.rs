@@ -12,11 +12,12 @@
 //! cargo run --release --example online_training
 //! ```
 
+use appclass::cluster::training_runs;
 use appclass::core::online::OnlineTrainer;
+use appclass::metrics::NodeId;
 use appclass::prelude::*;
-use appclass::sim::runner::{run_batch, run_spec};
-use appclass::sim::workload::registry::{test_specs, training_specs};
-use appclass::{expected_class, metrics::NodeId};
+use appclass::sim::runner::run_spec;
+use appclass::sim::workload::registry::test_specs;
 
 fn main() {
     // Held-out evaluation run.
@@ -27,15 +28,7 @@ fn main() {
 
     // Stream the five training runs into the online trainer, interleaved
     // round-robin like five monitors reporting concurrently.
-    let training = training_specs();
-    let runs = run_batch(&training, 42);
-    let labelled: Vec<(Matrix, AppClass)> = runs
-        .iter()
-        .zip(&training)
-        .map(|(rec, spec)| {
-            (rec.pool.sample_matrix(rec.node).expect("samples"), expected_class(spec.expected))
-        })
-        .collect();
+    let labelled = training_runs(42).expect("training runs");
 
     let mut trainer = OnlineTrainer::new(PipelineConfig::paper(), 50);
     let max_rows = labelled.iter().map(|(m, _)| m.rows()).max().expect("runs");

@@ -10,22 +10,11 @@
 //! cargo run --release --example pca_diagnostics
 //! ```
 
+use appclass::cluster::train_cluster_pipeline;
 use appclass::prelude::*;
-use appclass::sim::runner::{run_batch, run_spec};
-use appclass::sim::workload::registry::{test_specs, training_specs};
-use appclass::{expected_class, metrics::NodeId};
 
 fn main() {
-    let training = training_specs();
-    let runs = run_batch(&training, 42);
-    let labelled: Vec<(Matrix, AppClass)> = runs
-        .iter()
-        .zip(&training)
-        .map(|(rec, spec)| {
-            (rec.pool.sample_matrix(rec.node).unwrap(), expected_class(spec.expected))
-        })
-        .collect();
-    let pipeline = ClassifierPipeline::train(&labelled, &PipelineConfig::paper()).unwrap();
+    let pipeline = train_cluster_pipeline(42).unwrap();
 
     println!("eigenvalues of the 8x8 correlation matrix:");
     for (i, v) in pipeline.pca().eigenvalues().iter().enumerate() {
@@ -56,14 +45,12 @@ fn main() {
         );
     }
 
-    println!("\ntest-run centroids in PC space:");
-    for (i, spec) in test_specs().iter().enumerate() {
-        let rec = run_spec(spec, NodeId(100 + i as u32), 1000 + i as u64);
-        let raw = rec.pool.sample_matrix(rec.node).unwrap();
-        let proj = pipeline.project(&raw).unwrap();
+    println!("\ntest-run centroids in PC space (Table 3's runs):");
+    for row in appclass::paper::table3(&pipeline, 42).unwrap() {
+        let proj = &row.result.projected;
         let n = proj.rows() as f64;
         let cx = proj.iter_rows().map(|r| r[0]).sum::<f64>() / n;
         let cy = proj.iter_rows().map(|r| r[1]).sum::<f64>() / n;
-        println!("  {:<15} centroid = ({cx:>7.3}, {cy:>7.3})", spec.name);
+        println!("  {:<15} centroid = ({cx:>7.3}, {cy:>7.3})", row.name);
     }
 }

@@ -3,12 +3,12 @@
 //! This walks the paper's whole Figure 1 loop once:
 //!
 //! 1. run the five training applications in simulated VMs under the
-//!    Ganglia-like monitor,
-//! 2. train the Figure 2 pipeline (expert 8 metrics → 2 PCs → 3-NN),
-//! 3. run a fresh application (CH3D) and classify it,
-//! 4. store the result in the application database and price the run with
+//!    Ganglia-like monitor and train the Figure 2 pipeline on them
+//!    (expert 8 metrics → 2 PCs → 3-NN),
+//! 2. run a fresh application (CH3D) and classify it,
+//! 3. store the result in the application database and price the run with
 //!    the §4.4 cost model,
-//! 5. re-classify the same application over a *lossy* monitoring wire
+//! 4. re-classify the same application over a *lossy* monitoring wire
 //!    (drops + corruption) behind the frame guard, and print the
 //!    telemetry-health report alongside the degraded verdict.
 //!
@@ -16,35 +16,23 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use appclass::cluster::train_cluster_pipeline;
 use appclass::core::appdb::{ApplicationDb, RunRecord};
+use appclass::metrics::NodeId;
 use appclass::prelude::*;
-use appclass::sim::runner::{run_batch, run_spec, run_spec_degraded};
-use appclass::sim::workload::registry::{test_specs, training_specs};
-use appclass::{expected_class, metrics::NodeId};
+use appclass::sim::runner::{run_spec, run_spec_degraded};
+use appclass::sim::workload::registry::test_specs;
 
 fn main() {
-    // 1. Monitored training runs. Each spec boots a VM, attaches a gmond
-    //    daemon, and samples the 33 Ganglia metrics every 5 seconds.
+    // 1. Monitored training runs and the paper's pipeline. Each training
+    //    spec boots a VM, attaches a gmond daemon, and samples the 33
+    //    Ganglia metrics every 5 seconds.
     println!("== training ==");
-    let training = training_specs();
-    let runs = run_batch(&training, 42);
-    let labelled: Vec<(Matrix, AppClass)> = runs
-        .iter()
-        .zip(&training)
-        .map(|(rec, spec)| {
-            let m = rec.pool.sample_matrix(rec.node).expect("samples");
-            println!("  {:<18} {:>4} snapshots, {:>5} s", spec.name, m.rows(), rec.wall_secs);
-            (m, expected_class(spec.expected))
-        })
-        .collect();
-
-    // 2. The paper's pipeline configuration.
-    let config = PipelineConfig::paper();
-    println!("\n  expert metrics (Table 1):");
-    for id in &config.metrics {
+    let pipeline = train_cluster_pipeline(42).expect("training");
+    println!("  expert metrics (Table 1):");
+    for id in pipeline.preprocessor().metrics() {
         println!("    {:<12} {:<10} {}", id.name(), id.unit(), id.description());
     }
-    let pipeline = ClassifierPipeline::train(&labelled, &config).expect("training");
     println!(
         "\n  trained: {} -> 8 -> {} dims, {} training snapshots",
         appclass::metrics::METRIC_COUNT,
@@ -52,7 +40,7 @@ fn main() {
         pipeline.knn().n_training(),
     );
 
-    // 3. Classify a fresh run.
+    // 2. Classify a fresh run.
     println!("\n== classification ==");
     let specs = test_specs();
     let ch3d = specs.iter().find(|s| s.name == "CH3D").expect("registry");
@@ -73,7 +61,7 @@ fn main() {
         );
     }
 
-    // 4. Record in the application DB and price the run.
+    // 3. Record in the application DB and price the run.
     println!("\n== application database & cost model ==");
     let mut db = ApplicationDb::new();
     db.record(RunRecord {
@@ -96,7 +84,7 @@ fn main() {
         model.run_cost(&stats.mean_composition, stats.mean_exec_secs)
     );
 
-    // 5. The same application over a lossy wire: 8% of frames dropped,
+    // 4. The same application over a lossy wire: 8% of frames dropped,
     //    4% carrying corrupted (non-finite) values. The frame guard
     //    imputes what it can, rejects what it must, and the result owns
     //    up to the damage instead of silently pretending it saw a clean

@@ -20,14 +20,14 @@
 //!
 //! [`SelfScraper`]: appclass::metrics::SelfScraper
 
-use appclass::expected_class;
+use appclass::cluster::train_cluster_pipeline;
 use appclass::metrics::aggregator::Aggregator;
 use appclass::metrics::gmond::{Gmond, MetricBus};
 use appclass::metrics::{MetricId, NodeId, SelfScraper};
 use appclass::prelude::*;
 use appclass::serve::{ClientConfig, ServeClient, ServerConfig, ShardServer};
-use appclass::sim::runner::{run_batch, run_spec};
-use appclass::sim::workload::registry::{test_specs, training_specs};
+use appclass::sim::runner::run_spec;
+use appclass::sim::workload::registry::test_specs;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -37,18 +37,7 @@ const SELF_NODE: NodeId = NodeId(1001);
 fn main() {
     // 1. Train the paper pipeline.
     println!("== training ==");
-    let training = training_specs();
-    let runs = run_batch(&training, 42);
-    let labelled: Vec<(Matrix, AppClass)> = runs
-        .iter()
-        .zip(&training)
-        .map(|(rec, spec)| {
-            let m = rec.pool.sample_matrix(rec.node).expect("samples");
-            (m, expected_class(spec.expected))
-        })
-        .collect();
-    let pipeline =
-        Arc::new(ClassifierPipeline::train(&labelled, &PipelineConfig::paper()).expect("training"));
+    let pipeline = Arc::new(train_cluster_pipeline(42).expect("training"));
     println!("  trained on {} snapshots", pipeline.knn().n_training());
 
     // 2. Serve it, and keep a handle on the server's observability.

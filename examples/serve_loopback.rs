@@ -8,27 +8,18 @@
 //! cargo run --release --example serve_loopback
 //! ```
 
+use appclass::cluster::train_cluster_pipeline;
 use appclass::expected_class;
+use appclass::metrics::Snapshot;
 use appclass::prelude::*;
 use appclass::serve::{ClientConfig, ServeClient, ServerConfig, ShardServer};
-use appclass::sim::runner::{run_batch, run_spec};
+use appclass::sim::runner::run_batch;
 use appclass::sim::workload::registry::training_specs;
-use appclass::{metrics::NodeId, metrics::Snapshot};
 use std::sync::Arc;
 
 fn main() {
     // Train the paper pipeline on the five training applications.
-    let training = training_specs();
-    let runs = run_batch(&training, 42);
-    let labelled: Vec<(Matrix, AppClass)> = runs
-        .iter()
-        .zip(&training)
-        .map(|(rec, spec)| {
-            (rec.pool.sample_matrix(rec.node).unwrap(), expected_class(spec.expected))
-        })
-        .collect();
-    let pipeline =
-        Arc::new(ClassifierPipeline::train(&labelled, &PipelineConfig::paper()).unwrap());
+    let pipeline = Arc::new(train_cluster_pipeline(42).unwrap());
     println!("serving model {:#018x}\n", pipeline.model_id());
 
     // Serve it to concurrent clients on an ephemeral loopback port.
@@ -36,13 +27,15 @@ fn main() {
     let server = ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
     let addr = server.local_addr();
 
+    // Each client replays a fresh run of its training application.
+    let training = training_specs();
     let handles: Vec<_> = training
         .iter()
+        .zip(run_batch(&training, 43))
         .enumerate()
-        .map(|(i, spec)| {
+        .map(|(i, (spec, rec))| {
             let name = spec.name;
             let expected = expected_class(spec.expected);
-            let rec = run_spec(spec, NodeId(60 + i as u32), 1000 + i as u64);
             let snaps: Vec<Snapshot> =
                 rec.pool.snapshots().iter().filter(|s| s.node == rec.node).cloned().collect();
             // Client 1 replays its run over a lossy telemetry link.

@@ -10,23 +10,14 @@
 //! cargo run --release --example stage_detection
 //! ```
 
+use appclass::cluster::train_cluster_pipeline;
 use appclass::core::stages::{segment, SegmentationConfig};
-use appclass::prelude::*;
-use appclass::sim::runner::{run_batch, run_spec};
-use appclass::sim::workload::registry::{test_specs, training_specs};
-use appclass::{expected_class, metrics::NodeId};
+use appclass::metrics::NodeId;
+use appclass::sim::runner::run_spec;
+use appclass::sim::workload::registry::test_specs;
 
 fn main() {
-    let training = training_specs();
-    let runs = run_batch(&training, 42);
-    let labelled: Vec<(Matrix, AppClass)> = runs
-        .iter()
-        .zip(&training)
-        .map(|(rec, spec)| {
-            (rec.pool.sample_matrix(rec.node).expect("samples"), expected_class(spec.expected))
-        })
-        .collect();
-    let pipeline = ClassifierPipeline::train(&labelled, &PipelineConfig::paper()).expect("train");
+    let pipeline = train_cluster_pipeline(42).expect("train");
 
     let config = SegmentationConfig::default();
     for name in ["VMD", "Bonnie", "SPECseis96_B", "CH3D"] {

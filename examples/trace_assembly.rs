@@ -14,28 +14,18 @@
 //!
 //! [`TraceAssembler`]: appclass::obs::TraceAssembler
 
-use appclass::expected_class;
+use appclass::cluster::train_cluster_pipeline;
 use appclass::obs::{SpanDump, TraceAssembler, Tracer};
-use appclass::prelude::*;
 use appclass::serve::{ClientConfig, ServeClient, ServerConfig, ShardServer};
-use appclass::sim::runner::{run_batch, run_spec};
+use appclass::sim::runner::run_spec;
 use appclass::sim::workload::registry::training_specs;
 use appclass::{metrics::NodeId, metrics::Snapshot};
 use std::sync::Arc;
 
 fn main() {
     // Train the paper pipeline on the five training applications.
+    let pipeline = Arc::new(train_cluster_pipeline(42).unwrap());
     let training = training_specs();
-    let runs = run_batch(&training, 42);
-    let labelled: Vec<(Matrix, AppClass)> = runs
-        .iter()
-        .zip(&training)
-        .map(|(rec, spec)| {
-            (rec.pool.sample_matrix(rec.node).unwrap(), expected_class(spec.expected))
-        })
-        .collect();
-    let pipeline =
-        Arc::new(ClassifierPipeline::train(&labelled, &PipelineConfig::paper()).unwrap());
 
     let server =
         ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();

@@ -44,6 +44,19 @@ echo "== compile the criterion benches =="
 # them.
 cargo bench --workspace --no-run
 
+# Prints the address a server announced in its log ($1), waiting up to
+# 10 s for the "listening on" line; fails if it never appears.
+wait_addr() {
+    j=0
+    while [ "$j" -lt 100 ]; do
+        a=$(sed -n 's/^listening on //p' "$1")
+        [ -n "$a" ] && { echo "$a"; return 0; }
+        sleep 0.1
+        j=$((j + 1))
+    done
+    return 1
+}
+
 echo "== server smoke test =="
 # Train a model, serve it on an ephemeral port, classify one workload
 # over TCP, and require a clean drain with a nonzero verdict count.
@@ -53,15 +66,8 @@ trap 'rm -rf "$tmp"' EXIT
 ./target/release/appclass serve --addr 127.0.0.1:0 --model "$tmp/pipeline.json" \
     --sessions 1 > "$tmp/serve.log" &
 serve_pid=$!
-addr=""
-i=0
-while [ "$i" -lt 100 ]; do
-    addr=$(sed -n 's/^listening on //p' "$tmp/serve.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-    i=$((i + 1))
-done
-[ -n "$addr" ] || { echo "server never announced its address"; kill "$serve_pid"; exit 1; }
+addr=$(wait_addr "$tmp/serve.log") \
+    || { echo "server never announced its address"; kill "$serve_pid"; exit 1; }
 ./target/release/appclass client --addr "$addr" --workload CH3D --seed 7 > "$tmp/client.log"
 wait "$serve_pid"
 grep -q "class:       CPU" "$tmp/client.log"
@@ -76,15 +82,8 @@ echo "== observability smoke test =="
 ./target/release/appclass serve --addr 127.0.0.1:0 --model "$tmp/pipeline.json" \
     --sessions 2 > "$tmp/obs_serve.log" &
 obs_pid=$!
-addr=""
-i=0
-while [ "$i" -lt 100 ]; do
-    addr=$(sed -n 's/^listening on //p' "$tmp/obs_serve.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-    i=$((i + 1))
-done
-[ -n "$addr" ] || { echo "observability server never announced its address"; kill "$obs_pid"; exit 1; }
+addr=$(wait_addr "$tmp/obs_serve.log") \
+    || { echo "observability server never announced its address"; kill "$obs_pid"; exit 1; }
 ./target/release/appclass client --addr "$addr" --workload CH3D --seed 7 > /dev/null
 ./target/release/appclass stats --addr "$addr" > "$tmp/stats.log"
 wait "$obs_pid"
@@ -98,16 +97,6 @@ echo "== persistence & hot-swap smoke test =="
 # client pinned to the old fingerprint must still be admitted. Finally
 # retrain, hot-swap the running server, and require the swap in the
 # stats exposition with zero errored sessions.
-wait_addr() {
-    j=0
-    while [ "$j" -lt 100 ]; do
-        a=$(sed -n 's/^listening on //p' "$1")
-        [ -n "$a" ] && { echo "$a"; return 0; }
-        sleep 0.1
-        j=$((j + 1))
-    done
-    return 1
-}
 ./target/release/appclass train --out "$tmp/v1.json" --seed 42 --store "$tmp/store" > /dev/null
 ./target/release/appclass models --store "$tmp/store" | grep -q '^\*0x'
 

@@ -6,6 +6,7 @@
 //! appclass classify --pipeline pipeline.json --workload CH3D [--seed N] [--db db.log]
 //! appclass table3   [--seed N]
 //! appclass fig4     [--seed N]
+//! appclass fig5     [--seed N]
 //! appclass table4   [--seed N]
 //! appclass cost     --db db.log [--cpu a --mem b --io c --net d --idle e]
 //! appclass serve    --addr 127.0.0.1:0 (--model pipeline.json | --store DIR) [--sessions N]
@@ -45,9 +46,11 @@ macro_rules! out {
     () => { pout(format_args!("\n")) };
     ($($t:tt)*) => { pout(format_args!("{}\n", format_args!($($t)*))) };
 }
-use appclass::sim::runner::{run_batch, run_spec};
+use appclass::cluster::train_cluster_pipeline;
+use appclass::metrics::NodeId;
+use appclass::paper::Artefact;
+use appclass::sim::runner::run_spec;
 use appclass::sim::workload::registry::{registry, test_specs, training_specs};
-use appclass::{expected_class, metrics::NodeId};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -62,10 +65,10 @@ fn main() -> ExitCode {
         "train" => cmd_train(&args[1..]),
         "classify" => cmd_classify(&args[1..]),
         "export" => cmd_export(&args[1..]),
-        "table3" => cmd_table3(&args[1..]),
-        "fig4" => cmd_fig4(&args[1..]),
-        "fig5" => cmd_fig5(&args[1..]),
-        "table4" => cmd_table4(&args[1..]),
+        "table3" => cmd_paper(Artefact::Table3, &args[1..]),
+        "fig4" => cmd_paper(Artefact::Fig4, &args[1..]),
+        "fig5" => cmd_paper(Artefact::Fig5, &args[1..]),
+        "table4" => cmd_paper(Artefact::Table4, &args[1..]),
         "cost" => cmd_cost(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
         "client" => cmd_client(&args[1..]),
@@ -228,22 +231,6 @@ fn opt_rate(args: &[String], key: &str, default: f64) -> Result<f64, String> {
     }
 }
 
-fn train_pipeline(seed: u64) -> Result<ClassifierPipeline, String> {
-    let training = training_specs();
-    let runs = run_batch(&training, seed);
-    let labelled: Vec<(Matrix, AppClass)> = runs
-        .iter()
-        .zip(&training)
-        .map(|(rec, spec)| {
-            rec.pool
-                .sample_matrix(rec.node)
-                .map(|m| (m, expected_class(spec.expected)))
-                .map_err(|e| e.to_string())
-        })
-        .collect::<Result<_, _>>()?;
-    ClassifierPipeline::train(&labelled, &PipelineConfig::paper()).map_err(|e| e.to_string())
-}
-
 fn cmd_list() -> Result<(), String> {
     out!("{:<18} {:>8} {:<24} description", "name", "training", "expected class");
     for spec in registry() {
@@ -262,7 +249,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     validate_flags(args, &["--out", "--seed", "--store"])?;
     let out = opt(args, "--out").ok_or("train requires --out FILE")?;
     let seed = opt_seed(args)?;
-    let pipeline = train_pipeline(seed)?;
+    let pipeline = train_cluster_pipeline(seed).map_err(|e| e.to_string())?;
     let json = pipeline.to_json().map_err(|e| e.to_string())?;
     std::fs::write(&out, json).map_err(|e| e.to_string())?;
     out!(
@@ -345,88 +332,10 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_table3(args: &[String]) -> Result<(), String> {
+fn cmd_paper(artefact: Artefact, args: &[String]) -> Result<(), String> {
     let seed = opt_seed(args)?;
-    let pipeline = train_pipeline(seed)?;
-    out!(
-        "{:<15} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "Application",
-        "#samples",
-        "Idle",
-        "I/O",
-        "CPU",
-        "Network",
-        "Paging"
-    );
-    for (i, spec) in test_specs().iter().enumerate() {
-        let rec = run_spec(spec, NodeId(100 + i as u32), seed + 1000 + i as u64);
-        let raw = rec.pool.sample_matrix(rec.node).map_err(|e| e.to_string())?;
-        let c = pipeline.classify(&raw).map_err(|e| e.to_string())?.composition;
-        out!(
-            "{:<15} {:>8} {:>7.2}% {:>7.2}% {:>7.2}% {:>7.2}% {:>7.2}%",
-            spec.name,
-            raw.rows(),
-            c.fraction(AppClass::Idle) * 100.0,
-            c.fraction(AppClass::Io) * 100.0,
-            c.fraction(AppClass::Cpu) * 100.0,
-            c.fraction(AppClass::Net) * 100.0,
-            c.fraction(AppClass::Mem) * 100.0,
-        );
-    }
-    Ok(())
-}
-
-fn cmd_fig4(args: &[String]) -> Result<(), String> {
-    let seed = opt_seed(args)?;
-    let fig4 = appclass::sched::experiments::figure4(seed);
-    for row in &fig4.rows {
-        out!("{:>2}  {:<24} {:>7.0} jobs/day", row.id, row.label, row.throughput_jobs_per_day);
-    }
-    out!(
-        "class-aware {:.0} vs average {:.0}: {:+.2}% (paper: +22.11%)",
-        fig4.class_aware,
-        fig4.average,
-        fig4.improvement_pct
-    );
-    Ok(())
-}
-
-fn cmd_fig5(args: &[String]) -> Result<(), String> {
-    let seed = opt_seed(args)?;
-    let rows = appclass::sched::experiments::figure5(seed);
-    out!("{:<12} {:>8} {:>8} {:>8} {:>8}", "app", "MIN", "AVG", "MAX", "SPN");
-    for row in rows {
-        out!(
-            "{:<12?} {:>8.1} {:>8.1} {:>8.1} {:>8.1}   max by {}",
-            row.app,
-            row.min,
-            row.avg,
-            row.max,
-            row.spn,
-            row.max_schedule
-        );
-    }
-    Ok(())
-}
-
-fn cmd_table4(args: &[String]) -> Result<(), String> {
-    let seed = opt_seed(args)?;
-    let t = appclass::sched::experiments::table4(seed);
-    out!("{:<12} {:>8} {:>10} {:>14}", "Execution", "CH3D", "PostMark", "2-job total");
-    out!(
-        "{:<12} {:>8} {:>10} {:>14}",
-        "Concurrent",
-        t.concurrent_ch3d,
-        t.concurrent_postmark,
-        t.concurrent_total
-    );
-    out!(
-        "{:<12} {:>8} {:>10} {:>14}",
-        "Sequential",
-        t.sequential_ch3d,
-        t.sequential_postmark,
-        t.sequential_total
-    );
+    let text = appclass::paper::render(artefact, seed).map_err(|e| e.to_string())?;
+    pout(format_args!("{text}"));
     Ok(())
 }
 
@@ -843,7 +752,7 @@ fn cmd_bench_classify(args: &[String]) -> Result<(), String> {
     let batch = opt_parsed::<usize>(args, "--batch")?.unwrap_or(32).max(1);
     let out_path = opt(args, "--out").unwrap_or_else(|| "BENCH_classify.json".to_string());
 
-    let pipeline = std::sync::Arc::new(train_pipeline(seed)?);
+    let pipeline = std::sync::Arc::new(train_cluster_pipeline(seed).map_err(|e| e.to_string())?);
     let server =
         ShardServer::bind("127.0.0.1:0", std::sync::Arc::clone(&pipeline), ServerConfig::default())
             .map_err(|e| e.to_string())?;
@@ -1202,7 +1111,7 @@ fn cmd_sched_cluster(args: &[String]) -> Result<(), String> {
         return Err("--out requires a value".to_string());
     }
 
-    let pipeline = train_pipeline(seed)?;
+    let pipeline = train_cluster_pipeline(seed).map_err(|e| e.to_string())?;
     let result = sched_cluster(&pipeline, &cfg);
 
     out!(

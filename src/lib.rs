@@ -31,23 +31,17 @@
 //!   registry with a Prometheus-style exposition, and the flight recorder
 //!   that snapshots recent spans and metric deltas on incidents.
 //!
+//! [`paper`] generates the evaluation's Table 3, Figures 4–5 and Table 4
+//! under one seed convention, as `appclass table3|fig4|fig5|table4` print
+//! them.
+//!
 //! # Quickstart
 //!
 //! ```
 //! use appclass::prelude::*;
 //!
 //! // Train the classifier on the paper's five training applications…
-//! let training = appclass::sim::workload::registry::training_specs();
-//! let runs = appclass::sim::runner::run_batch(&training, 42);
-//! let labelled: Vec<_> = runs
-//!     .iter()
-//!     .zip(&training)
-//!     .map(|(rec, spec)| {
-//!         let m = rec.pool.sample_matrix(rec.node).unwrap();
-//!         (m, appclass::expected_class(spec.expected))
-//!     })
-//!     .collect();
-//! let pipeline = ClassifierPipeline::train(&labelled, &PipelineConfig::paper()).unwrap();
+//! let pipeline = appclass::cluster::train_cluster_pipeline(42).unwrap();
 //!
 //! // …then classify a fresh run.
 //! let specs = appclass::sim::workload::registry::test_specs();
@@ -69,25 +63,13 @@ pub use appclass_serve as serve;
 pub use appclass_sim as sim;
 
 pub mod fleet;
+pub mod paper;
 pub mod plot;
 
 /// Maps a workload's expected behaviour (the simulator's Table 2 ground
-/// truth) to the application class its training run is labelled with.
-///
-/// Interactive workloads map to [`core::class::AppClass::Idle`] because the
-/// paper groups them under "Idle + Others" — their defining trait is the
-/// substantial idle fraction mixed with other activity.
-pub fn expected_class(kind: sim::workload::WorkloadKind) -> core::class::AppClass {
-    use core::class::AppClass;
-    use sim::workload::WorkloadKind;
-    match kind {
-        WorkloadKind::Cpu => AppClass::Cpu,
-        WorkloadKind::IoPaging => AppClass::Io,
-        WorkloadKind::Net => AppClass::Net,
-        WorkloadKind::Mem => AppClass::Mem,
-        WorkloadKind::Idle | WorkloadKind::Interactive => AppClass::Idle,
-    }
-}
+/// truth) to the application class its runs are labelled with; the same
+/// function as [`cluster::truth_class`].
+pub use cluster::truth_class as expected_class;
 
 /// The most commonly used types, in one import.
 pub mod prelude {

@@ -2,8 +2,9 @@
 //!
 //! The paper presents its classification output as 2-D cluster diagrams
 //! in principal-component space. This module renders the same diagrams as
-//! ASCII scatter plots so `classify_workloads` can show them without any
-//! plotting dependency; each application class draws with its own glyph.
+//! ASCII scatter plots so the `classify_workloads` example can draw them
+//! (`--plot`) over Table 3's runs without any plotting dependency; each
+//! application class draws with its own glyph.
 
 use appclass_core::class::AppClass;
 use appclass_linalg::Matrix;

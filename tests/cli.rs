@@ -147,6 +147,31 @@ fn bad_seed_rejected() {
 }
 
 #[test]
+fn every_seed_is_valid_up_to_the_largest() {
+    // Sub-seeds are derived with wraparound: `u64::MAX` must not overflow
+    // (a panic in a debug build).
+    let dir = tmpdir("max_seed");
+    let pipe = dir.join("pipeline.json");
+    let max = u64::MAX.to_string();
+    for args in [
+        vec!["table3"],
+        vec!["fig4"],
+        vec!["fig5"],
+        vec!["table4"],
+        vec!["train", "--out", pipe.to_str().unwrap()],
+    ] {
+        let out = bin().args(&args).args(["--seed", &max]).output().unwrap();
+        assert!(
+            out.status.success(),
+            "appclass {} --seed {max} failed: {}",
+            args.join(" "),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn usage_mentions_serve_and_client() {
     let out = bin().arg("help").output().unwrap();
     assert!(out.status.success());

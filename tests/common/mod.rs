@@ -1,11 +1,9 @@
 //! Shared fixtures for the integration tests.
 
+use appclass::cluster::train_cluster_pipeline;
 use appclass::core::knn::{Distance, KnnClassifier};
-use appclass::expected_class;
 use appclass::linalg::vector;
 use appclass::prelude::*;
-use appclass::sim::runner::run_batch;
-use appclass::sim::workload::registry::training_specs;
 
 /// Runs the five standard training applications (seed 42) and trains the
 /// paper-configured pipeline — the fixture nearly every integration test
@@ -19,16 +17,7 @@ pub fn trained_pipeline() -> ClassifierPipeline {
 /// fixture the hot-swap tests need.
 #[allow(dead_code)] // not every integration binary swaps models
 pub fn trained_pipeline_seeded(seed: u64) -> ClassifierPipeline {
-    let training = training_specs();
-    let runs = run_batch(&training, seed);
-    let labelled: Vec<(Matrix, AppClass)> = runs
-        .iter()
-        .zip(&training)
-        .map(|(rec, spec)| {
-            (rec.pool.sample_matrix(rec.node).unwrap(), expected_class(spec.expected))
-        })
-        .collect();
-    ClassifierPipeline::train(&labelled, &PipelineConfig::paper()).unwrap()
+    train_cluster_pipeline(seed).unwrap()
 }
 
 /// The k-NN rule by brute force, built only from the classifier's public

@@ -5,11 +5,11 @@
 //! leak into results. These tests run each experiment twice and demand
 //! bit-identical output.
 
-use appclass::prelude::*;
+use appclass::cluster::train_cluster_pipeline;
+use appclass::metrics::NodeId;
 use appclass::sched::experiments::{figure4, table4};
 use appclass::sim::runner::{run_batch, run_spec};
 use appclass::sim::workload::registry::{test_specs, training_specs};
-use appclass::{expected_class, metrics::NodeId};
 
 #[test]
 fn monitored_runs_are_seed_deterministic() {
@@ -39,20 +39,8 @@ fn batch_runner_is_deterministic_despite_threads() {
 
 #[test]
 fn trained_pipelines_are_identical_across_runs() {
-    let training = training_specs();
-    let mk = || {
-        let runs = run_batch(&training, 42);
-        let labelled: Vec<(Matrix, AppClass)> = runs
-            .iter()
-            .zip(&training)
-            .map(|(rec, spec)| {
-                (rec.pool.sample_matrix(rec.node).unwrap(), expected_class(spec.expected))
-            })
-            .collect();
-        ClassifierPipeline::train(&labelled, &PipelineConfig::paper()).unwrap()
-    };
-    let p1 = mk();
-    let p2 = mk();
+    let p1 = train_cluster_pipeline(42).unwrap();
+    let p2 = train_cluster_pipeline(42).unwrap();
     assert_eq!(p1, p2);
     assert_eq!(p1.to_json().unwrap(), p2.to_json().unwrap());
 }

@@ -11,13 +11,14 @@
 
 mod common;
 
+use appclass::metrics::wire::MAX_SNAPSHOT_BATCH;
 use appclass::metrics::{ByeReason, NodeId, Snapshot};
 use appclass::serve::chaos::{ChaosPlan, ChaosProxy, FaultEvent};
 use appclass::serve::{ClientConfig, ServeClient, ServeError, ServerConfig, ShardServer};
 use appclass::sim::runner::run_spec;
 use appclass::sim::workload::registry::training_specs;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn snapshots(node: u32, seed: u64) -> Vec<Snapshot> {
     let spec = &training_specs()[0];
@@ -196,6 +197,37 @@ fn mid_prefix_stall_over_the_budget_fails_typed_on_the_shard_server() {
     proxy.shutdown();
     assert_eq!(stats.session_errors, 1, "{stats}");
     assert_eq!(stats.sessions_finished, 1, "{stats}");
+}
+
+/// A peer that trickles a large frame steadily is slow, not stalled: a
+/// full batch torn into 3-byte segments takes longer than the 1 s budget
+/// to arrive but never falls silent for long, so the session runs to a
+/// clean end with every item acknowledged.
+#[test]
+fn steady_trickle_slower_than_the_budget_is_not_a_stall() {
+    let pipeline = Arc::new(common::trained_pipeline());
+    let server = chaos_server(&pipeline);
+    let proxy =
+        ChaosProxy::spawn(server.local_addr(), ChaosPlan::lossless(26).with_chunk(3)).unwrap();
+
+    // One run is shorter than a full batch: cycle it on a clean cadence.
+    let run = snapshots(86, 5007);
+    let batch: Vec<Snapshot> = (0..MAX_SNAPSHOT_BATCH)
+        .map(|i| Snapshot { time: 5 * (i as u64 + 1), ..run[i % run.len()].clone() })
+        .collect();
+    let mut client = ServeClient::connect(proxy.local_addr(), ClientConfig::default()).unwrap();
+    let started = Instant::now();
+    let report = client.stream_batch(&batch, MAX_SNAPSHOT_BATCH).unwrap();
+    let elapsed = started.elapsed();
+    client.classify().unwrap();
+    assert_eq!(client.bye().unwrap(), ByeReason::Normal);
+    assert_eq!((report.batches, report.accepted), (1, MAX_SNAPSHOT_BATCH as u64), "{report:?}");
+    assert!(elapsed > Duration::from_secs(1), "the batch arrived within the budget: {elapsed:?}");
+
+    server.shutdown();
+    let stats = server.join().unwrap();
+    proxy.shutdown();
+    assert_eq!(stats.session_errors, 0, "{stats}");
 }
 
 /// An abrupt connection abort mid-stream: the client gets a typed
