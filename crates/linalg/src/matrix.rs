@@ -243,8 +243,8 @@ impl Matrix {
     /// Matrix multiplication `self * rhs`.
     ///
     /// Uses an `i-k-j` loop order so the inner loop streams over contiguous
-    /// rows of both operands, and spreads the output rows over a crossbeam
-    /// scope when the problem is large enough to amortize thread startup.
+    /// rows of both operands, and spreads the output rows over scoped
+    /// threads when the problem is large enough to amortize thread startup.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         let mut out = Matrix::zeros(0, 0);
         self.matmul_into(rhs, &mut out)?;
@@ -270,11 +270,11 @@ impl Matrix {
             let chunk = self.rows.div_ceil(n_threads);
             let cols = self.cols;
             let rcols = rhs.cols;
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 for (t, out_chunk) in out.data.chunks_mut(chunk * rcols).enumerate() {
                     let lhs = &self.data;
                     let rdata = &rhs.data;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let row0 = t * chunk;
                         for (local_i, out_row) in out_chunk.chunks_mut(rcols).enumerate() {
                             let i = row0 + local_i;
@@ -286,8 +286,7 @@ impl Matrix {
                         }
                     });
                 }
-            })
-            .expect("matmul worker panicked");
+            });
         } else {
             for i in 0..self.rows {
                 let a_row = self.row(i);

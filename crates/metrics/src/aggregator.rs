@@ -8,7 +8,7 @@
 use crate::gmond::MetricBus;
 use crate::repair::FrameGuard;
 use crate::snapshot::{DataPool, NodeId, Snapshot};
-use crossbeam::channel::Receiver;
+use std::sync::mpsc::Receiver;
 
 /// A bus listener that accumulates every node's snapshots.
 pub struct Aggregator {

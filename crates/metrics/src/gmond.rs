@@ -2,7 +2,7 @@
 //!
 //! Ganglia's gmond multicasts each node's metrics on a subnet; every
 //! listener receives every node's announcements. [`MetricBus`] reproduces
-//! that topology over crossbeam channels: any number of [`Gmond`] daemons
+//! that topology over std `mpsc` channels: any number of [`Gmond`] daemons
 //! announce, any number of subscribers listen, and each subscriber observes
 //! the full subnet traffic (which is why the paper needs a *performance
 //! filter* downstream to pick out the target node).
@@ -10,8 +10,9 @@
 use crate::error::{Error, Result};
 use crate::metric::MetricFrame;
 use crate::snapshot::{NodeId, Snapshot};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Anything that can produce a metric frame on demand: the simulated VM's
 /// `/proc`-like surface implements this in `appclass-sim`.
@@ -79,15 +80,15 @@ impl MetricBus {
     /// Registers a listener; the returned receiver sees every subsequent
     /// announcement from every node.
     pub fn subscribe(&self) -> Receiver<Snapshot> {
-        let (tx, rx) = unbounded();
-        self.subscribers.lock().push(tx);
+        let (tx, rx) = mpsc::channel();
+        self.subscribers().push(tx);
         rx
     }
 
     /// Number of currently registered listeners (including dead ones not
     /// yet pruned).
     pub fn subscriber_count(&self) -> usize {
-        self.subscribers.lock().len()
+        self.subscribers().len()
     }
 
     /// Multicasts a snapshot to all listeners.
@@ -96,12 +97,18 @@ impl MetricBus {
     /// announcing into the void usually indicates a wiring bug in the
     /// monitoring setup.
     pub fn announce(&self, snapshot: Snapshot) -> Result<()> {
-        let mut subs = self.subscribers.lock();
+        let mut subs = self.subscribers();
         subs.retain(|tx| tx.send(snapshot.clone()).is_ok());
         if subs.is_empty() {
             return Err(Error::BusClosed);
         }
         Ok(())
+    }
+
+    /// The listener list, locked whether or not a thread panicked while
+    /// holding it: `push` and `retain` cannot leave it half-changed.
+    fn subscribers(&self) -> MutexGuard<'_, Vec<Sender<Snapshot>>> {
+        self.subscribers.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -192,18 +199,17 @@ pub fn run_threaded<S>(sources: Vec<S>, bus: &MetricBus, times: &[u64]) -> Resul
 where
     S: MetricSource + Send,
 {
-    let total = Mutex::new(0usize);
-    crossbeam::scope(|scope| {
+    let total = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
         for source in sources {
             let total = &total;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut gmond = Gmond::new(source);
                 let n = gmond.run_ticks(bus, times.iter().copied()).unwrap_or(0);
-                *total.lock() += n;
+                total.fetch_add(n, Ordering::Relaxed);
             });
         }
-    })
-    .expect("gmond worker panicked");
+    });
     let n = total.into_inner();
     if n == 0 && !times.is_empty() {
         return Err(Error::BusClosed);
@@ -265,7 +271,7 @@ mod tests {
             g.announce_tick(tick * 5, &bus).unwrap();
         }
         assert_eq!(bus.subscriber_count(), 1, "only the keeper remains");
-        assert_eq!(keeper.len(), 5, "keeper missed nothing");
+        assert_eq!(keeper.try_iter().count(), 5, "keeper missed nothing");
     }
 
     #[test]
@@ -332,7 +338,7 @@ mod tests {
         let mut g = Gmond::new(ConstantSource::new(NodeId(1), frame(1.0)));
         let n = g.run_ticks(&bus, (0..50).step_by(5)).unwrap();
         assert_eq!(n, 10);
-        assert_eq!(_rx.len(), 10);
+        assert_eq!(_rx.try_iter().count(), 10);
     }
 
     #[test]
@@ -356,10 +362,11 @@ mod tests {
         let times: Vec<u64> = (0..100).collect();
         let n = run_threaded(sources, &bus, &times).unwrap();
         assert_eq!(n, 400);
-        assert_eq!(rx.len(), 400);
+        let delivered: Vec<Snapshot> = rx.try_iter().collect();
+        assert_eq!(delivered.len(), 400);
         // every node contributed exactly 100 snapshots
         let mut counts = [0usize; 4];
-        for s in rx.try_iter() {
+        for s in delivered {
             counts[s.node.0 as usize] += 1;
         }
         assert_eq!(counts, [100; 4]);

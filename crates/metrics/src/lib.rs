@@ -28,8 +28,6 @@
 //!   eviction.
 //! * [`vmstat`] — the add-on collector contributing the four I/O and paging
 //!   metrics the paper grafted into gmond's metric list.
-//! * [`rrd`] — round-robin multi-resolution metric archives (Ganglia's
-//!   RRDtool analogue): constant-space retention with consolidation.
 //! * [`profiler`] — the performance profiler + filter of the paper's
 //!   Figure 1: start/stop sampling, target-node extraction, pool assembly.
 //! * [`selfmon`] — the self-monitoring adapter: scrapes an observability
@@ -42,7 +40,7 @@
 //! The bus supports both a deterministic synchronous mode (used by the
 //! reproduction experiments so runs are bit-reproducible) and a threaded
 //! mode where gmond daemons run on their own threads and announce through
-//! crossbeam channels (used to demonstrate the monitoring path is genuinely
+//! std `mpsc` channels (used to demonstrate the monitoring path is genuinely
 //! concurrent).
 
 #![warn(missing_docs)]
@@ -57,7 +55,6 @@ pub mod instrument;
 pub mod metric;
 pub mod profiler;
 pub mod repair;
-pub mod rrd;
 pub mod selfmon;
 pub mod snapshot;
 pub mod vmstat;

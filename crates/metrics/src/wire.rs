@@ -31,7 +31,6 @@ use crate::repair::TelemetryHealth;
 use crate::snapshot::{NodeId, Snapshot};
 use appclass_obs::trace::TRACE_EXT_LEN;
 use appclass_obs::TraceContext;
-use bytes::{Buf, BufMut, Bytes};
 
 /// Magic bytes opening every announcement ("GMON").
 pub const MAGIC: u32 = 0x474D_4F4E;
@@ -46,8 +45,8 @@ const DATAGRAM_HEADER: usize = 4 + 2 + 2 + 4 + 8;
 pub const WIRE_SIZE: usize = DATAGRAM_HEADER + METRIC_COUNT * 8;
 
 /// Encodes a snapshot into its wire representation.
-pub fn encode(snapshot: &Snapshot) -> Bytes {
-    Bytes::from(datagram(snapshot).to_vec())
+pub fn encode(snapshot: &Snapshot) -> Vec<u8> {
+    datagram(snapshot).to_vec()
 }
 
 /// Builds a snapshot's wire representation in a stack array: the bytes
@@ -598,10 +597,10 @@ impl ControlFrame {
 ///
 /// Panics if a [`ControlFrame::Snapshot`] payload exceeds [`WIRE_SIZE`]
 /// (a faulty channel can only shrink a datagram, never grow it).
-pub fn encode_control(frame: &ControlFrame) -> Bytes {
+pub fn encode_control(frame: &ControlFrame) -> Vec<u8> {
     let mut out = Vec::new();
     encode_control_into(frame, &mut out);
-    Bytes::from(out)
+    out
 }
 
 /// Appends the encoding of `frame` to `out`, reserving exactly the
@@ -627,23 +626,23 @@ pub fn encode_control_into(frame: &ControlFrame, out: &mut Vec<u8>) {
     open_frame(out, frame.kind());
     match frame {
         ControlFrame::Hello { session, model_id } => {
-            out.put_u32(*session);
-            out.put_u64(*model_id);
+            out.extend_from_slice(&session.to_be_bytes());
+            out.extend_from_slice(&model_id.to_be_bytes());
         }
         ControlFrame::Snapshot { wire, ctx } => {
             assert!(wire.len() <= WIRE_SIZE, "snapshot datagram larger than WIRE_SIZE");
-            out.put_u16(wire.len() as u16);
-            out.put_slice(wire);
+            out.extend_from_slice(&(wire.len() as u16).to_be_bytes());
+            out.extend_from_slice(wire);
             put_trace_ext(out, ctx);
         }
         ControlFrame::Classify { ctx } => put_trace_ext(out, ctx),
         ControlFrame::Verdict { class, confidence, composition, model, ctx } => {
-            out.put_u8(*class);
-            out.put_f64(*confidence);
+            out.push(*class);
+            out.extend_from_slice(&confidence.to_be_bytes());
             for &f in composition {
-                out.put_f64(f);
+                out.extend_from_slice(&f.to_be_bytes());
             }
-            out.put_u64(*model);
+            out.extend_from_slice(&model.to_be_bytes());
             put_trace_ext(out, ctx);
         }
         ControlFrame::Health(h) => {
@@ -659,39 +658,41 @@ pub fn encode_control_into(frame: &ControlFrame, out: &mut Vec<u8>) {
                 h.values_patched,
                 h.malformed,
             ] {
-                out.put_u64(v);
+                out.extend_from_slice(&v.to_be_bytes());
             }
-            out.put_u32(h.max_repair_streak);
-            out.put_u16(h.dead_metrics.len() as u16);
+            out.extend_from_slice(&h.max_repair_streak.to_be_bytes());
+            out.extend_from_slice(&(h.dead_metrics.len() as u16).to_be_bytes());
             for &m in &h.dead_metrics {
-                out.put_u16(m as u16);
+                out.extend_from_slice(&(m as u16).to_be_bytes());
             }
         }
-        ControlFrame::Bye { reason } => out.put_u8(reason.code()),
+        ControlFrame::Bye { reason } => out.push(reason.code()),
         ControlFrame::Stats { text } => {
             assert!(text.len() <= MAX_STATS_TEXT, "stats exposition larger than MAX_STATS_TEXT");
-            out.put_u32(text.len() as u32);
-            out.put_slice(text.as_bytes());
+            out.extend_from_slice(&(text.len() as u32).to_be_bytes());
+            out.extend_from_slice(text.as_bytes());
         }
         // Written by the batch writer above.
         ControlFrame::SnapshotBatch { .. } => {}
         ControlFrame::VerdictBatch { statuses } => {
             assert!(statuses.len() <= MAX_SNAPSHOT_BATCH, "batch larger than MAX_SNAPSHOT_BATCH");
-            out.put_u16(statuses.len() as u16);
+            out.extend_from_slice(&(statuses.len() as u16).to_be_bytes());
             for s in statuses {
-                out.put_u8(s.code());
+                out.push(s.code());
             }
         }
         ControlFrame::SwapModel { json } => {
             assert!(json.len() <= MAX_MODEL_JSON, "model json larger than MAX_MODEL_JSON");
-            out.put_u32(json.len() as u32);
-            out.put_slice(json.as_bytes());
+            out.extend_from_slice(&(json.len() as u32).to_be_bytes());
+            out.extend_from_slice(json.as_bytes());
         }
         ControlFrame::SwapAck { old_model, new_model } => {
-            out.put_u64(*old_model);
-            out.put_u64(*new_model);
+            out.extend_from_slice(&old_model.to_be_bytes());
+            out.extend_from_slice(&new_model.to_be_bytes());
         }
-        ControlFrame::Busy { retry_after_ms } => out.put_u32(*retry_after_ms),
+        ControlFrame::Busy { retry_after_ms } => {
+            out.extend_from_slice(&retry_after_ms.to_be_bytes())
+        }
     }
     seal_frame(out, start);
     debug_assert_eq!(out.len() - start, len);
@@ -723,9 +724,9 @@ fn payload_len(frame: &ControlFrame) -> usize {
 /// Returns the offset [`seal_frame`] checksums from.
 fn open_frame(out: &mut Vec<u8>, kind: u8) -> usize {
     let start = out.len();
-    out.put_u32(CONTROL_MAGIC);
-    out.put_u16(CONTROL_VERSION);
-    out.put_u8(kind);
+    out.extend_from_slice(&CONTROL_MAGIC.to_be_bytes());
+    out.extend_from_slice(&CONTROL_VERSION.to_be_bytes());
+    out.push(kind);
     start
 }
 
@@ -735,7 +736,7 @@ fn open_frame(out: &mut Vec<u8>, kind: u8) -> usize {
 /// guarantee also covers corruption that straddles the trailer.
 fn seal_frame(out: &mut Vec<u8>, start: usize) {
     let crc = crc64(&out[start..]);
-    out.put_slice(&crc.to_le_bytes());
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// Appends the optional [`TraceContext`] extension after the payload
@@ -776,7 +777,7 @@ impl SnapshotBatchWriter {
     /// transport length prefix, say), keeping its allocation.
     pub fn new(mut buf: Vec<u8>) -> SnapshotBatchWriter {
         let start = open_frame(&mut buf, KIND_SNAPSHOT_BATCH);
-        buf.put_u16(0); // item count, patched by `finish`
+        buf.extend_from_slice(&0u16.to_be_bytes()); // item count, patched by `finish`
         SnapshotBatchWriter { buf, start, items: 0 }
     }
 
@@ -797,8 +798,8 @@ impl SnapshotBatchWriter {
     pub fn push_wire(&mut self, wire: &[u8]) {
         assert!(self.items < MAX_SNAPSHOT_BATCH, "batch larger than MAX_SNAPSHOT_BATCH");
         assert!(wire.len() <= WIRE_SIZE, "snapshot datagram larger than WIRE_SIZE");
-        self.buf.put_u16(wire.len() as u16);
-        self.buf.put_slice(wire);
+        self.buf.extend_from_slice(&(wire.len() as u16).to_be_bytes());
+        self.buf.extend_from_slice(wire);
         self.items += 1;
     }
 
@@ -916,11 +917,11 @@ pub fn decode_control_borrowed(data: &[u8]) -> Result<ControlFrameRef<'_>> {
     }
     let (body, trailer) = data.split_at(data.len() - CONTROL_TRAILER);
     let mut rest = body;
-    let magic = rest.get_u32();
+    let magic = u32::from_be_bytes(take(&mut rest));
     if magic != CONTROL_MAGIC {
         return Err(Error::MalformedWire { reason: "bad control magic", offset: 0 });
     }
-    let version = rest.get_u16();
+    let version = u16::from_be_bytes(take(&mut rest));
     if version != CONTROL_VERSION {
         return Err(Error::MalformedWire { reason: "unsupported control version", offset: 4 });
     }
@@ -932,7 +933,7 @@ pub fn decode_control_borrowed(data: &[u8]) -> Result<ControlFrameRef<'_>> {
             offset: body.len(),
         });
     }
-    let kind = rest.get_u8();
+    let kind = u8::from_be_bytes(take(&mut rest));
     match kind {
         KIND_SNAPSHOT => {
             let wire = take_datagram(&mut rest, "truncated snapshot payload")?;
@@ -945,7 +946,7 @@ pub fn decode_control_borrowed(data: &[u8]) -> Result<ControlFrameRef<'_>> {
                     offset: CONTROL_HEADER,
                 });
             }
-            let count = rest.get_u16() as usize;
+            let count = u16::from_be_bytes(take(&mut rest)) as usize;
             if count > MAX_SNAPSHOT_BATCH {
                 return Err(Error::MalformedWire {
                     reason: "oversized snapshot batch",
@@ -962,13 +963,25 @@ pub fn decode_control_borrowed(data: &[u8]) -> Result<ControlFrameRef<'_>> {
     }
 }
 
+/// Splits the `N` bytes of one fixed-size field off the front of `rest`.
+///
+/// # Panics
+///
+/// Panics if `rest` is shorter than `N`. Every caller checks the length
+/// first, which keeps the decoders panic-free on any input.
+fn take<const N: usize>(rest: &mut &[u8]) -> [u8; N] {
+    let (field, tail) = rest.split_first_chunk().expect("length checked by the caller");
+    *rest = tail;
+    *field
+}
+
 /// Splits one length-prefixed datagram off the front of `rest`.
 /// `truncated` names the payload in the error when `rest` runs short.
 fn take_datagram<'a>(rest: &mut &'a [u8], truncated: &'static str) -> Result<&'a [u8]> {
     if rest.len() < 2 {
         return Err(Error::MalformedWire { reason: truncated, offset: CONTROL_HEADER });
     }
-    let len = rest.get_u16() as usize;
+    let len = u16::from_be_bytes(take(rest)) as usize;
     if len > WIRE_SIZE {
         return Err(Error::MalformedWire {
             reason: "oversized snapshot payload",
@@ -989,7 +1002,10 @@ fn decode_other(kind: u8, mut rest: &[u8]) -> Result<ControlFrame> {
     let frame = match kind {
         1 => {
             expect_len(rest.len(), 12)?;
-            ControlFrame::Hello { session: rest.get_u32(), model_id: rest.get_u64() }
+            ControlFrame::Hello {
+                session: u32::from_be_bytes(take(&mut rest)),
+                model_id: u64::from_be_bytes(take(&mut rest)),
+            }
         }
         3 => ControlFrame::Classify { ctx: decode_trace_ext(rest)? },
         4 => {
@@ -999,17 +1015,17 @@ fn decode_other(kind: u8, mut rest: &[u8]) -> Result<ControlFrame> {
                     offset: CONTROL_HEADER,
                 });
             }
-            let class = rest.get_u8();
+            let class = u8::from_be_bytes(take(&mut rest));
             if class >= 5 {
                 return Err(Error::MalformedWire {
                     reason: "bad verdict class code",
                     offset: CONTROL_HEADER,
                 });
             }
-            let confidence = rest.get_f64();
+            let confidence = f64::from_be_bytes(take(&mut rest));
             let mut composition = [0.0; 5];
             for slot in &mut composition {
-                *slot = rest.get_f64();
+                *slot = f64::from_be_bytes(take(&mut rest));
             }
             if !confidence.is_finite() || composition.iter().any(|f| !f.is_finite()) {
                 return Err(Error::MalformedWire {
@@ -1017,7 +1033,7 @@ fn decode_other(kind: u8, mut rest: &[u8]) -> Result<ControlFrame> {
                     offset: CONTROL_HEADER + 1,
                 });
             }
-            let model = rest.get_u64();
+            let model = u64::from_be_bytes(take(&mut rest));
             ControlFrame::Verdict {
                 class,
                 confidence,
@@ -1034,20 +1050,20 @@ fn decode_other(kind: u8, mut rest: &[u8]) -> Result<ControlFrame> {
                 });
             }
             let mut h = TelemetryHealth {
-                seen: rest.get_u64(),
-                accepted: rest.get_u64(),
-                repaired: rest.get_u64(),
-                dropped: rest.get_u64(),
-                duplicates: rest.get_u64(),
-                reordered: rest.get_u64(),
-                gaps: rest.get_u64(),
-                missed_frames: rest.get_u64(),
-                values_patched: rest.get_u64(),
-                malformed: rest.get_u64(),
+                seen: u64::from_be_bytes(take(&mut rest)),
+                accepted: u64::from_be_bytes(take(&mut rest)),
+                repaired: u64::from_be_bytes(take(&mut rest)),
+                dropped: u64::from_be_bytes(take(&mut rest)),
+                duplicates: u64::from_be_bytes(take(&mut rest)),
+                reordered: u64::from_be_bytes(take(&mut rest)),
+                gaps: u64::from_be_bytes(take(&mut rest)),
+                missed_frames: u64::from_be_bytes(take(&mut rest)),
+                values_patched: u64::from_be_bytes(take(&mut rest)),
+                malformed: u64::from_be_bytes(take(&mut rest)),
                 dead_metrics: Vec::new(),
-                max_repair_streak: rest.get_u32(),
+                max_repair_streak: u32::from_be_bytes(take(&mut rest)),
             };
-            let ndead = rest.get_u16() as usize;
+            let ndead = u16::from_be_bytes(take(&mut rest)) as usize;
             if ndead > METRIC_COUNT {
                 return Err(Error::MalformedWire {
                     reason: "too many dead metrics",
@@ -1057,7 +1073,7 @@ fn decode_other(kind: u8, mut rest: &[u8]) -> Result<ControlFrame> {
             expect_len(rest.len(), 2 * ndead)?;
             let mut prev: Option<u16> = None;
             for _ in 0..ndead {
-                let m = rest.get_u16();
+                let m = u16::from_be_bytes(take(&mut rest));
                 if m as usize >= METRIC_COUNT || prev.is_some_and(|p| p >= m) {
                     return Err(Error::MalformedWire {
                         reason: "bad dead-metric list",
@@ -1071,7 +1087,7 @@ fn decode_other(kind: u8, mut rest: &[u8]) -> Result<ControlFrame> {
         }
         6 => {
             expect_len(rest.len(), 1)?;
-            let reason = ByeReason::from_code(rest.get_u8())
+            let reason = ByeReason::from_code(u8::from_be_bytes(take(&mut rest)))
                 .ok_or(Error::MalformedWire { reason: "bad bye reason", offset: CONTROL_HEADER })?;
             ControlFrame::Bye { reason }
         }
@@ -1082,7 +1098,7 @@ fn decode_other(kind: u8, mut rest: &[u8]) -> Result<ControlFrame> {
                     offset: CONTROL_HEADER,
                 });
             }
-            let len = rest.get_u32() as usize;
+            let len = u32::from_be_bytes(take(&mut rest)) as usize;
             if len > MAX_STATS_TEXT {
                 return Err(Error::MalformedWire {
                     reason: "oversized stats payload",
@@ -1105,7 +1121,7 @@ fn decode_other(kind: u8, mut rest: &[u8]) -> Result<ControlFrame> {
                     offset: CONTROL_HEADER,
                 });
             }
-            let count = rest.get_u16() as usize;
+            let count = u16::from_be_bytes(take(&mut rest)) as usize;
             if count > MAX_SNAPSHOT_BATCH {
                 return Err(Error::MalformedWire {
                     reason: "oversized verdict batch",
@@ -1115,7 +1131,7 @@ fn decode_other(kind: u8, mut rest: &[u8]) -> Result<ControlFrame> {
             expect_len(rest.len(), count)?;
             let mut statuses = Vec::with_capacity(count);
             for _ in 0..count {
-                let code = rest.get_u8();
+                let code = u8::from_be_bytes(take(&mut rest));
                 let status = FrameDisposition::from_code(code).ok_or(Error::MalformedWire {
                     reason: "bad disposition code",
                     offset: CONTROL_HEADER,
@@ -1131,7 +1147,7 @@ fn decode_other(kind: u8, mut rest: &[u8]) -> Result<ControlFrame> {
                     offset: CONTROL_HEADER,
                 });
             }
-            let len = rest.get_u32() as usize;
+            let len = u32::from_be_bytes(take(&mut rest)) as usize;
             if len > MAX_MODEL_JSON {
                 return Err(Error::MalformedWire {
                     reason: "oversized swap payload",
@@ -1149,11 +1165,14 @@ fn decode_other(kind: u8, mut rest: &[u8]) -> Result<ControlFrame> {
         }
         11 => {
             expect_len(rest.len(), 16)?;
-            ControlFrame::SwapAck { old_model: rest.get_u64(), new_model: rest.get_u64() }
+            ControlFrame::SwapAck {
+                old_model: u64::from_be_bytes(take(&mut rest)),
+                new_model: u64::from_be_bytes(take(&mut rest)),
+            }
         }
         12 => {
             expect_len(rest.len(), 4)?;
-            ControlFrame::Busy { retry_after_ms: rest.get_u32() }
+            ControlFrame::Busy { retry_after_ms: u32::from_be_bytes(take(&mut rest)) }
         }
         _ => {
             return Err(Error::MalformedWire { reason: "unknown control kind", offset: 6 });
@@ -1278,13 +1297,13 @@ mod tests {
         // A Hello exactly as a version-1 peer sealed it: FNV-1a trailer,
         // big-endian. It must be refused for its version, not its checksum.
         let mut buf = Vec::with_capacity(32);
-        buf.put_u32(CONTROL_MAGIC);
-        buf.put_u16(1);
-        buf.put_u8(1); // Hello
-        buf.put_u32(0);
-        buf.put_u64(0xDEAD_BEEF);
+        buf.extend_from_slice(&CONTROL_MAGIC.to_be_bytes());
+        buf.extend_from_slice(&1u16.to_be_bytes());
+        buf.push(1); // Hello
+        buf.extend_from_slice(&0u32.to_be_bytes());
+        buf.extend_from_slice(&0xDEAD_BEEF_u64.to_be_bytes());
         let checksum = fnv1a64(&buf);
-        buf.put_u64(checksum);
+        buf.extend_from_slice(&checksum.to_be_bytes());
         assert!(matches!(
             decode_control(&buf),
             Err(Error::MalformedWire { reason: "unsupported control version", offset: 4 })
@@ -1567,15 +1586,13 @@ mod tests {
     fn control_rejects_semantic_garbage() {
         // A well-checksummed frame with a bad class code must still fail.
         let mut buf = Vec::with_capacity(64);
-        buf.put_u32(CONTROL_MAGIC);
-        buf.put_u16(CONTROL_VERSION);
-        buf.put_u8(4); // Verdict
-        buf.put_u8(9); // class out of range
-        buf.put_f64(1.0);
+        open_frame(&mut buf, 4); // Verdict
+        buf.push(9); // class out of range
+        buf.extend_from_slice(&1.0f64.to_be_bytes());
         for _ in 0..5 {
-            buf.put_f64(0.2);
+            buf.extend_from_slice(&0.2f64.to_be_bytes());
         }
-        buf.put_u64(1); // model tag
+        buf.extend_from_slice(&1u64.to_be_bytes()); // model tag
         seal(&mut buf);
         assert!(matches!(
             decode_control(&buf),
@@ -1587,11 +1604,9 @@ mod tests {
     fn stats_frame_rejects_bad_utf8() {
         // A well-checksummed Stats frame whose payload is not UTF-8.
         let mut buf = Vec::with_capacity(64);
-        buf.put_u32(CONTROL_MAGIC);
-        buf.put_u16(CONTROL_VERSION);
-        buf.put_u8(7); // Stats
-        buf.put_u32(2);
-        buf.put_slice(&[0xFF, 0xFE]);
+        open_frame(&mut buf, 7); // Stats
+        buf.extend_from_slice(&2u32.to_be_bytes());
+        buf.extend_from_slice(&[0xFF, 0xFE]);
         seal(&mut buf);
         assert!(matches!(
             decode_control(&buf),
@@ -1602,10 +1617,8 @@ mod tests {
     #[test]
     fn stats_frame_rejects_oversized_declared_length() {
         let mut buf = Vec::with_capacity(64);
-        buf.put_u32(CONTROL_MAGIC);
-        buf.put_u16(CONTROL_VERSION);
-        buf.put_u8(7);
-        buf.put_u32((MAX_STATS_TEXT + 1) as u32);
+        open_frame(&mut buf, 7);
+        buf.extend_from_slice(&((MAX_STATS_TEXT + 1) as u32).to_be_bytes());
         seal(&mut buf);
         assert!(matches!(
             decode_control(&buf),
@@ -1667,13 +1680,11 @@ mod tests {
     #[test]
     fn trace_extension_with_zero_trace_id_is_rejected() {
         let mut buf = Vec::with_capacity(64);
-        buf.put_u32(CONTROL_MAGIC);
-        buf.put_u16(CONTROL_VERSION);
-        buf.put_u8(3); // Classify
+        open_frame(&mut buf, 3); // Classify
         let mut ext = Vec::new();
         TraceContext { trace_id: 7, parent_span: 0, flags: 0 }.encode(&mut ext);
         ext[1..9].copy_from_slice(&0u64.to_le_bytes()); // forge trace_id = 0
-        buf.put_slice(&ext);
+        buf.extend_from_slice(&ext);
         seal(&mut buf);
         assert!(matches!(
             decode_control(&buf),
@@ -1691,33 +1702,27 @@ mod tests {
         };
         // Declares 2 items, carries 1.
         let mut buf = Vec::with_capacity(64);
-        buf.put_u32(CONTROL_MAGIC);
-        buf.put_u16(CONTROL_VERSION);
-        buf.put_u8(8);
-        buf.put_u16(2);
-        buf.put_u16(0);
+        open_frame(&mut buf, 8);
+        buf.extend_from_slice(&2u16.to_be_bytes());
+        buf.extend_from_slice(&0u16.to_be_bytes());
         assert!(matches!(
             decode_control(&sealed(buf)),
             Err(Error::MalformedWire { reason: "truncated batch item", .. })
         ));
         // Declares an item longer than the frame holds.
         let mut buf = Vec::with_capacity(64);
-        buf.put_u32(CONTROL_MAGIC);
-        buf.put_u16(CONTROL_VERSION);
-        buf.put_u8(8);
-        buf.put_u16(1);
-        buf.put_u16(50);
-        buf.put_slice(&[0xAB; 10]);
+        open_frame(&mut buf, 8);
+        buf.extend_from_slice(&1u16.to_be_bytes());
+        buf.extend_from_slice(&50u16.to_be_bytes());
+        buf.extend_from_slice(&[0xAB; 10]);
         assert!(matches!(
             decode_control(&sealed(buf)),
             Err(Error::MalformedWire { reason: "truncated batch item", .. })
         ));
         // Declares more batch items than the protocol allows.
         let mut buf = Vec::with_capacity(64);
-        buf.put_u32(CONTROL_MAGIC);
-        buf.put_u16(CONTROL_VERSION);
-        buf.put_u8(8);
-        buf.put_u16((MAX_SNAPSHOT_BATCH + 1) as u16);
+        open_frame(&mut buf, 8);
+        buf.extend_from_slice(&((MAX_SNAPSHOT_BATCH + 1) as u16).to_be_bytes());
         assert!(matches!(
             decode_control(&sealed(buf)),
             Err(Error::MalformedWire { reason: "oversized snapshot batch", .. })
@@ -1725,11 +1730,9 @@ mod tests {
         // Trailing garbage after the declared items: too short to be a
         // trace extension, so the extension parser rejects it.
         let mut buf = Vec::with_capacity(64);
-        buf.put_u32(CONTROL_MAGIC);
-        buf.put_u16(CONTROL_VERSION);
-        buf.put_u8(8);
-        buf.put_u16(0);
-        buf.put_u8(0xCC);
+        open_frame(&mut buf, 8);
+        buf.extend_from_slice(&0u16.to_be_bytes());
+        buf.push(0xCC);
         assert!(matches!(
             decode_control(&sealed(buf)),
             Err(Error::MalformedWire { reason: "trace extension length mismatch", .. })
@@ -1739,10 +1742,8 @@ mod tests {
     #[test]
     fn swap_frame_rejects_oversized_declared_length() {
         let mut buf = Vec::with_capacity(64);
-        buf.put_u32(CONTROL_MAGIC);
-        buf.put_u16(CONTROL_VERSION);
-        buf.put_u8(10); // SwapModel
-        buf.put_u32((MAX_MODEL_JSON + 1) as u32);
+        open_frame(&mut buf, 10); // SwapModel
+        buf.extend_from_slice(&((MAX_MODEL_JSON + 1) as u32).to_be_bytes());
         seal(&mut buf);
         assert!(matches!(
             decode_control(&buf),
@@ -1753,11 +1754,9 @@ mod tests {
     #[test]
     fn swap_frame_rejects_bad_utf8() {
         let mut buf = Vec::with_capacity(64);
-        buf.put_u32(CONTROL_MAGIC);
-        buf.put_u16(CONTROL_VERSION);
-        buf.put_u8(10); // SwapModel
-        buf.put_u32(2);
-        buf.put_slice(&[0xFF, 0xFE]);
+        open_frame(&mut buf, 10); // SwapModel
+        buf.extend_from_slice(&2u32.to_be_bytes());
+        buf.extend_from_slice(&[0xFF, 0xFE]);
         seal(&mut buf);
         assert!(matches!(
             decode_control(&buf),
@@ -1774,12 +1773,10 @@ mod tests {
     #[test]
     fn verdict_batch_rejects_bad_disposition() {
         let mut buf = Vec::with_capacity(64);
-        buf.put_u32(CONTROL_MAGIC);
-        buf.put_u16(CONTROL_VERSION);
-        buf.put_u8(9);
-        buf.put_u16(2);
-        buf.put_u8(1);
-        buf.put_u8(7); // no such disposition
+        open_frame(&mut buf, 9);
+        buf.extend_from_slice(&2u16.to_be_bytes());
+        buf.push(1);
+        buf.push(7); // no such disposition
         seal(&mut buf);
         assert!(matches!(
             decode_control(&buf),
@@ -1814,11 +1811,9 @@ mod tests {
         // A well-checksummed Busy whose payload is longer than the u32
         // hint must fail shape validation, not decode loosely.
         let mut buf = Vec::with_capacity(64);
-        buf.put_u32(CONTROL_MAGIC);
-        buf.put_u16(CONTROL_VERSION);
-        buf.put_u8(12); // Busy
-        buf.put_u32(100);
-        buf.put_u8(0); // trailing garbage
+        open_frame(&mut buf, 12); // Busy
+        buf.extend_from_slice(&100u32.to_be_bytes());
+        buf.push(0); // trailing garbage
         seal(&mut buf);
         assert!(matches!(
             decode_control(&buf),

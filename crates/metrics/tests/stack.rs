@@ -1,13 +1,11 @@
 //! Integration tests of the monitoring stack: threaded gmond daemons,
-//! vmstat augmentation, profiler, filter, and RRD retention working
-//! together — the full Figure 1 "performance profiler" path under real
-//! concurrency.
+//! vmstat augmentation, profiler and filter working together — the full
+//! Figure 1 "performance profiler" path under real concurrency.
 
 use appclass_metrics::aggregator::Aggregator;
 use appclass_metrics::filter::PerformanceFilter;
 use appclass_metrics::gmond::{run_threaded, ConstantSource, Gmond, MetricBus, MetricSource};
 use appclass_metrics::profiler::{PerformanceProfiler, ProfileRequest};
-use appclass_metrics::rrd::RoundRobinArchive;
 use appclass_metrics::vmstat::{VmstatAugmented, VmstatProvider, VmstatReading};
 use appclass_metrics::{MetricFrame, MetricId, NodeId, METRIC_COUNT};
 
@@ -102,26 +100,6 @@ fn threaded_gmonds_with_concurrent_aggregators() {
         assert_eq!(agg1.pool().count_for(NodeId(node)), 200);
         assert_eq!(agg2.pool().count_for(NodeId(node)), 200);
     }
-}
-
-#[test]
-fn rrd_retains_profiled_series_in_constant_space() {
-    // Feed a long profiled series into a Ganglia-default archive.
-    let source = ConstantSource::new(NodeId(1), cpu_frame(55.0));
-    let profiler = PerformanceProfiler::default();
-    let req = ProfileRequest::new(NodeId(1), 0, 20_000).unwrap();
-    let pool = profiler.profile(vec![source], &req).unwrap();
-
-    let mut rrd = RoundRobinArchive::ganglia_default();
-    for snap in pool.filter_node(NodeId(1)) {
-        rrd.record(snap.time, snap.frame.get(MetricId::CpuUser));
-    }
-    // 4000 samples recorded; the raw ring holds its 720-cap, the coarser
-    // levels their own caps.
-    assert_eq!(rrd.level_len(0), 720);
-    assert!(rrd.level_len(1) <= 1_440);
-    assert!((rrd.last(0).unwrap().1 - 55.0).abs() < 1e-9);
-    assert!((rrd.last(1).unwrap().1 - 55.0).abs() < 1e-9, "averaging a constant is the constant");
 }
 
 #[test]

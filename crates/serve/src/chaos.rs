@@ -17,11 +17,11 @@
 //! server survives to serve the next session and the client gets a
 //! typed error (or a clean retry) — never a panic, never a wedge.
 
-use parking_lot::Mutex;
+use crate::lock;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -174,7 +174,7 @@ impl ChaosProxy {
 
     /// The faults injected so far, in uplink order.
     pub fn events(&self) -> Vec<FaultEvent> {
-        self.events.lock().clone()
+        lock(&self.events).clone()
     }
 
     /// Stops accepting, aborts the pumps, and joins the acceptor.
@@ -326,7 +326,7 @@ fn pump_faulty(
                 if rng.gen_unit() < plan.flip_rate {
                     let mask = rng.gen_mask();
                     *byte ^= mask;
-                    events.lock().push(FaultEvent::Flip { offset: offset + i as u64, mask });
+                    lock(events).push(FaultEvent::Flip { offset: offset + i as u64, mask });
                 }
             }
         }
@@ -344,7 +344,7 @@ fn pump_faulty(
         let sent = if split < keep {
             let mut r = send_bytes(&mut to, &chunk[..split], plan.chunk);
             if r.is_ok() {
-                events.lock().push(FaultEvent::Stall { offset: offset + split as u64 });
+                lock(events).push(FaultEvent::Stall { offset: offset + split as u64 });
                 std::thread::sleep(plan.stall);
                 r = send_bytes(&mut to, &chunk[split..keep], plan.chunk);
             }
@@ -357,7 +357,7 @@ fn pump_faulty(
         }
         offset += keep as u64;
         if abort_at.is_some() {
-            events.lock().push(FaultEvent::Rst { offset });
+            lock(events).push(FaultEvent::Rst { offset });
             // Abort both directions with traffic still in flight; the
             // peers see a hard transport failure, not a clean EOF.
             let _ = to.shutdown(Shutdown::Both);

@@ -18,10 +18,10 @@
 //! The feed therefore holds at most the live sessions plus
 //! [`RETIRED_KEPT`] entries, however many sessions a server has served.
 
+use crate::lock;
 use appclass_core::{AppClass, ClassComposition};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Ended sessions whose last verdict the feed keeps; the oldest ended
 /// session's entry is forgotten when one more ends.
@@ -62,7 +62,8 @@ pub struct CompositionFeed {
 
 #[derive(Default)]
 struct FeedState {
-    entries: BTreeMap<u32, FeedEntry>,
+    /// Each session's latest observation, and whether the session ended.
+    entries: BTreeMap<u32, (FeedEntry, bool)>,
     /// Ended sessions that left an entry, oldest first.
     retired: VecDeque<u32>,
 }
@@ -75,7 +76,11 @@ impl CompositionFeed {
 
     /// Publishes (or overwrites) a session's latest observation.
     pub fn publish(&self, entry: FeedEntry) {
-        self.inner.lock().entries.insert(entry.session, entry);
+        lock(&self.inner)
+            .entries
+            .entry(entry.session)
+            .and_modify(|(latest, _)| *latest = entry)
+            .or_insert((entry, false));
     }
 
     /// Marks a session ended. Its last observation stays readable until
@@ -83,9 +88,10 @@ impl CompositionFeed {
     /// A session that never published leaves nothing to keep, and a
     /// session already marked ended keeps its place.
     pub fn retire(&self, session: u32) {
-        let mut state = self.inner.lock();
-        if !state.entries.contains_key(&session) || state.retired.contains(&session) {
-            return;
+        let mut state = lock(&self.inner);
+        match state.entries.get_mut(&session) {
+            Some((_, ended)) if !*ended => *ended = true,
+            _ => return,
         }
         state.retired.push_back(session);
         if state.retired.len() > RETIRED_KEPT {
@@ -97,33 +103,33 @@ impl CompositionFeed {
 
     /// The latest observation for one session.
     pub fn get(&self, session: u32) -> Option<FeedEntry> {
-        self.inner.lock().entries.get(&session).copied()
+        lock(&self.inner).entries.get(&session).map(|&(entry, _)| entry)
     }
 
     /// A point-in-time copy of every session's latest observation, in
     /// session-id order.
     pub fn entries(&self) -> Vec<FeedEntry> {
-        self.inner.lock().entries.values().copied().collect()
+        lock(&self.inner).entries.values().map(|&(entry, _)| entry).collect()
     }
 
     /// Number of sessions with an observation.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        lock(&self.inner).entries.len()
     }
 
     /// True when no session has published yet.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().entries.is_empty()
+        lock(&self.inner).entries.is_empty()
     }
 
     /// Forgets one session (e.g. after its VM is torn down).
     pub fn remove(&self, session: u32) -> Option<FeedEntry> {
-        self.inner.lock().entries.remove(&session)
+        lock(&self.inner).entries.remove(&session).map(|(entry, _)| entry)
     }
 
     /// Forgets everything.
     pub fn clear(&self) {
-        let mut state = self.inner.lock();
+        let mut state = lock(&self.inner);
         state.entries.clear();
         state.retired.clear();
     }
@@ -192,5 +198,23 @@ mod tests {
         feed.retire(last + 2);
         assert!(feed.get(4).is_some());
         assert_eq!(feed.len(), RETIRED_KEPT + 1);
+    }
+
+    #[test]
+    fn a_panic_while_holding_the_lock_leaves_the_feed_usable() {
+        let feed = CompositionFeed::new();
+        feed.publish(entry(1, AppClass::Cpu));
+        let held = std::panic::catch_unwind(|| {
+            let _guard = feed.inner.lock().unwrap();
+            panic!("poisons the feed's lock");
+        });
+        assert!(held.is_err() && feed.inner.is_poisoned());
+        feed.publish(entry(2, AppClass::Io));
+        feed.retire(1);
+        feed.retire(1);
+        assert_eq!(feed.get(1).unwrap().class, AppClass::Cpu);
+        let sessions: Vec<u32> = feed.entries().iter().map(|e| e.session).collect();
+        assert_eq!(sessions, vec![1, 2]);
+        assert_eq!(lock(&feed.inner).retired, [1]);
     }
 }

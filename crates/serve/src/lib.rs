@@ -64,3 +64,14 @@ pub use retry::{connect_with_retry, BreakerState, CircuitBreaker, RetryPolicy, R
 pub use session::SessionConfig;
 pub use shard::{ServerConfig, ShardServer};
 pub use stats::{LatencyHistogram, ServerStats, SessionOutcome};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex` even when a thread panicked while holding it. Every
+/// update to the values these locks guard (a flag, the served model, the
+/// overload state, the composition feed, the chaos proxy's event log)
+/// leaves them valid at every step, so one failed thread must not stop
+/// the server or the proxy from using them.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

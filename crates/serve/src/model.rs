@@ -14,10 +14,10 @@
 //! [`ModelSlot::accepts`] admits the wildcard `0`, the current id, and
 //! the immediately-previous id (until the *next* swap retires it).
 
+use crate::lock;
 use appclass_core::ClassifierPipeline;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The served pipeline plus the bookkeeping that makes swapping it safe
 /// to observe without a lock: fingerprints and the generation epoch are
@@ -47,7 +47,7 @@ impl ModelSlot {
     /// A handle on the currently-served pipeline. Sessions pin this for
     /// one generation; a concurrent swap never invalidates it.
     pub fn current(&self) -> Arc<ClassifierPipeline> {
-        Arc::clone(&self.pipeline.lock())
+        Arc::clone(&lock(&self.pipeline))
     }
 
     /// Fingerprint of the currently-served model.
@@ -82,7 +82,7 @@ impl ModelSlot {
     /// version never churns sessions.
     pub fn swap(&self, new: Arc<ClassifierPipeline>) -> (u64, u64) {
         let new_id = new.model_id();
-        let mut guard = self.pipeline.lock();
+        let mut guard = lock(&self.pipeline);
         let old_id = self.current_id.load(Ordering::SeqCst);
         if new_id == old_id {
             return (old_id, old_id);
@@ -128,6 +128,22 @@ mod tests {
         assert_eq!(slot.prev_id(), ida);
         assert_eq!(slot.epoch(), 1);
         assert_eq!(slot.current().model_id(), idb);
+    }
+
+    #[test]
+    fn a_panic_while_holding_the_lock_leaves_the_slot_usable() {
+        let a = Arc::new(trained(80.0));
+        let b = Arc::new(trained(60.0));
+        let slot = ModelSlot::new(Arc::clone(&a));
+        let held = std::panic::catch_unwind(|| {
+            let _guard = slot.pipeline.lock().unwrap();
+            panic!("poisons the slot's lock");
+        });
+        assert!(held.is_err() && slot.pipeline.is_poisoned());
+        assert_eq!(slot.current().model_id(), a.model_id());
+        assert_eq!(slot.swap(Arc::clone(&b)), (a.model_id(), b.model_id()));
+        assert_eq!(slot.current().model_id(), b.model_id());
+        assert_eq!(slot.epoch(), 1);
     }
 
     #[test]

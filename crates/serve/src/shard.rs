@@ -40,6 +40,7 @@
 
 use crate::error::{Result, ServeError};
 use crate::feed::CompositionFeed;
+use crate::lock;
 use crate::model::ModelSlot;
 use crate::overload::{OverloadMachine, OverloadState};
 use crate::poll::{PollSet, Waker};
@@ -49,12 +50,11 @@ use crate::stats::ServerStats;
 use appclass_core::ClassifierPipeline;
 use appclass_metrics::{ByeReason, ControlFrame};
 use appclass_obs::{Counter, Gauge, Histogram, Observability};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use parking_lot::Mutex;
 use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -333,7 +333,7 @@ impl ShardServer {
         let mut txs = Vec::with_capacity(nshards);
         let mut shards = Vec::with_capacity(nshards);
         for index in 0..nshards {
-            let (tx, rx) = unbounded::<TcpStream>();
+            let (tx, rx) = mpsc::channel::<TcpStream>();
             txs.push(tx);
             let shared = Arc::clone(&shared);
             shards.push(std::thread::spawn(move || shard_loop(&shared, index, &rx)));
@@ -409,9 +409,10 @@ impl ShardServer {
         for waker in &shared.shard_wakers {
             waker.wake();
         }
-        // Returns early only on a poisoned lock, which nothing that holds
-        // it can cause: it guards a bool that is only ever set.
-        drop(shared.acceptor_exited.wait_while(shared.acceptor_done.lock(), |done| !*done));
+        // Returns early only on a poisoned lock, and only the acceptor's
+        // exit, unwinding from a panic, can poison it: after it set the
+        // flag.
+        drop(shared.acceptor_exited.wait_while(lock(&shared.acceptor_done), |done| !*done));
     }
 
     /// Waits for the acceptor and every shard, then merges the
@@ -461,7 +462,7 @@ impl Drop for ShardServer {
 fn update_overload(shared: &ShardShared) -> OverloadState {
     let depth =
         shared.in_flight.load(Ordering::SeqCst).saturating_sub(shared.config.max_sessions.max(1));
-    let (state, entered_shedding) = shared.overload.lock().update(depth);
+    let (state, entered_shedding) = lock(&shared.overload).update(depth);
     shared.queue_depth_gauge.set(depth as f64);
     shared.overload_gauge.set(state.gauge_value());
     if entered_shedding {
@@ -500,7 +501,7 @@ impl Drop for AcceptorExit<'_> {
         for waker in &self.shared.shard_wakers {
             waker.wake();
         }
-        *self.shared.acceptor_done.lock() = true;
+        *lock(&self.shared.acceptor_done) = true;
         self.shared.acceptor_exited.notify_all();
     }
 }

@@ -9,13 +9,15 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Every root-workspace step runs `--locked`: a Cargo.lock that no longer
+# matches the manifests fails the gate instead of being rewritten.
 echo "== cargo build --release =="
-cargo build --release
+cargo build --release --locked
 
 echo "== cargo test --workspace -q =="
 # Every crate's tests, not only the root package's: the codec, serving,
 # core and vendored-shim suites live under crates/*.
-cargo test --workspace -q
+cargo test --workspace -q --locked
 
 echo "== perfbench tests =="
 # The benchmark (perfbench/, a Cargo package of its own) builds the crates
@@ -28,12 +30,12 @@ cargo test --release --manifest-path perfbench/Cargo.toml
 # Every target: tests, benches and examples as well as the libraries
 # and binaries.
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets --locked -- -D warnings
 
 echo "== cargo doc --workspace --no-deps (warnings denied) =="
 # Broken or ambiguous intra-doc links fail here, so a deleted item
 # cannot leave links to it behind.
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
 
 echo "== cargo fmt --check =="
 cargo fmt --check
@@ -42,7 +44,7 @@ echo "== compile the criterion benches =="
 # clippy above type-checks crates/bench/benches/*; this step also builds
 # and links them in the bench profile, exactly as `cargo bench` runs
 # them.
-cargo bench --workspace --no-run
+cargo bench --workspace --no-run --locked
 
 # Prints the address a server announced in its log ($1), waiting up to
 # 10 s for the "listening on" line; fails if it never appears.
