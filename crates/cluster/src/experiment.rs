@@ -22,7 +22,7 @@
 
 use crate::controller::{ClusterController, ControllerConfig};
 use crate::engine::{placement_order, HostSpec, PlacementEngine};
-use crate::policy::{ClassAwarePolicy, OraclePolicy, PlacementPolicy, RandomPolicy};
+use crate::policy::{ClassAwarePolicy, PlacementPolicy, RandomPolicy};
 use appclass_core::online::OnlineClassifier;
 use appclass_core::{AppClass, ClassComposition, ClassifierPipeline, PipelineConfig};
 use appclass_linalg::Matrix;
@@ -215,8 +215,6 @@ pub fn sched_cluster_with_obs(
     } else {
         PlacementEngine::with_energy_weight(cfg.energy_weight)
     };
-    let mut aware = ClassAwarePolicy::new(engine);
-    let mut oracle = OraclePolicy::new(engine);
 
     // A single random draw is a coin flip — it occasionally stumbles into
     // a near-optimal packing. The honest baseline is the policy's
@@ -241,8 +239,14 @@ pub fn sched_cluster_with_obs(
         migrations: 0,
         unfinished,
     };
+    // The class-aware and oracle fleets run one policy; only the
+    // compositions it is fed differ.
+    let mut aware = ClassAwarePolicy::new(engine);
     let aware_out = run_fleet(&specs, &plans, cfg, engine, &mut aware, |p| p.observed, true, obs);
-    let oracle_out = run_fleet(&specs, &plans, cfg, engine, &mut oracle, |p| p.truth, true, None);
+    let oracle_out = PolicyOutcome {
+        policy: "oracle".to_string(),
+        ..run_fleet(&specs, &plans, cfg, engine, &mut aware, |p| p.truth, true, None)
+    };
 
     let gain_over_random = aware_out.jobs_per_day / random_out.jobs_per_day;
     let regret_vs_oracle =

@@ -7,17 +7,17 @@
 //! claim to a simulated datacenter and — unlike the paper's experiment —
 //! keeps the *classifier* in the loop instead of assuming ground truth:
 //!
-//! * [`engine`] — the [`PlacementEngine`]: §4.4's cost model generalized
-//!   from three fixed dual-CPU machines to N-core hosts with arbitrary
-//!   per-resource capacities, scoring candidate placements of VMs known
-//!   only by their observed five-class compositions, with an optional
-//!   energy-aware consolidation term. Its CPU/IO/NET demand profiles are
-//!   shared with `appclass-sched`'s schedule predictor, so the two can
-//!   never drift.
-//! * [`policy`] — placement policies bracketing the experiment space:
-//!   seeded [`RandomPolicy`], greedy [`ClassAwarePolicy`] over observed
-//!   compositions, and the ground-truth-fed [`OraclePolicy`] upper
-//!   bound.
+//! * [`engine`] — the [`PlacementEngine`], the repository's one
+//!   contention model: §4.4's cost model generalized from three fixed
+//!   dual-CPU machines to N-core hosts with arbitrary per-resource
+//!   capacities, scoring candidate placements of VMs known only by their
+//!   observed five-class compositions, with an optional energy-aware
+//!   consolidation term. On the paper's nine-job instance it reduces to
+//!   the closed-form §5.2 slowdown and picks `{(SPN),(SPN),(SPN)}`.
+//! * [`policy`] — the two placement policies bracketing the experiment
+//!   space: seeded [`RandomPolicy`] and greedy [`ClassAwarePolicy`],
+//!   which is also the oracle upper bound when fed ground-truth
+//!   compositions.
 //! * [`controller`] — the [`ClusterController`]: hundreds of simulated
 //!   [`Host`](appclass_sim::host::Host)s ticking in lockstep, beliefs
 //!   ingested from live serve-stack
@@ -48,4 +48,4 @@ pub use experiment::{
     sched_cluster, sched_cluster_with_obs, train_cluster_pipeline, training_runs, truth_class,
     ExperimentConfig, ExperimentResult, PolicyOutcome,
 };
-pub use policy::{ClassAwarePolicy, OraclePolicy, PlacementPolicy, RandomPolicy};
+pub use policy::{ClassAwarePolicy, PlacementPolicy, RandomPolicy};

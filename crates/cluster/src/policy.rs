@@ -1,17 +1,16 @@
 //! Placement policies: who decides which host a VM boots on.
 //!
-//! Three policies bracket the experiment space the way the paper's
+//! Two policies bracket the experiment space the way the paper's
 //! Figure 4 brackets schedules:
 //!
 //! * [`RandomPolicy`] — the naive baseline: any host with a free slot,
 //!   uniformly at random (seeded, so runs replay bit-identically).
 //! * [`ClassAwarePolicy`] — the paper's loop closed: greedy argmin of the
-//!   [`PlacementEngine`] score, fed whatever composition the *observed*
-//!   telemetry produced. Misclassification flows straight into placement
-//!   quality, which is the point.
-//! * [`OraclePolicy`] — the same greedy argmin fed ground-truth
-//!   compositions by the experiment driver: the upper bound that isolates
-//!   how much of the remaining gap is the classifier's fault.
+//!   [`PlacementEngine`] score over the compositions it is given. Fed
+//!   what the *observed* telemetry produced, misclassification flows
+//!   straight into placement quality, which is the point; fed
+//!   ground-truth compositions, the same policy is the oracle upper
+//!   bound the experiment driver measures that gap against.
 
 use crate::engine::{HostSpec, PlacementEngine};
 use appclass_core::ClassComposition;
@@ -69,7 +68,8 @@ impl PlacementPolicy for RandomPolicy {
     }
 }
 
-/// Greedy engine-score placement over *observed* compositions.
+/// Greedy engine-score placement over believed compositions: observed
+/// ones in the class-aware fleet, ground truth in the oracle fleet.
 #[derive(Debug, Clone, Default)]
 pub struct ClassAwarePolicy {
     engine: PlacementEngine,
@@ -79,11 +79,6 @@ impl ClassAwarePolicy {
     /// A class-aware policy scoring with `engine`.
     pub fn new(engine: PlacementEngine) -> Self {
         ClassAwarePolicy { engine }
-    }
-
-    /// The engine this policy scores with.
-    pub fn engine(&self) -> &PlacementEngine {
-        &self.engine
     }
 }
 
@@ -110,33 +105,6 @@ impl PlacementPolicy for ClassAwarePolicy {
             }
         }
         best.map(|(i, _)| i)
-    }
-}
-
-/// The same greedy argmin as [`ClassAwarePolicy`], under a name that
-/// signals the driver feeds it ground-truth compositions.
-#[derive(Debug, Clone, Default)]
-pub struct OraclePolicy(ClassAwarePolicy);
-
-impl OraclePolicy {
-    /// An oracle policy scoring with `engine`.
-    pub fn new(engine: PlacementEngine) -> Self {
-        OraclePolicy(ClassAwarePolicy::new(engine))
-    }
-}
-
-impl PlacementPolicy for OraclePolicy {
-    fn name(&self) -> &'static str {
-        "oracle"
-    }
-
-    fn place(
-        &mut self,
-        candidate: ClassComposition,
-        hosts: &[Vec<ClassComposition>],
-        spec: &HostSpec,
-    ) -> Option<usize> {
-        self.0.place(candidate, hosts, spec)
     }
 }
 
@@ -210,16 +178,5 @@ mod tests {
         assert_eq!(run(9), run(9));
         // 4 hosts × 3 slots = 12 VMs: a full pack must always succeed.
         assert_eq!(run(10).len(), 12);
-    }
-
-    #[test]
-    fn oracle_places_like_class_aware() {
-        let spec = HostSpec::paper();
-        let hosts = vec![vec![pure(AppClass::Net)], vec![pure(AppClass::Io), pure(AppClass::Io)]];
-        let mut oracle = OraclePolicy::default();
-        let mut aware = ClassAwarePolicy::default();
-        let comp = pure(AppClass::Io);
-        assert_eq!(oracle.place(comp, &hosts, &spec), aware.place(comp, &hosts, &spec));
-        assert_eq!(oracle.name(), "oracle");
     }
 }

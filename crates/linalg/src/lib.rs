@@ -5,8 +5,7 @@
 //! pipeline needs, written from scratch:
 //!
 //! * [`Matrix`] — a row-major dense `f64` matrix with the usual structural
-//!   and arithmetic operations, including a work-stealing parallel matrix
-//!   multiply for large inputs.
+//!   and arithmetic operations.
 //! * [`eigen`] — a cyclic Jacobi eigensolver for real symmetric matrices
 //!   (exactly what PCA needs: the scatter/covariance matrix is symmetric
 //!   positive semi-definite), plus power iteration used as an independent

@@ -28,10 +28,6 @@ pub struct Matrix {
     data: Vec<f64>,
 }
 
-/// Minimum total number of multiply-adds before [`Matrix::matmul`] switches
-/// to the multi-threaded path. Below this, thread spawn overhead dominates.
-const PAR_MATMUL_THRESHOLD: usize = 64 * 64 * 64;
-
 impl Matrix {
     /// Creates a `rows x cols` matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
@@ -243,8 +239,7 @@ impl Matrix {
     /// Matrix multiplication `self * rhs`.
     ///
     /// Uses an `i-k-j` loop order so the inner loop streams over contiguous
-    /// rows of both operands, and spreads the output rows over scoped
-    /// threads when the problem is large enough to amortize thread startup.
+    /// rows of both operands.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         let mut out = Matrix::zeros(0, 0);
         self.matmul_into(rhs, &mut out)?;
@@ -263,38 +258,12 @@ impl Matrix {
             });
         }
         out.resize(self.rows, rhs.cols);
-        let work = self.rows * self.cols * rhs.cols;
-        if work >= PAR_MATMUL_THRESHOLD && self.rows > 1 {
-            let n_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-            let n_threads = n_threads.min(self.rows).max(1);
-            let chunk = self.rows.div_ceil(n_threads);
-            let cols = self.cols;
-            let rcols = rhs.cols;
-            std::thread::scope(|s| {
-                for (t, out_chunk) in out.data.chunks_mut(chunk * rcols).enumerate() {
-                    let lhs = &self.data;
-                    let rdata = &rhs.data;
-                    s.spawn(move || {
-                        let row0 = t * chunk;
-                        for (local_i, out_row) in out_chunk.chunks_mut(rcols).enumerate() {
-                            let i = row0 + local_i;
-                            let a_row = &lhs[i * cols..(i + 1) * cols];
-                            for (k, &aik) in a_row.iter().enumerate() {
-                                let b_row = &rdata[k * rcols..(k + 1) * rcols];
-                                vector::axpy(aik, b_row, out_row);
-                            }
-                        }
-                    });
-                }
-            });
-        } else {
-            for i in 0..self.rows {
-                let a_row = self.row(i);
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (k, &aik) in a_row.iter().enumerate() {
-                    let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                    vector::axpy(aik, b_row, out_row);
-                }
+        for i in 0..self.rows {
+            let a_row = self.row(i);
+            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
+            for (k, &aik) in a_row.iter().enumerate() {
+                let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
+                vector::axpy(aik, b_row, out_row);
             }
         }
         Ok(())
@@ -536,7 +505,8 @@ mod tests {
 
     #[test]
     fn parallel_matmul_matches_serial() {
-        // Big enough to cross PAR_MATMUL_THRESHOLD.
+        // A product far larger than the classifier's n×8 · 8×2, checked
+        // against the naive triple loop.
         let n = 80;
         let a =
             Matrix::from_vec(n, n, (0..n * n).map(|i| (i % 17) as f64 - 8.0).collect()).unwrap();

@@ -154,7 +154,8 @@ proptest! {
 
     #[test]
     fn parallel_matmul_equals_naive(a in matrix(70, 70)) {
-        // Exceeds the parallel threshold (70³ > 64³).
+        // A large product (70³ multiply-adds) against the naive dot-product
+        // reference.
         let b = a.transpose();
         let fast = a.matmul(&b).unwrap();
         let mut naive = Matrix::zeros(70, 70);

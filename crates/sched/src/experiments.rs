@@ -1,10 +1,10 @@
 //! The §5.2 experiment drivers: Figure 4, Figure 5 and Table 4.
 //!
-//! Each driver runs the actual host simulator (not the analytic predictor)
-//! and returns typed rows, so the examples and benches print exactly the
-//! series the paper reports.
+//! Each driver runs the actual host simulator (not a closed-form
+//! contention model) and returns typed rows, so the CLI and benches print
+//! exactly the series the paper reports.
 
-use crate::schedule::{all_schedules, JobType, MachineMix, Schedule};
+use crate::schedule::{enumerate_schedules, JobType, MachineMix, Schedule};
 use appclass_metrics::NodeId;
 use appclass_sim::host::Host;
 use appclass_sim::vm::{VirtualMachine, VmConfig};
@@ -164,7 +164,7 @@ impl Fig4Result {
 /// Runs every schedule once — the measurement both figures are derived
 /// from.
 pub fn run_all_schedules(seed: u64) -> Vec<ScheduleOutcome> {
-    all_schedules()
+    enumerate_schedules()
         .iter()
         .enumerate()
         .map(|(i, s)| run_schedule(s, seed.wrapping_add(i as u64 * 17)))
@@ -241,12 +241,6 @@ pub fn app_throughput(outcome: &ScheduleOutcome, app: JobType) -> f64 {
         .filter(|(t, _)| *t == app)
         .map(|&(_, secs)| 86_400.0 / secs as f64)
         .sum()
-}
-
-/// Runs all ten schedules and assembles Figure 5. To get both figures
-/// from a single simulation pass, use [`figure4_and_5`].
-pub fn figure5(seed: u64) -> Vec<Fig5Row> {
-    figure5_from(&run_all_schedules(seed))
 }
 
 /// Assembles Figure 5 from schedule outcomes.
@@ -364,7 +358,7 @@ mod tests {
         let slow = Capacity { cpu_cores: 1.5, ..Capacity::paper_host() };
         let fast = Capacity::paper_host();
         let caps = [slow, fast, fast];
-        let schedules = crate::schedule::enumerate_schedules();
+        let schedules = enumerate_schedules();
         let same_class = run_schedule_with(&schedules[0], caps, 3);
         let diverse = run_schedule_with(schedules.last().unwrap(), caps, 3);
         assert!(

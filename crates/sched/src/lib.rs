@@ -11,26 +11,19 @@
 //!
 //! * [`schedule`] — job types, machine mixes, and the enumeration of the
 //!   ten schedules of Figure 4.
-//! * [`contention`] — an analytic throughput predictor over class mixes
-//!   (what a scheduler can evaluate without running anything).
-//! * [`policy`] — scheduling policies: random (class-blind), class-aware
-//!   (max-diversity), and an oracle that simulates every schedule.
 //! * [`experiments`] — the drivers that regenerate Figure 4, Figure 5 and
-//!   Table 4 as typed rows.
-//! * [`search`] — greedy + local-search placement for instances too big
-//!   to enumerate, driven by the same predictor.
-//! * [`dynamic`] — beyond the paper: class-aware placement of a *stream*
-//!   of arriving jobs, the setting §4.3's application database exists for.
+//!   Table 4 as typed rows by running the host simulator.
+//!
+//! Placement *decisions* live in `appclass-cluster`: its
+//! `PlacementEngine` is the repository's one contention model, and its
+//! `ClassAwarePolicy` picks `{(SPN),(SPN),(SPN)}` on this instance
+//! (`tests/scheduling_shapes.rs` checks it against Figure 4's measured
+//! winner).
 
 #![warn(missing_docs)]
 
-pub mod contention;
-pub mod dynamic;
 pub mod experiments;
-pub mod policy;
 pub mod schedule;
-pub mod search;
 
-pub use experiments::{figure4, figure5, table4, Fig4Row, Fig5Row, Table4Result};
-pub use policy::{ClassAwarePolicy, OraclePolicy, RandomPolicy, SchedulingPolicy};
-pub use schedule::{all_schedules, enumerate_schedules, JobType, MachineMix, Schedule};
+pub use experiments::{figure4, table4, Fig4Row, Fig5Row, Table4Result};
+pub use schedule::{enumerate_schedules, JobType, MachineMix, Schedule};

@@ -51,20 +51,6 @@ impl MachineMix {
         }
     }
 
-    /// Total jobs (always 3).
-    pub fn total(&self) -> u8 {
-        self.s + self.p + self.n
-    }
-
-    /// Count for one job type.
-    pub fn count(&self, t: JobType) -> u8 {
-        match t {
-            JobType::S => self.s,
-            JobType::P => self.p,
-            JobType::N => self.n,
-        }
-    }
-
     /// Number of distinct job classes on the machine (1–3); 3 is the
     /// maximally diverse `(SPN)` mix.
     pub fn diversity(&self) -> u8 {
@@ -160,15 +146,6 @@ pub fn enumerate_schedules() -> Vec<Schedule> {
     v
 }
 
-/// The cached schedule enumeration: computed once per process, shared by
-/// the Figure 4/5 experiment drivers, the policy candidate set, and the
-/// cluster placement engine. [`enumerate_schedules`] re-derives the set on
-/// every call; callers on repeated paths should borrow this slice instead.
-pub fn all_schedules() -> &'static [Schedule] {
-    static SCHEDULES: std::sync::OnceLock<Vec<Schedule>> = std::sync::OnceLock::new();
-    SCHEDULES.get_or_init(enumerate_schedules)
-}
-
 /// Ordering wrapper so schedules can live in a BTreeSet.
 #[derive(PartialEq, Eq)]
 struct SortableSchedule(Schedule);
@@ -194,14 +171,6 @@ mod tests {
     fn exactly_ten_schedules() {
         let all = enumerate_schedules();
         assert_eq!(all.len(), 10, "the paper's Figure 4 lists ten schedules");
-    }
-
-    #[test]
-    fn cached_enumeration_matches_and_is_shared() {
-        assert_eq!(all_schedules().len(), 10, "cached enumeration must pin ten schedules");
-        assert_eq!(all_schedules(), enumerate_schedules().as_slice());
-        // The cache hands back the same allocation every time.
-        assert!(std::ptr::eq(all_schedules(), all_schedules()));
     }
 
     #[test]
@@ -239,7 +208,6 @@ mod tests {
         let m = MachineMix::new(2, 1, 0).unwrap();
         assert_eq!(m.diversity(), 2);
         assert_eq!(m.jobs(), vec![JobType::S, JobType::S, JobType::P]);
-        assert_eq!(m.count(JobType::S), 2);
         assert_eq!(m.to_string(), "(SSP)");
     }
 

@@ -1,13 +1,15 @@
 //! The paper's results, pinned bit for bit.
 //!
 //! `tests/golden/paper_seed42.txt` is the stdout of `appclass table3`,
-//! `fig4`, `fig5` and `table4` at `--seed 42`, concatenated. It is
+//! `fig4`, `fig5` and `table4` at `--seed 42`, followed by the placement
+//! experiment `appclass sched-cluster --hosts 16 --seed 42`. It is
 //! produced by this shell line, run from the repository root, and by
 //! nothing else:
 //!
 //! ```sh
-//! cargo build --release && for a in table3 fig4 fig5 table4; do
-//!     target/release/appclass $a --seed 42; done > tests/golden/paper_seed42.txt
+//! cargo build --release && B=target/release/appclass && {
+//!     for a in table3 fig4 fig5 table4; do $B $a --seed 42; done
+//!     $B sched-cluster --hosts 16 --seed 42; } > tests/golden/paper_seed42.txt
 //! ```
 //!
 //! A change that moves a number or a verdict in it reruns that line in
@@ -18,6 +20,15 @@
 use std::process::Command;
 
 const GOLDEN: &str = include_str!("golden/paper_seed42.txt");
+
+/// The commands whose stdout the golden file concatenates, in order.
+const RUNS: [&[&str]; 5] = [
+    &["table3", "--seed", "42"],
+    &["fig4", "--seed", "42"],
+    &["fig5", "--seed", "42"],
+    &["table4", "--seed", "42"],
+    &["sched-cluster", "--hosts", "16", "--seed", "42"],
+];
 
 /// The first line (1-based) where `want` and `got` differ, with both
 /// sides; `None` if they are equal line for line.
@@ -34,14 +45,13 @@ fn first_difference<'a>(
 #[test]
 fn paper_results_match_the_golden_file() {
     let mut got = String::new();
-    for artefact in ["table3", "fig4", "fig5", "table4"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_appclass"))
-            .args([artefact, "--seed", "42"])
-            .output()
-            .expect("run appclass");
+    for args in RUNS {
+        let out =
+            Command::new(env!("CARGO_BIN_EXE_appclass")).args(args).output().expect("run appclass");
         assert!(
             out.status.success(),
-            "appclass {artefact} failed: {}",
+            "appclass {} failed: {}",
+            args.join(" "),
             String::from_utf8_lossy(&out.stderr)
         );
         got.push_str(&String::from_utf8(out.stdout).expect("appclass prints UTF-8"));

@@ -1,7 +1,62 @@
-//! Integration test: the §5.2 scheduling results hold in shape.
+//! Integration test: the §5.2 scheduling results hold in shape, and the
+//! cluster placement engine — the repository's one contention model —
+//! ranks and places the paper's jobs the way the simulator measures them.
 
-use appclass::sched::experiments::{app_throughput, figure4, run_schedule, table4};
-use appclass::sched::{enumerate_schedules, ClassAwarePolicy, JobType, SchedulingPolicy};
+use appclass::cluster::{
+    class_solo_secs, placement_order, ClassAwarePolicy, HostSpec, PlacementEngine, PlacementPolicy,
+};
+use appclass::core::{AppClass, ClassComposition};
+use appclass::sched::experiments::{app_throughput, figure4, run_machine, run_schedule, table4};
+use appclass::sched::{enumerate_schedules, JobType, MachineMix, Schedule};
+use AppClass::{Cpu, Io, Net};
+
+fn pure(class: AppClass) -> ClassComposition {
+    ClassComposition::from_labels(&[class])
+}
+
+fn class_of(t: JobType) -> AppClass {
+    match t {
+        JobType::S => Cpu,
+        JobType::P => Io,
+        JobType::N => Net,
+    }
+}
+
+/// A host's pure CPU/IO/NET jobs as a §5.2 machine mix.
+fn machine_mix(classes: &[AppClass]) -> MachineMix {
+    let count = |class| classes.iter().filter(|&&c| c == class).count() as u8;
+    MachineMix::new(count(Cpu), count(Io), count(Net)).expect("three jobs per host")
+}
+
+/// Places pure-class jobs on `hosts` paper hosts the way `sched_cluster`
+/// does: hardest first (`placement_order`), each by the class-aware
+/// policy. Returns every host's classes.
+fn place_hardest_first(jobs: &[AppClass], hosts: usize) -> Vec<Vec<AppClass>> {
+    let spec = HostSpec::paper();
+    let comps: Vec<ClassComposition> = jobs.iter().map(|&c| pure(c)).collect();
+    let mut policy = ClassAwarePolicy::new(PlacementEngine::new());
+    let mut placed: Vec<Vec<ClassComposition>> = vec![Vec::new(); hosts];
+    let mut classes = vec![Vec::new(); hosts];
+    for i in placement_order(&comps, &spec.capacity) {
+        let host = policy.place(comps[i], &placed, &spec).expect("hosts × slots fit every job");
+        placed[host].push(comps[i]);
+        classes[host].push(jobs[i]);
+    }
+    classes
+}
+
+/// The engine's predicted makespan of one machine: its slowest job's
+/// solo runtime times its predicted slowdown.
+fn predicted_machine_makespan(mix: &MachineMix) -> f64 {
+    let classes: Vec<AppClass> = mix.jobs().into_iter().map(class_of).collect();
+    let comps: Vec<ClassComposition> = classes.iter().map(|&c| pure(c)).collect();
+    let slowdowns = PlacementEngine::new().per_vm_slowdowns(&comps, &HostSpec::paper().capacity);
+    classes
+        .iter()
+        .zip(slowdowns)
+        .map(|(&c, slow)| class_solo_secs(c).expect("CPU, IO and NET jobs finish") * slow)
+        .fold(0.0, f64::max)
+}
 
 #[test]
 fn figure4_class_aware_schedule_wins() {
@@ -75,13 +130,59 @@ fn table4_shape() {
 fn class_aware_policy_picks_measured_winner() {
     // The policy's choice (made without simulation) coincides with the
     // measured best schedule — the point of the whole paper.
-    let candidates = enumerate_schedules();
-    let choice = ClassAwarePolicy.choose(&candidates);
+    let hosts = place_hardest_first(&[[Cpu; 3], [Io; 3], [Net; 3]].concat(), 3);
+    let choice = Schedule::new(std::array::from_fn(|h| machine_mix(&hosts[h])))
+        .expect("three of each class on three hosts");
     let fig4 = figure4(3);
     let best = fig4
         .rows
         .iter()
         .max_by(|a, b| a.throughput_jobs_per_day.partial_cmp(&b.throughput_jobs_per_day).unwrap())
         .unwrap();
-    assert_eq!(choice.to_string(), best.label);
+    assert_eq!(choice.to_string(), best.label, "hosts {hosts:?}");
+}
+
+#[test]
+fn class_aware_placement_diversifies_every_host_at_scale() {
+    // 27 jobs on nine hosts, arriving interleaved, past where enumerating
+    // schedules is practical. Ordering matters: placed in arrival order,
+    // greedy pairs two CPU jobs that do not contend yet on a dual-core
+    // host and leaves a same-class pile.
+    let jobs: Vec<AppClass> = (0..9).flat_map(|_| [Cpu, Io, Net]).collect();
+    let spn = MachineMix::new(1, 1, 1).unwrap();
+    for (h, classes) in place_hardest_first(&jobs, 9).iter().enumerate() {
+        assert_eq!(machine_mix(classes), spn, "host {h} holds {classes:?}");
+    }
+}
+
+#[test]
+fn engine_ranks_the_diverse_schedule_first() {
+    let mut ranked: Vec<(f64, Schedule)> = enumerate_schedules()
+        .into_iter()
+        .map(|s| {
+            let worst = s.machines().iter().map(predicted_machine_makespan).fold(0.0, f64::max);
+            (worst, s)
+        })
+        .collect();
+    ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+    assert!(ranked[0].1.is_fully_diverse(), "the engine must rank {{(SPN)x3}} first: {ranked:?}");
+    assert!(ranked[0].0 < ranked[1].0, "and strictly: {ranked:?}");
+}
+
+#[test]
+fn engine_tracks_the_simulator_on_three_of_a_kind() {
+    // The engine's CPU/IO/NET demand rows mirror the workload models by
+    // hand; if a workload is recalibrated, this drift check fails until
+    // the rows follow.
+    for t in JobType::ALL {
+        let three = |u: JobType| 3 * (u == t) as u8;
+        let mix = MachineMix::new(three(JobType::S), three(JobType::P), three(JobType::N)).unwrap();
+        let predicted = predicted_machine_makespan(&mix);
+        let measured = run_machine(&mix, 9).makespan_secs as f64;
+        let ratio = measured / predicted;
+        assert!(
+            (0.55..=1.8).contains(&ratio),
+            "{t:?}: engine {predicted:.0}s vs simulator {measured}s"
+        );
+    }
 }
