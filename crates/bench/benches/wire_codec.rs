@@ -8,9 +8,14 @@
 //! `decode` verifies the envelope and checksum with
 //! `decode_control_borrowed` and then decodes every datagram, as the
 //! server does before the frame guard sees them. `ingest` is the
-//! server's whole request path without the sockets: `decode` into a
-//! reused snapshot vector, then `push_batch_guarded` (guard admission,
-//! the three classifier stages and the vote) on a warm classifier.
+//! server's whole request path without the sockets for an untraced
+//! request: `decode` into a reused snapshot vector, then
+//! `push_batch_guarded` (guard admission, the three classifier stages
+//! and the vote) on a warm classifier; a one-item batch takes the
+//! streaming path. `ingest_traced` sends the same requests to a second
+//! classifier with a tracer attached and a `TraceScope` entered, as the
+//! server does for a request that carries a trace context: it adds the
+//! parent span and one span per stage.
 //!
 //! `admit` and `admit_repaired` time `FrameGuard::admit` alone, as
 //! perfbench's `metrics.repair.admit` span does, on snapshots built in
@@ -25,6 +30,7 @@ use appclass_core::pipeline::{ClassifierPipeline, PipelineConfig};
 use appclass_metrics::repair::FrameGuard;
 use appclass_metrics::wire::{self, ControlFrameRef, SnapshotBatchWriter, MAX_SNAPSHOT_BATCH};
 use appclass_metrics::{MetricFrame, MetricId, NodeId, Snapshot, METRIC_COUNT};
+use appclass_obs::{TraceScope, Tracer};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -119,21 +125,30 @@ fn bench_wire_codec(c: &mut Criterion) {
             .map(|tick| encode(&relay_request(width, tick, &samples), Vec::new()))
             .collect();
         let (warm, timed) = requests.split_at(INGEST_WARM_UP);
-        let mut oc = OnlineClassifier::new(&pipeline);
-        let mut decoded = Vec::with_capacity(width);
-        for frame in warm {
-            ingest(frame, &mut decoded, &mut oc);
+        let tracer = Tracer::new(1 << 12);
+        for (row, traced) in [("ingest", false), ("ingest_traced", true)] {
+            let mut oc = OnlineClassifier::new(&pipeline);
+            if traced {
+                oc.set_tracer(tracer.clone());
+            }
+            let _scope = TraceScope::enter(traced.then_some(0x7ace));
+            let mut decoded = Vec::with_capacity(width);
+            for frame in warm {
+                ingest(frame, &mut decoded, &mut oc);
+            }
+            let mut next = timed.iter();
+            let mut group = c.benchmark_group(format!("batch{width}"));
+            group.sample_size(INGEST_SAMPLES);
+            group.bench_function(row, |b| {
+                b.iter(|| {
+                    let frame = next.next().expect("one encoded request per call");
+                    ingest(black_box(frame), &mut decoded, &mut oc)
+                })
+            });
+            group.finish();
         }
-        let mut next = timed.iter();
-        let mut group = c.benchmark_group(format!("batch{width}"));
-        group.sample_size(INGEST_SAMPLES);
-        group.bench_function("ingest", |b| {
-            b.iter(|| {
-                let frame = next.next().expect("one encoded request per call");
-                ingest(black_box(frame), &mut decoded, &mut oc)
-            })
-        });
-        group.finish();
+        let spans = 4 * requests.len() as u64;
+        assert_eq!(tracer.recorded(), spans, "a parent and three stage spans per traced request");
 
         // The guard alone. The warm-up requests are clean, so every metric
         // has a baseline; a repaired request has a different metric

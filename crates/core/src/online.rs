@@ -152,6 +152,14 @@ impl<'a> OnlineClassifier<'a> {
         self.runner.set_tracer(tracer);
     }
 
+    /// Detaches the span tracer, if any: later pushes record no spans
+    /// (the stage counters keep accumulating). The interned span names
+    /// stay cached, so attaching the same tracer again costs only the
+    /// clone.
+    pub fn clear_tracer(&mut self) {
+        self.runner.clear_tracer();
+    }
+
     /// Pushes a snapshot through the classifier's [`FrameGuard`] first:
     /// corrupted values are imputed, duplicates and unusable frames are
     /// rejected instead of poisoning the vote, and a cadence gap clears a
@@ -197,8 +205,18 @@ impl<'a> OnlineClassifier<'a> {
     /// the guard admits each frame straight into the batch's feature
     /// rows: once the buffers have grown to the widest batch seen, a
     /// push allocates nothing.
+    ///
+    /// A one-snapshot batch takes the streaming path instead
+    /// ([`OnlineClassifier::push_guarded`]): one clock read per stage
+    /// boundary and no 1×33 request matrix, where the batch chain would
+    /// read the clock twice per stage and open a parent span of its own.
     pub fn push_batch_guarded(&mut self, snapshots: &[Snapshot]) -> Result<&[FrameVerdict]> {
         self.batch_verdicts.clear();
+        if let [snapshot] = snapshots {
+            let verdict = self.push_guarded(snapshot)?;
+            self.batch_verdicts.push(verdict);
+            return Ok(&self.batch_verdicts);
+        }
         self.batch_admitted.clear();
         let mut rows = std::mem::take(&mut self.batch_rows);
         // Only the tail a previous batch left short gets zero-filled.
@@ -769,20 +787,53 @@ mod tests {
         let p = trained();
         for window in [None, Some(4), Some(64)] {
             let mut seq = OnlineClassifier::with_guard(&p, window, GuardConfig::default());
-            let mut bat = OnlineClassifier::with_guard(&p, window, GuardConfig::default());
             let stream = messy_stream();
             let seq_verdicts: Vec<_> =
                 stream.iter().map(|s| seq.push_guarded(s).unwrap()).collect();
-            let bat_verdicts = bat.push_batch_guarded(&stream).unwrap();
-            assert_eq!(seq_verdicts, bat_verdicts, "window {window:?}");
-            assert_eq!(seq.labels, bat.labels, "window {window:?}: label deques");
-            assert_eq!(seq.current_class(), bat.current_class(), "window {window:?}");
-            assert_eq!(seq.composition(), bat.composition(), "window {window:?}");
-            assert_eq!(seq.confidence(), bat.confidence(), "window {window:?}: bitwise");
-            assert_eq!(seq.observed(), bat.observed(), "window {window:?}");
-            assert_eq!(seq.in_state(), bat.in_state(), "window {window:?}");
-            assert_eq!(seq.telemetry(), bat.telemetry(), "window {window:?}");
+            // One-item batches take the streaming path; mixed widths
+            // alternate between the two.
+            for width in [stream.len(), 1, 3] {
+                let mut bat = OnlineClassifier::with_guard(&p, window, GuardConfig::default());
+                let mut bat_verdicts = Vec::new();
+                for chunk in stream.chunks(width) {
+                    bat_verdicts.extend_from_slice(bat.push_batch_guarded(chunk).unwrap());
+                }
+                let at = format!("window {window:?}, width {width}");
+                assert_eq!(seq_verdicts, bat_verdicts, "{at}");
+                assert_eq!(seq.labels, bat.labels, "{at}: label deques");
+                assert_eq!(seq.current_class(), bat.current_class(), "{at}");
+                assert_eq!(seq.composition(), bat.composition(), "{at}");
+                assert_eq!(seq.confidence(), bat.confidence(), "{at}: bitwise");
+                assert_eq!(seq.observed(), bat.observed(), "{at}");
+                assert_eq!(seq.in_state(), bat.in_state(), "{at}");
+                assert_eq!(seq.telemetry(), bat.telemetry(), "{at}");
+                for stage in ["preprocess", "pca", "knn"] {
+                    let samples =
+                        |oc: &OnlineClassifier<'_>| oc.stage_metrics().get(stage).unwrap().samples;
+                    assert_eq!(samples(&seq), samples(&bat), "{at}: {stage} samples");
+                }
+            }
         }
+    }
+
+    /// A one-item batch records what a streamed frame records: the
+    /// `classify_frame` parent and one span per stage, under a tracer
+    /// attached only for it.
+    #[test]
+    fn one_item_batch_records_the_streaming_spans() {
+        let p = trained();
+        let tracer = appclass_obs::Tracer::new(64);
+        let mut oc = OnlineClassifier::new(&p);
+        oc.push_batch_guarded(&[snap(0, &[(MetricId::CpuUser, 85.0)])]).unwrap();
+        assert_eq!(tracer.recorded(), 0);
+        oc.set_tracer(tracer.clone());
+        oc.push_batch_guarded(&[snap(5, &[(MetricId::CpuUser, 86.0)])]).unwrap();
+        let names: Vec<_> = tracer.recent(64).iter().map(|s| s.name).collect();
+        assert_eq!(names, ["preprocess", "pca", "knn", "classify_frame"]);
+        oc.clear_tracer();
+        oc.push_batch_guarded(&[snap(10, &[(MetricId::CpuUser, 87.0)])]).unwrap();
+        assert_eq!(tracer.recorded(), 4, "a detached tracer records nothing");
+        assert_eq!(oc.stage_metrics().get("knn").unwrap().samples, 3);
     }
 
     #[test]

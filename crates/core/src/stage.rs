@@ -123,10 +123,18 @@ impl StagePipeline {
     /// Attaches a span tracer: from now on every stage execution (batch,
     /// row, and [`StagePipeline::time_stage`]) records a span named after
     /// the stage. Span names are interned once per distinct stage name
-    /// and cached, so the per-call cost is lock-free and allocation-free
-    /// after the first encounter.
+    /// and cached for the runner's lifetime, so the per-call cost is
+    /// lock-free and allocation-free after the first encounter — and a
+    /// runner records into one tracer: attach clones of the same one.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = Some(tracer);
+    }
+
+    /// Detaches the span tracer; stage metrics are still recorded. The
+    /// interned names stay cached, so attaching the tracer again costs
+    /// only the clone.
+    pub fn clear_tracer(&mut self) {
+        self.tracer = None;
     }
 
     /// The attached span tracer, if any.

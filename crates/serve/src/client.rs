@@ -110,6 +110,11 @@ pub struct ServeClient {
     busy_notices: u64,
     /// The `SnapshotBatch` frame buffer, kept warm across batches.
     batch_buf: Vec<u8>,
+    /// Item counts of the batches awaiting their `VerdictBatch`, oldest
+    /// first; kept across [`ServeClient::stream_batch`] calls.
+    outstanding: VecDeque<u64>,
+    /// The body of the last reply read, kept across reads.
+    reply_buf: Vec<u8>,
 }
 
 impl std::fmt::Debug for ServeClient {
@@ -148,12 +153,14 @@ impl ServeClient {
             snapshots_sent: 0,
             busy_notices: 0,
             batch_buf: Vec::new(),
+            outstanding: VecDeque::new(),
+            reply_buf: Vec::new(),
         };
         write_frame(
             &mut client.writer,
             &ControlFrame::Hello { session: 0, model_id: config.model_id },
         )?;
-        match read_frame(&mut client.reader)? {
+        match read_frame(&mut client.reader, &mut client.reply_buf)? {
             ControlFrame::Hello { session, model_id } => {
                 client.session = session;
                 client.model_id = model_id;
@@ -203,7 +210,7 @@ impl ServeClient {
     /// advisory, not the reply the caller is waiting for.
     fn read_reply(&mut self) -> Result<ControlFrame> {
         loop {
-            match read_frame(&mut self.reader)? {
+            match read_frame(&mut self.reader, &mut self.reply_buf)? {
                 ControlFrame::Busy { .. } => self.busy_notices += 1,
                 other => return Ok(other),
             }
@@ -260,33 +267,34 @@ impl ServeClient {
     ) -> Result<BatchReport> {
         let cap = max_batch.clamp(1, wire::MAX_SNAPSHOT_BATCH);
         let mut report = BatchReport::default();
-        let mut outstanding: VecDeque<u64> = VecDeque::new();
+        // Acknowledgements a failed call left unread are not this call's.
+        self.outstanding.clear();
         let mut batch = begin_batch(std::mem::take(&mut self.batch_buf));
         for snap in snapshots {
             match &mut self.chaos {
                 Some(chan) => {
                     for delivered in chan.transmit(&wire::datagram(snap)) {
-                        batch = self.make_room(batch, cap, &mut outstanding, &mut report)?;
+                        batch = self.make_room(batch, cap, &mut report)?;
                         batch.push_wire(&delivered);
                     }
                 }
                 None => {
-                    batch = self.make_room(batch, cap, &mut outstanding, &mut report)?;
+                    batch = self.make_room(batch, cap, &mut report)?;
                     batch.push(snap);
                 }
             }
         }
         if let Some(chan) = &mut self.chaos {
             for delivered in chan.drain() {
-                batch = self.make_room(batch, cap, &mut outstanding, &mut report)?;
+                batch = self.make_room(batch, cap, &mut report)?;
                 batch.push_wire(&delivered);
             }
         }
         if !batch.is_empty() {
-            self.batch_buf = self.send_batch(batch, &mut outstanding, &mut report)?;
+            self.batch_buf = self.send_batch(batch, &mut report)?;
         }
-        while !outstanding.is_empty() {
-            self.read_batch_ack(&mut outstanding, &mut report)?;
+        while !self.outstanding.is_empty() {
+            self.read_batch_ack(&mut report)?;
         }
         Ok(report)
     }
@@ -305,13 +313,12 @@ impl ServeClient {
         &mut self,
         batch: SnapshotBatchWriter,
         cap: usize,
-        outstanding: &mut VecDeque<u64>,
         report: &mut BatchReport,
     ) -> Result<SnapshotBatchWriter> {
         if batch.len() < cap {
             return Ok(batch);
         }
-        Ok(begin_batch(self.send_batch(batch, outstanding, report)?))
+        Ok(begin_batch(self.send_batch(batch, report)?))
     }
 
     /// Seals one batch and sends it as a single contiguous write,
@@ -321,11 +328,10 @@ impl ServeClient {
     fn send_batch(
         &mut self,
         batch: SnapshotBatchWriter,
-        outstanding: &mut VecDeque<u64>,
         report: &mut BatchReport,
     ) -> Result<Vec<u8>> {
-        if outstanding.len() >= Self::BATCH_WINDOW {
-            self.read_batch_ack(outstanding, report)?;
+        if self.outstanding.len() >= Self::BATCH_WINDOW {
+            self.read_batch_ack(report)?;
         }
         let count = batch.len() as u64;
         let stamped = self.tracing.as_ref().map(|t| t.stamp(t.send_name));
@@ -334,18 +340,14 @@ impl ServeClient {
         self.snapshots_sent += count;
         report.sent += count;
         report.batches += 1;
-        outstanding.push_back(count);
+        self.outstanding.push_back(count);
         Ok(frame)
     }
 
     /// Reads the acknowledgement for the oldest outstanding batch and
     /// folds its dispositions into the report.
-    fn read_batch_ack(
-        &mut self,
-        outstanding: &mut VecDeque<u64>,
-        report: &mut BatchReport,
-    ) -> Result<()> {
-        let count = outstanding.pop_front().unwrap_or(0);
+    fn read_batch_ack(&mut self, report: &mut BatchReport) -> Result<()> {
+        let count = self.outstanding.pop_front().unwrap_or(0);
         match self.read_reply()? {
             ControlFrame::VerdictBatch { statuses } => {
                 if statuses.len() as u64 != count {

@@ -2,12 +2,13 @@
 //!
 //! A [`ModelSlot`] holds the served [`ClassifierPipeline`] behind an
 //! `Arc` that sessions clone per *generation*: a session builds its
-//! `OnlineClassifier` against one pinned `Arc`, and polls the slot's
-//! epoch between frames. When [`ModelSlot::swap`] installs a new
-//! pipeline the epoch bumps; each session notices at its next frame,
-//! drains its current classifier's telemetry into the session outcome,
-//! and rebuilds against the new pipeline — the TCP connection never
-//! drops.
+//! `OnlineClassifier` against one [`ModelSlot::pin`] (the `Arc`, the
+//! fingerprint the slot computed once at install, and the epoch, read
+//! together), and polls the slot's epoch between frames. When
+//! [`ModelSlot::swap`] installs a new pipeline the epoch bumps; each
+//! session notices at its next frame, drains its current classifier's
+//! telemetry into the session outcome, and rebuilds against the new
+//! pipeline — the TCP connection never drops.
 //!
 //! The previous fingerprint is remembered so `Hello` gating can accept
 //! clients pinned to the superseded model during the drain window:
@@ -21,7 +22,7 @@ use std::sync::{Arc, Mutex};
 
 /// The served pipeline plus the bookkeeping that makes swapping it safe
 /// to observe without a lock: fingerprints and the generation epoch are
-/// plain atomics, and only [`ModelSlot::current`]/[`ModelSlot::swap`]
+/// plain atomics, and only [`ModelSlot::pin`] and [`ModelSlot::swap`]
 /// touch the mutex.
 #[derive(Debug)]
 pub struct ModelSlot {
@@ -29,6 +30,19 @@ pub struct ModelSlot {
     current_id: AtomicU64,
     prev_id: AtomicU64,
     epoch: AtomicU64,
+}
+
+/// One consistent reading of a [`ModelSlot`]: the served pipeline, its
+/// fingerprint and the epoch it was installed under, taken together.
+#[derive(Debug)]
+pub struct PinnedModel {
+    /// The served pipeline.
+    pub pipeline: Arc<ClassifierPipeline>,
+    /// `pipeline`'s [`ClassifierPipeline::model_id`], as the slot
+    /// computed it when the pipeline was installed.
+    pub id: u64,
+    /// The slot's epoch while `pipeline` is served.
+    pub epoch: u64,
 }
 
 impl ModelSlot {
@@ -44,10 +58,18 @@ impl ModelSlot {
         }
     }
 
-    /// A handle on the currently-served pipeline. Sessions pin this for
-    /// one generation; a concurrent swap never invalidates it.
-    pub fn current(&self) -> Arc<ClassifierPipeline> {
-        Arc::clone(&lock(&self.pipeline))
+    /// The served pipeline with its fingerprint and epoch, read under the
+    /// lock [`ModelSlot::swap`] writes them under, so the three always
+    /// belong together. Sessions pin this for one generation: no rehash
+    /// of the model, and no window in which a swap could pair the new
+    /// pipeline with the old epoch or fingerprint.
+    pub fn pin(&self) -> PinnedModel {
+        let pipeline = lock(&self.pipeline);
+        PinnedModel {
+            pipeline: Arc::clone(&pipeline),
+            id: self.current_id.load(Ordering::SeqCst),
+            epoch: self.epoch.load(Ordering::SeqCst),
+        }
     }
 
     /// Fingerprint of the currently-served model.
@@ -127,7 +149,8 @@ mod tests {
         assert_eq!(slot.current_id(), idb);
         assert_eq!(slot.prev_id(), ida);
         assert_eq!(slot.epoch(), 1);
-        assert_eq!(slot.current().model_id(), idb);
+        let pinned = slot.pin();
+        assert_eq!((pinned.pipeline.model_id(), pinned.id, pinned.epoch), (idb, idb, 1));
     }
 
     #[test]
@@ -140,9 +163,9 @@ mod tests {
             panic!("poisons the slot's lock");
         });
         assert!(held.is_err() && slot.pipeline.is_poisoned());
-        assert_eq!(slot.current().model_id(), a.model_id());
+        assert!(Arc::ptr_eq(&slot.pin().pipeline, &a));
         assert_eq!(slot.swap(Arc::clone(&b)), (a.model_id(), b.model_id()));
-        assert_eq!(slot.current().model_id(), b.model_id());
+        assert!(Arc::ptr_eq(&slot.pin().pipeline, &b));
         assert_eq!(slot.epoch(), 1);
     }
 

@@ -64,18 +64,19 @@ fn patch_prefix(buf: &mut [u8], at: usize) {
 
 /// Reads one control frame, blocking until it arrives: the length
 /// prefix, a check against [`MAX_FRAME_BYTES`] before anything is
-/// allocated, then the body. A stream that ends before the frame does is
-/// [`ServeError::ConnectionClosed`].
-pub fn read_frame<R: Read>(r: &mut R) -> Result<ControlFrame> {
+/// allocated, then the body into `body`, whose allocation a caller
+/// reading many frames keeps from one to the next. A stream that ends
+/// before the frame does is [`ServeError::ConnectionClosed`].
+pub fn read_frame<R: Read>(r: &mut R, body: &mut Vec<u8>) -> Result<ControlFrame> {
     let mut prefix = [0u8; 4];
     r.read_exact(&mut prefix).map_err(closed_at_eof)?;
     let len = u32::from_be_bytes(prefix) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(ServeError::FrameTooLarge { size: len, max: MAX_FRAME_BYTES });
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body).map_err(closed_at_eof)?;
-    Ok(wire::decode_control(&body)?)
+    body.resize(len, 0);
+    r.read_exact(body).map_err(closed_at_eof)?;
+    Ok(wire::decode_control(body)?)
 }
 
 fn closed_at_eof(e: std::io::Error) -> ServeError {
@@ -102,11 +103,14 @@ mod tests {
         for f in &frames {
             write_frame(&mut pipe, f).unwrap();
         }
+        // One body buffer for every read: a shorter frame after a longer
+        // one must not see the longer one's tail.
+        let mut body = Vec::new();
         let mut r = Cursor::new(pipe);
         for f in &frames {
-            assert_eq!(&read_frame(&mut r).unwrap(), f);
+            assert_eq!(&read_frame(&mut r, &mut body).unwrap(), f);
         }
-        assert!(matches!(read_frame(&mut r), Err(ServeError::ConnectionClosed)));
+        assert!(matches!(read_frame(&mut r, &mut body), Err(ServeError::ConnectionClosed)));
     }
 
     /// The stream form of a frame: length prefix, then `encode_control`.
@@ -172,7 +176,10 @@ mod tests {
         let mut bytes = (u32::MAX).to_be_bytes().to_vec();
         bytes.extend_from_slice(&[0; 16]);
         let mut r = Cursor::new(bytes);
-        assert!(matches!(read_frame(&mut r), Err(ServeError::FrameTooLarge { .. })));
+        assert!(matches!(
+            read_frame(&mut r, &mut Vec::new()),
+            Err(ServeError::FrameTooLarge { .. })
+        ));
     }
 
     #[test]
@@ -182,7 +189,7 @@ mod tests {
         let last = pipe.len() - 1;
         pipe[last] ^= 0xFF; // break the checksum
         let mut r = Cursor::new(pipe);
-        assert!(matches!(read_frame(&mut r), Err(ServeError::Wire(_))));
+        assert!(matches!(read_frame(&mut r, &mut Vec::new()), Err(ServeError::Wire(_))));
     }
 
     #[test]
@@ -191,6 +198,6 @@ mod tests {
         write_frame(&mut pipe, &ControlFrame::Hello { session: 1, model_id: 1 }).unwrap();
         pipe.truncate(pipe.len() - 3);
         let mut r = Cursor::new(pipe);
-        assert!(matches!(read_frame(&mut r), Err(ServeError::ConnectionClosed)));
+        assert!(matches!(read_frame(&mut r, &mut Vec::new()), Err(ServeError::ConnectionClosed)));
     }
 }

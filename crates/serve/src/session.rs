@@ -31,7 +31,7 @@
 
 use crate::error::ServeError;
 use crate::feed::{CompositionFeed, FeedEntry};
-use crate::model::ModelSlot;
+use crate::model::{ModelSlot, PinnedModel};
 use crate::proto::append_frame;
 use crate::shard::ServerConfig;
 use crate::stats::SessionOutcome;
@@ -40,7 +40,7 @@ use appclass_core::{AppClass, ClassifierPipeline};
 use appclass_metrics::wire::{self, ControlFrameRef};
 use appclass_metrics::{ByeReason, ControlFrame, FrameDisposition, FrameVerdict, Snapshot};
 use appclass_obs::span::SpanName;
-use appclass_obs::{Counter, Histogram, Observability, TraceContext, TraceScope};
+use appclass_obs::{Counter, Histogram, Observability, TraceContext, TraceScope, Tracer};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -164,23 +164,44 @@ struct Generation {
     pipeline: Arc<ClassifierPipeline>,
     epoch: u64,
     model_id: u64,
+    /// Whether the shard tracer is attached to `classifier`: only while
+    /// the session streams frames that carry a [`TraceContext`].
+    traced: bool,
 }
 
 impl Generation {
+    /// Pins the slot's current model: the pipeline, its fingerprint and
+    /// its epoch come from one locked read, so a concurrent swap can
+    /// neither tag this generation's verdicts with another model's id
+    /// nor leave it under a stale epoch.
     fn new(env: &SessionEnv) -> Generation {
-        let epoch = env.slot.epoch();
-        let pipeline = env.slot.current();
-        let model_id = pipeline.model_id();
+        let PinnedModel { pipeline, id: model_id, epoch } = env.slot.pin();
         // SAFETY: see the struct-level invariants — the reference targets
         // the Arc's heap allocation, which outlives `classifier` by field
         // order, is address-stable, and is never mutated.
         let pinned: &'static ClassifierPipeline = unsafe { &*Arc::as_ptr(&pipeline) };
-        let mut classifier = match env.config.session.window {
+        let classifier = match env.config.session.window {
             Some(w) => OnlineClassifier::with_window(pinned, w),
             None => OnlineClassifier::new(pinned),
         };
-        classifier.set_tracer(env.obs.obs.tracer.clone());
-        Generation { classifier, pipeline, epoch, model_id }
+        Generation { classifier, pipeline, epoch, model_id, traced: false }
+    }
+
+    /// Attaches `tracer` to the classifier for a snapshot frame that
+    /// carries a trace context, and detaches it for one that does not.
+    /// Only a traced frame's spans can be assembled into a trace, so an
+    /// untraced frame records none: its cost shows in the stage metrics
+    /// and the registry instead.
+    fn follow_trace(&mut self, ctx: Option<TraceContext>, tracer: &Tracer) {
+        let traced = ctx.is_some();
+        if traced != self.traced {
+            if traced {
+                self.classifier.set_tracer(tracer.clone());
+            } else {
+                self.classifier.clear_tracer();
+            }
+            self.traced = traced;
+        }
     }
 }
 
@@ -289,6 +310,7 @@ impl Session {
                 if let Some(c) = ctx {
                     self.last_trace = c.trace_id;
                 }
+                gen.follow_trace(ctx, &obs.obs.tracer);
                 self.outcome.frames_in += 1;
                 obs.frames_in.inc();
                 if self.outcome.frames_in > config.session.frame_budget {
@@ -341,6 +363,7 @@ impl Session {
                 if let Some(c) = ctx {
                     self.last_trace = c.trace_id;
                 }
+                gen.follow_trace(ctx, &obs.obs.tracer);
                 // Every item counts toward the frame budget exactly as if
                 // it had been streamed alone; a batch that would cross the
                 // budget ends the session before any of it is processed.
@@ -386,8 +409,9 @@ impl Session {
                         }
                     }
                 }
-                // One batched pass through guard + dataflow chain; the fold
-                // is bitwise-equivalent to pushing each snapshot alone, so
+                // One batched pass through guard + dataflow chain (a lone
+                // item takes the streaming path); the fold is
+                // bitwise-equivalent to pushing each snapshot alone, so
                 // batching can never change a verdict.
                 let verdicts = match gen.classifier.push_batch_guarded(snapshots) {
                     Ok(v) => v,
@@ -522,16 +546,22 @@ impl Session {
                 // model retired by the last swap stays admissible through
                 // the drain window — such a client is served the current
                 // model, whose id the reply carries.
-                let served = env.slot.current_id();
                 if !env.slot.accepts(model_id) {
                     append_frame(out, &ControlFrame::Bye { reason: ByeReason::ModelMismatch });
                     return Some(Close::Failed(ServeError::ModelMismatch {
                         offered: model_id,
-                        served,
+                        served: env.slot.current_id(),
                     }));
                 }
-                append_frame(out, &ControlFrame::Hello { session: self.id, model_id: served });
-                self.phase = Phase::Steady(Generation::new(env));
+                // The reply names the model the generation pinned, which a
+                // swap since the check may have made newer than the one
+                // accepted.
+                let gen = Generation::new(env);
+                append_frame(
+                    out,
+                    &ControlFrame::Hello { session: self.id, model_id: gen.model_id },
+                );
+                self.phase = Phase::Steady(gen);
                 None
             }
             other => {
@@ -702,8 +732,16 @@ mod tests {
     }
 
     fn batch(snaps: &[Snapshot]) -> ControlFrame {
+        traced_batch(snaps, None)
+    }
+
+    fn traced_batch(snaps: &[Snapshot], ctx: Option<TraceContext>) -> ControlFrame {
         let wires = snaps.iter().map(|s| wire::encode(s).to_vec()).collect();
-        ControlFrame::SnapshotBatch { wires, ctx: None }
+        ControlFrame::SnapshotBatch { wires, ctx }
+    }
+
+    fn lone(snap: &Snapshot, ctx: Option<TraceContext>) -> ControlFrame {
+        ControlFrame::Snapshot { wire: wire::encode(snap).to_vec(), ctx }
     }
 
     /// A session and everything it shares, driven frame by frame.
@@ -884,5 +922,160 @@ mod tests {
             feed.retire(s);
         }
         assert!(feed.get(7).is_none(), "the session was still live when its Bye was answered");
+    }
+
+    /// The verdict a `Classify` reply carries, reduced to its bits.
+    fn verdict_bits(replies: &[ControlFrame]) -> (u8, u64, [u64; 5], u64) {
+        let [ControlFrame::Verdict { class, confidence, composition, model, .. }] = replies else {
+            panic!("expected one Verdict, got {replies:?}");
+        };
+        (*class, confidence.to_bits(), composition.map(f64::to_bits), *model)
+    }
+
+    /// Classifier spans are recorded for snapshot frames that carry a
+    /// trace context only, at every width; `Classify` records its
+    /// `classify` span either way.
+    #[test]
+    fn only_traced_snapshot_frames_record_classifier_spans() {
+        let mut h = Harness::steady(trained(90.0), ServerConfig::default());
+        let tracer = h.env.obs.obs.tracer.clone();
+        let traced = TraceContext::new(0xC0FFEE);
+        let snaps = snapshots(3 * 130);
+        let mut next = snaps.iter();
+        // Untraced, traced, then untraced again: the tracer detaches.
+        for ctx in [None, Some(traced), None] {
+            for width in [None, Some(1), Some(128)] {
+                let frame = match width {
+                    None => lone(next.next().unwrap(), ctx),
+                    Some(n) => {
+                        let items: Vec<Snapshot> = next.by_ref().take(n).cloned().collect();
+                        traced_batch(&items, ctx)
+                    }
+                };
+                let before = tracer.recorded();
+                assert!(h.send(&frame).0.is_none());
+                let spans = tracer.recent((tracer.recorded() - before) as usize);
+                let at = format!("width {width:?}, ctx {ctx:?}");
+                match ctx {
+                    None => assert_eq!(spans, [], "{at}: an untraced frame records no span"),
+                    Some(c) => {
+                        let parent =
+                            if width == Some(128) { "classify_batch" } else { "classify_frame" };
+                        let names: Vec<_> = spans.iter().map(|s| s.name).collect();
+                        assert_eq!(names, ["preprocess", "pca", "knn", parent], "{at}");
+                        assert!(spans.iter().all(|s| s.trace == Some(c.trace_id)), "{at}");
+                    }
+                }
+                let before = tracer.recorded();
+                let (_, replies) = h.send(&ControlFrame::Classify { ctx });
+                assert!(matches!(replies[..], [ControlFrame::Verdict { .. }]), "{at}");
+                let spans = tracer.recent((tracer.recorded() - before) as usize);
+                let got: Vec<_> = spans.iter().map(|s| (s.name, s.trace)).collect();
+                assert_eq!(got, [("classify", ctx.map(|c| c.trace_id))], "{at}");
+            }
+        }
+        assert!(next.next().is_none());
+        let outcome = h.session.end(&h.env.feed);
+        assert_eq!(outcome.health.accepted, snaps.len() as u64, "every frame was classified");
+    }
+
+    /// One stream with a duplicate and a cadence gap, served as 96 lone
+    /// snapshots, as 96 one-item batches and as one 96-item batch: the
+    /// verdicts are bit-identical, and so are the dispositions and the
+    /// session's frame counts.
+    #[test]
+    fn width_never_changes_a_verdict() {
+        let pipeline = trained(90.0);
+        let mut snaps = snapshots(95);
+        snaps.insert(40, snaps[39].clone()); // a duplicate: dropped
+        for snap in &mut snaps[60..] {
+            snap.time += 50; // ten missed instants: a gap that clears the window
+        }
+        let config = ServerConfig {
+            session: SessionConfig { window: Some(16), ..SessionConfig::default() },
+            ..ServerConfig::default()
+        };
+        let serve = |frames: Vec<ControlFrame>| {
+            let mut h = Harness::steady(Arc::clone(&pipeline), config);
+            let mut dispositions = Vec::new();
+            for frame in &frames {
+                let (close, replies) = h.send(frame);
+                assert!(close.is_none());
+                for reply in replies {
+                    let ControlFrame::VerdictBatch { statuses } = reply else {
+                        panic!("expected a VerdictBatch, got {reply:?}");
+                    };
+                    dispositions.extend(statuses);
+                }
+            }
+            let (_, replies) = h.send(&ControlFrame::Classify { ctx: None });
+            (verdict_bits(&replies), dispositions, h.session.end(&h.env.feed))
+        };
+        let lone = serve(snaps.iter().map(|s| lone(s, None)).collect());
+        let ones = serve(snaps.chunks(1).map(batch).collect());
+        let whole = serve(vec![batch(&snaps)]);
+
+        assert_eq!(lone.0, ones.0, "lone snapshots vs one-item batches");
+        assert_eq!(ones.0, whole.0, "one-item batches vs one batch");
+        assert_eq!(ones.1, whole.1, "dispositions");
+        assert_eq!(whole.1.iter().filter(|&&d| d == FrameDisposition::Dropped).count(), 1);
+        let counts = |o: &SessionOutcome| {
+            (o.frames_in, o.frames_repaired, o.frames_dropped, o.frames_malformed, o.health.clone())
+        };
+        assert_eq!(counts(&lone.2), counts(&ones.2));
+        assert_eq!(counts(&ones.2), counts(&whole.2));
+        let health = &whole.2.health;
+        assert_eq!((health.seen, health.dropped, health.gaps), (96, 1, 1));
+    }
+
+    /// A thread swapping two models 200 times while sessions handshake,
+    /// stream and classify in a loop: every `Hello` reply and every
+    /// `Verdict` names the pipeline the generation classifies with, and
+    /// every generation holds the epoch its pipeline was installed under
+    /// (the slot alternates the two models, so the epoch's parity names
+    /// the model).
+    #[test]
+    fn a_racing_swap_never_mislabels_a_generation() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+        let (a, b) = (trained(90.0), trained(60.0));
+        let (id_a, id_b) = (a.model_id(), b.model_id());
+        let mut h = Harness::new(Arc::clone(&a), ServerConfig::default());
+        let slot = Arc::clone(&h.env.slot);
+        let (start, done) = (Barrier::new(2), AtomicBool::new(false));
+        let check = |session: &Session, tagged: u64| {
+            let Phase::Steady(gen) = &session.phase else { panic!("not past the handshake") };
+            let is_a = Arc::ptr_eq(&gen.pipeline, &a);
+            assert_eq!(tagged, if is_a { id_a } else { id_b }, "tag vs pipeline");
+            assert_eq!(gen.epoch % 2 == 0, is_a, "epoch {} vs pipeline", gen.epoch);
+        };
+        let snaps = snapshots(1);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for i in 0..200 {
+                    slot.swap(Arc::clone(if i % 2 == 0 { &b } else { &a }));
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            start.wait();
+            // At least one round, however the two threads are scheduled.
+            for round in 0.. {
+                h.session = Session::new(round);
+                let (_, replies) = h.send(&ControlFrame::Hello { session: 0, model_id: 0 });
+                let [ControlFrame::Hello { model_id, .. }] = replies[..] else {
+                    panic!("expected a Hello, got {replies:?}");
+                };
+                check(&h.session, model_id);
+                h.send(&batch(&snaps));
+                let (_, replies) = h.send(&ControlFrame::Classify { ctx: None });
+                check(&h.session, verdict_bits(&replies).3);
+                std::mem::replace(&mut h.session, Session::new(0)).end(&h.env.feed);
+                if done.load(Ordering::SeqCst) {
+                    break;
+                }
+            }
+        });
+        assert_eq!(slot.epoch(), 200);
     }
 }
