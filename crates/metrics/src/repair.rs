@@ -24,7 +24,6 @@
 
 use crate::metric::{MetricFrame, METRIC_COUNT};
 use crate::snapshot::{NodeId, Snapshot};
-use appclass_obs::{Counter, Registry};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -288,19 +287,6 @@ pub struct FrameGuard {
     config: GuardConfig,
     nodes: BTreeMap<NodeId, NodeState>,
     health: TelemetryHealth,
-    counters: Option<GuardCounters>,
-}
-
-/// Live [`Counter`] handles mirroring the guard's verdict tallies into an
-/// observability [`Registry`], so an exposition dump shows the guard's
-/// behaviour without polling [`TelemetryHealth`].
-#[derive(Debug, Clone)]
-struct GuardCounters {
-    seen: Counter,
-    accepted: Counter,
-    repaired: Counter,
-    dropped: Counter,
-    malformed: Counter,
 }
 
 impl Default for FrameGuard {
@@ -312,27 +298,7 @@ impl Default for FrameGuard {
 impl FrameGuard {
     /// A guard with the given policy.
     pub fn new(config: GuardConfig) -> Self {
-        FrameGuard {
-            config,
-            nodes: BTreeMap::new(),
-            health: TelemetryHealth::default(),
-            counters: None,
-        }
-    }
-
-    /// Mirrors verdict tallies into `registry` from this call onward:
-    /// `guard_frames_seen_total`, `guard_frames_accepted_total`,
-    /// `guard_frames_repaired_total`, `guard_frames_dropped_total` and
-    /// `guard_datagrams_malformed_total`. Counters pick up at the
-    /// registry's current values; prior history is not back-filled.
-    pub fn attach_registry(&mut self, registry: &Registry) {
-        self.counters = Some(GuardCounters {
-            seen: registry.counter("guard_frames_seen_total"),
-            accepted: registry.counter("guard_frames_accepted_total"),
-            repaired: registry.counter("guard_frames_repaired_total"),
-            dropped: registry.counter("guard_frames_dropped_total"),
-            malformed: registry.counter("guard_datagrams_malformed_total"),
-        });
+        FrameGuard { config, nodes: BTreeMap::new(), health: TelemetryHealth::default() }
     }
 
     /// The policy in force.
@@ -361,9 +327,6 @@ impl FrameGuard {
         row: &mut [f64; METRIC_COUNT],
     ) -> (FrameVerdict, Option<u64>) {
         self.health.seen += 1;
-        if let Some(c) = &self.counters {
-            c.seen.inc();
-        }
         let interval = self.config.interval.max(1);
         let state = self.nodes.entry(snap.node).or_insert_with(NodeState::new);
 
@@ -379,9 +342,6 @@ impl FrameGuard {
                     DropReason::OutOfOrder
                 };
                 self.health.dropped += 1;
-                if let Some(c) = &self.counters {
-                    c.dropped.inc();
-                }
                 return (FrameVerdict::Dropped { reason }, None);
             }
         }
@@ -460,9 +420,6 @@ impl FrameGuard {
 
         if let Some(reason) = fatal {
             self.health.dropped += 1;
-            if let Some(c) = &self.counters {
-                c.dropped.inc();
-            }
             return (FrameVerdict::Dropped { reason }, None);
         }
 
@@ -473,16 +430,10 @@ impl FrameGuard {
 
         if patched == 0 {
             self.health.accepted += 1;
-            if let Some(c) = &self.counters {
-                c.accepted.inc();
-            }
             return (FrameVerdict::Accepted, gap);
         }
 
         self.health.repaired += 1;
-        if let Some(c) = &self.counters {
-            c.repaired.inc();
-        }
         self.health.values_patched += patched as u64;
         (FrameVerdict::Repaired { patched }, gap)
     }
@@ -491,9 +442,6 @@ impl FrameGuard {
     /// become a snapshot.
     pub fn note_malformed(&mut self) {
         self.health.malformed += 1;
-        if let Some(c) = &self.counters {
-            c.malformed.inc();
-        }
     }
 
     /// The health report accumulated so far.
@@ -634,28 +582,6 @@ mod tests {
         let mut f = MetricFrame::zeroed();
         f.set(MetricId::CpuUser, cpu);
         Snapshot::new(NodeId(1), time, f)
-    }
-
-    #[test]
-    fn attached_registry_mirrors_health_counters() {
-        let registry = appclass_obs::Registry::default();
-        let mut g = FrameGuard::default();
-        g.attach_registry(&registry);
-
-        g.admit(&snap(0, 50.0)); // accepted
-        g.admit(&snap(0, 50.0)); // duplicate → dropped
-        let mut f = MetricFrame::zeroed();
-        f.set(MetricId::CpuUser, f64::NAN);
-        g.admit(&Snapshot::new(NodeId(1), 5, f)); // repaired
-        g.note_malformed();
-
-        let flat: std::collections::BTreeMap<String, f64> = registry.sample().into_iter().collect();
-        assert_eq!(flat["guard_frames_seen_total"], 3.0);
-        assert_eq!(flat["guard_frames_accepted_total"], 1.0);
-        assert_eq!(flat["guard_frames_dropped_total"], 1.0);
-        assert_eq!(flat["guard_frames_repaired_total"], 1.0);
-        assert_eq!(flat["guard_datagrams_malformed_total"], 1.0);
-        assert_eq!(g.health().seen, 3);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub struct Incident {
     /// Wall-clock time of the snapshot, ns since `UNIX_EPOCH` (the
     /// tracer's wall-clock epoch plus `at_ns`). Unlike `at_ns`, which is
     /// relative to one process's tracer, this orders incidents *across*
-    /// processes — see [`merge_by_wall_clock`].
+    /// processes.
     pub wall_ns: u64,
     /// The most recent spans at snapshot time, oldest first.
     pub spans: Vec<Span>,
@@ -171,17 +171,6 @@ impl FlightRecorder {
     }
 }
 
-/// Merges incident logs from several processes into one timeline,
-/// ordered by each incident's wall-clock stamp. `at_ns` alone cannot do
-/// this — it is relative to each process's own tracer epoch — which is
-/// exactly the gap `wall_ns` closes. The sort is stable, so incidents
-/// with identical stamps keep their per-process order.
-pub fn merge_by_wall_clock(logs: Vec<Vec<Incident>>) -> Vec<Incident> {
-    let mut merged: Vec<Incident> = logs.into_iter().flatten().collect();
-    merged.sort_by_key(|inc| inc.wall_ns);
-    merged
-}
-
 pub(crate) fn json_number(value: f64) -> String {
     if value.is_finite() {
         format!("{value}")
@@ -304,28 +293,5 @@ mod tests {
         let value: serde::Value = serde_json::from_str(jsonl.lines().next().unwrap()).unwrap();
         let wall = value.get("wall_ns").and_then(|v| v.as_f64()).expect("wall_ns present");
         assert!(wall > 1.5e18, "wall_ns must be unix-epoch scale, got {wall}");
-    }
-
-    /// Regression test for cross-process ordering: two recorders with
-    /// their own tracers stand in for two processes whose tracer epochs
-    /// differ, so `at_ns` values are incomparable between them — only
-    /// `wall_ns` can interleave their incidents correctly.
-    #[test]
-    fn incidents_from_two_processes_merge_in_wall_clock_order() {
-        let pause = std::time::Duration::from_millis(3);
-        let (tracer_a, reg_a, flight_a) = setup();
-        std::thread::sleep(pause);
-        let (tracer_b, reg_b, flight_b) = setup();
-        flight_a.record("a1", &tracer_a, &reg_a);
-        std::thread::sleep(pause);
-        flight_b.record("b1", &tracer_b, &reg_b);
-        std::thread::sleep(pause);
-        flight_a.record("a2", &tracer_a, &reg_a);
-        std::thread::sleep(pause);
-        flight_b.record("b2", &tracer_b, &reg_b);
-        let merged = merge_by_wall_clock(vec![flight_a.incidents(), flight_b.incidents()]);
-        let reasons: Vec<&str> = merged.iter().map(|i| i.reason.as_str()).collect();
-        assert_eq!(reasons, ["a1", "b1", "a2", "b2"], "merged order must match real time");
-        assert!(merged.windows(2).all(|w| w[0].wall_ns <= w[1].wall_ns), "wall_ns is monotone");
     }
 }

@@ -28,8 +28,8 @@
 //!   scraped from the registry on a caller-driven tick, with windowed
 //!   rate/quantile queries.
 //! * [`slo`] — declarative objectives ([`Slo`]) with multi-window
-//!   burn-rate alerting ([`SloMonitor`]) and an optional background
-//!   tick ([`FleetMonitor`]).
+//!   burn-rate alerting ([`SloMonitor`]), evaluated on the caller's
+//!   tick.
 //!
 //! [`Observability`] bundles a tracer, registry and flight recorder for
 //! components (like the serving stack) that want the whole layer in one
@@ -45,10 +45,10 @@ pub mod span;
 pub mod trace;
 pub mod tsdb;
 
-pub use flight::{merge_by_wall_clock, FlightRecorder, Incident};
+pub use flight::{FlightRecorder, Incident};
 pub use hist::{AtomicHistogram, LatencyHistogram};
 pub use registry::{Counter, Gauge, Histogram, MetricView, Registry};
-pub use slo::{FleetMonitor, Slo, SloConfig, SloKind, SloMonitor, SloStatus};
+pub use slo::{Slo, SloConfig, SloKind, SloMonitor, SloStatus};
 pub use span::{
     current_trace, set_current_trace, OpenSpan, Span, SpanGuard, SpanName, TraceScope, Tracer,
 };

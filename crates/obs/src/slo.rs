@@ -19,17 +19,13 @@
 //! gauge, so the SLO layer is itself observable through the same
 //! registry it watches.
 //!
-//! [`FleetMonitor`] wraps a store + monitor in a background thread for
-//! deployments that want a hands-free tick; everything is equally
-//! drivable by hand for deterministic tests.
+//! Nothing here runs on its own: the caller scrapes the store and calls
+//! [`SloMonitor::evaluate`] on its own tick, so tests drive both by hand.
 
 use crate::registry::{Counter, Gauge};
 use crate::tsdb::TsStore;
 use crate::Observability;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// What an [`Slo`] measures over the store.
@@ -277,74 +273,6 @@ fn burn(kind: &SloKind, store: &TsStore, window: Duration) -> Option<f64> {
     }
 }
 
-/// Background scrape-and-evaluate loop: owns a [`TsStore`] and an
-/// [`SloMonitor`], ticking both at a fixed interval on its own thread
-/// until dropped (or [`FleetMonitor::stop`]ped). The store is shared
-/// behind a mutex so callers can run windowed queries while the loop
-/// runs.
-#[derive(Debug)]
-pub struct FleetMonitor {
-    stop: Arc<AtomicBool>,
-    store: Arc<Mutex<TsStore>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl FleetMonitor {
-    /// Spawns the loop: every `interval`, scrape `obs.registry` into a
-    /// store retaining `capacity_per_series` points, then evaluate the
-    /// monitor (latching incidents into `obs`).
-    pub fn spawn(
-        obs: Observability,
-        mut monitor: SloMonitor,
-        interval: Duration,
-        capacity_per_series: usize,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let store = Arc::new(Mutex::new(TsStore::new(capacity_per_series)));
-        let handle = {
-            let stop = Arc::clone(&stop);
-            let store = Arc::clone(&store);
-            std::thread::Builder::new()
-                .name("fleet-monitor".to_string())
-                .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        {
-                            let mut store = store.lock().expect("fleet monitor store poisoned");
-                            store.scrape(&obs.registry);
-                            monitor.evaluate(&store, &obs);
-                        }
-                        std::thread::sleep(interval);
-                    }
-                })
-                .expect("spawn fleet monitor thread")
-        };
-        FleetMonitor { stop, store, handle: Some(handle) }
-    }
-
-    /// Shared handle to the store for ad-hoc windowed queries.
-    pub fn store(&self) -> Arc<Mutex<TsStore>> {
-        Arc::clone(&self.store)
-    }
-
-    /// Stops the loop and joins the thread.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for FleetMonitor {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,26 +407,5 @@ mod tests {
         assert_eq!(obs.flight.len(), 0);
         assert!(!mon.is_empty());
         assert_eq!(mon.len(), 2);
-    }
-
-    #[test]
-    fn fleet_monitor_scrapes_in_the_background() {
-        let obs = Observability::new();
-        obs.registry.counter("bg_total").add(5);
-        let mon = monitor(&obs);
-        let fleet = FleetMonitor::spawn(obs.clone(), mon, Duration::from_millis(5), 32);
-        let store = fleet.store();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            {
-                let s = store.lock().unwrap();
-                if s.latest("bg_total") == Some(5.0) {
-                    break;
-                }
-            }
-            assert!(std::time::Instant::now() < deadline, "background scrape never landed");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        fleet.stop();
     }
 }

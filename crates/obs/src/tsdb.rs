@@ -5,7 +5,7 @@
 //! seconds — need history. [`TsStore`] keeps that history in
 //! fixed-capacity rings, one per metric, filled by calling
 //! [`TsStore::scrape`] on a caller-driven tick (there is no internal
-//! thread; `slo::FleetMonitor` provides one if you want it).
+//! thread).
 //!
 //! Semantics per metric kind:
 //!
@@ -27,8 +27,7 @@
 
 use crate::hist::LatencyHistogram;
 use crate::registry::{MetricView, Registry};
-use std::fmt::Write as _;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 /// One scalar observation: scrape time (ns since store epoch) + value.
 #[derive(Debug, Clone, Copy, Default)]
@@ -105,7 +104,6 @@ struct Series {
 pub struct TsStore {
     capacity: usize,
     epoch: Instant,
-    epoch_unix_ns: u64,
     last_t_ns: u64,
     series: Vec<Series>,
 }
@@ -113,18 +111,9 @@ pub struct TsStore {
 impl TsStore {
     /// A store keeping up to `capacity_per_series` points per metric.
     pub fn new(capacity_per_series: usize) -> Self {
-        let epoch_unix_ns = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| {
-                d.as_secs()
-                    .saturating_mul(1_000_000_000)
-                    .saturating_add(u64::from(d.subsec_nanos()))
-            })
-            .unwrap_or(0);
         TsStore {
             capacity: capacity_per_series.max(2),
             epoch: Instant::now(),
-            epoch_unix_ns,
             last_t_ns: 0,
             series: Vec::new(),
         }
@@ -287,58 +276,6 @@ impl TsStore {
     pub fn capacity_per_series(&self) -> usize {
         self.capacity
     }
-
-    /// Timestamp of the most recent tick, ns since the store's epoch.
-    pub fn last_tick_ns(&self) -> u64 {
-        self.last_t_ns
-    }
-
-    /// OpenMetrics-style text dump of every series' most recent state:
-    /// a `# TYPE` line per metric, then `name value timestamp` samples
-    /// (timestamps in unix seconds). Histograms dump their cumulative
-    /// count and p50/p99. This rides the same size discipline as the
-    /// `Stats` exposition but is a distinct format — timestamped, three
-    /// fields — so it is exposed as its own dump, not spliced into the
-    /// live exposition old tooling parses.
-    pub fn render_openmetrics(&self) -> String {
-        let mut out = String::new();
-        let stamp = |t_ns: u64| -> f64 { (self.epoch_unix_ns.saturating_add(t_ns)) as f64 / 1e9 };
-        for series in &self.series {
-            match &series.kind {
-                SeriesKind::Counter(ring) => {
-                    let _ = writeln!(out, "# TYPE {} counter", series.name);
-                    if let Some(p) = ring.last() {
-                        let _ = writeln!(out, "{} {} {:.3}", series.name, p.value, stamp(p.t_ns));
-                    }
-                }
-                SeriesKind::Gauge(ring) => {
-                    let _ = writeln!(out, "# TYPE {} gauge", series.name);
-                    if let Some(p) = ring.last() {
-                        let _ = writeln!(out, "{} {} {:.3}", series.name, p.value, stamp(p.t_ns));
-                    }
-                }
-                SeriesKind::Histogram { points, last_cum } => {
-                    let _ = writeln!(out, "# TYPE {} histogram", series.name);
-                    if let Some(p) = points.last() {
-                        let t = stamp(p.t_ns);
-                        let _ =
-                            writeln!(out, "{}_count {} {:.3}", series.name, last_cum.count(), t);
-                        for q in [0.5, 0.99] {
-                            let _ = writeln!(
-                                out,
-                                "{}{{quantile=\"{}\"}} {} {:.3}",
-                                series.name,
-                                q,
-                                last_cum.quantile(q).as_nanos(),
-                                t
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -443,27 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn openmetrics_dump_has_types_values_and_timestamps() {
-        let reg = Registry::new();
-        reg.counter("c_total").add(3);
-        reg.gauge("g").set(1.5);
-        reg.histogram("h").record(Duration::from_nanos(900));
-        let mut store = TsStore::new(8);
-        store.scrape(&reg);
-        let dump = store.render_openmetrics();
-        assert!(dump.contains("# TYPE c_total counter"), "{dump}");
-        assert!(dump.contains("# TYPE g gauge"), "{dump}");
-        assert!(dump.contains("# TYPE h histogram"), "{dump}");
-        assert!(dump.contains("h_count 1 "), "{dump}");
-        for line in dump.lines().filter(|l| !l.starts_with('#')) {
-            let fields: Vec<&str> = line.split_whitespace().collect();
-            assert_eq!(fields.len(), 3, "sample lines are `name value timestamp`: {line}");
-            let ts: f64 = fields[2].parse().expect("timestamp parses");
-            assert!(ts > 1.5e9, "unix-seconds scale timestamp, got {ts}");
-        }
-    }
-
-    #[test]
     fn instant_scrape_ticks_advance() {
         let reg = Registry::new();
         reg.counter("t").inc();
@@ -472,7 +388,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         let t1 = store.scrape(&reg);
         assert!(t1 > t0);
-        assert_eq!(store.last_tick_ns(), t1);
         assert_eq!(store.series_count(), 1);
     }
 }

@@ -63,7 +63,7 @@ pub use overload::{OverloadMachine, OverloadState};
 pub use retry::{connect_with_retry, BreakerState, CircuitBreaker, RetryPolicy, RetryReport};
 pub use session::SessionConfig;
 pub use shard::{ServerConfig, ShardServer};
-pub use stats::{LatencyHistogram, ServerStats, SessionOutcome};
+pub use stats::ServerStats;
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

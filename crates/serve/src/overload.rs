@@ -6,11 +6,18 @@
 //! give the state machine hysteresis so it cannot flap on every accept:
 //!
 //! ```text
-//!              depth >= low            depth >= high
-//!   Healthy ───────────────▶ Degraded ───────────────▶ Shedding
-//!      ▲                        │  ▲                      │
-//!      └────── depth == 0 ──────┘  └──── depth <= low ────┘
+//!            depth >= floor               depth >= high
+//!   Healthy ───────────────▶ Degraded ──────────────────▶ Shedding
+//!    ▲  ▲                       │  ▲                         │
+//!    │  └──── depth < floor ────┘  └─ floor <= depth <= low ─┤
+//!    └──────────────────── depth < floor ────────────────────┘
 //! ```
+//!
+//! where `floor = max(low, 1)`; `Healthy` also enters `Shedding` directly
+//! at `depth >= high`. Outside `Shedding` the state is a function of the
+//! depth alone, and leaving `Shedding` (at `depth <= low`) lands in
+//! whichever state the depth names, so a depth fed twice in a row reports
+//! the same state twice.
 //!
 //! While `Shedding`, new connections are refused with a checksummed
 //! [`Busy`](appclass_metrics::ControlFrame::Busy) frame carrying a
@@ -71,41 +78,26 @@ impl OverloadMachine {
     /// Feeds a queue-depth observation through the transition rules.
     /// Returns `(state, entered_shedding)`.
     pub fn update(&mut self, depth: usize) -> (OverloadState, bool) {
-        let mut entered_shedding = false;
-        self.state = match self.state {
-            OverloadState::Shedding => {
-                // Leaving shedding requires draining all the way back to
-                // the low watermark, not just dipping under high —
-                // otherwise a boundary load level flaps admit/refuse on
-                // alternating connections.
-                if depth <= self.low {
-                    if depth == 0 {
-                        OverloadState::Healthy
-                    } else {
-                        OverloadState::Degraded
-                    }
-                } else {
-                    OverloadState::Shedding
-                }
-            }
-            OverloadState::Healthy | OverloadState::Degraded => {
-                if depth >= self.high {
-                    entered_shedding = true;
-                    OverloadState::Shedding
-                } else if depth >= self.low.max(1) {
-                    OverloadState::Degraded
-                } else {
-                    OverloadState::Healthy
-                }
-            }
+        let was_shedding = self.state == OverloadState::Shedding;
+        // Leaving shedding requires draining all the way back to the low
+        // watermark, not just dipping under high — otherwise a boundary
+        // load level flaps admit/refuse on alternating connections.
+        let shedding = if was_shedding { depth > self.low } else { depth >= self.high };
+        self.state = if shedding {
+            OverloadState::Shedding
+        } else if depth >= self.low.max(1) {
+            OverloadState::Degraded
+        } else {
+            OverloadState::Healthy
         };
-        (self.state, entered_shedding)
+        (self.state, shedding && !was_shedding)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn starts_healthy_and_walks_up_through_degraded() {
@@ -136,7 +128,7 @@ mod tests {
         assert_eq!(m.update(3), (OverloadState::Shedding, false));
         // At the low watermark the machine relaxes to Degraded…
         assert_eq!(m.update(2), (OverloadState::Degraded, false));
-        // …and only a fully drained queue restores Healthy.
+        // …and a queue below it restores Healthy.
         assert_eq!(m.update(1), (OverloadState::Healthy, false));
     }
 
@@ -172,6 +164,63 @@ mod tests {
         assert_eq!(m.update(1), (OverloadState::Degraded, false));
         assert_eq!(m.update(2), (OverloadState::Shedding, true));
         assert_eq!(m.update(0), (OverloadState::Healthy, false));
+    }
+
+    /// The reference automaton: a shedding latch that sets at
+    /// `depth >= high` and clears at `depth <= low`, with the state read
+    /// off the latch and the depth. Returns each step's
+    /// `(state, entered_shedding)`.
+    fn reference(low: usize, high: usize, depths: &[usize]) -> Vec<(OverloadState, bool)> {
+        let high = high.max(low + 1);
+        let mut latched = false;
+        depths
+            .iter()
+            .map(|&d| {
+                let was = latched;
+                latched = if was { d > low } else { d >= high };
+                let state = match (latched, d >= low.max(1)) {
+                    (true, _) => OverloadState::Shedding,
+                    (false, true) => OverloadState::Degraded,
+                    (false, false) => OverloadState::Healthy,
+                };
+                (state, latched && !was)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Over random watermarks and depth sequences the machine
+        /// matches the reference automaton step for step, and feeding a
+        /// depth a second time never moves it: only a change in load
+        /// changes the state.
+        #[test]
+        fn machine_matches_the_reference_automaton(
+            low in 0usize..6,
+            high in 0usize..9,
+            depths in prop::collection::vec(0usize..10, 1..40),
+        ) {
+            let mut m = OverloadMachine::new(low, high);
+            let got: Vec<_> = depths.iter().map(|&d| m.update(d)).collect();
+            prop_assert_eq!(got, reference(low, high, &depths));
+
+            let mut m = OverloadMachine::new(low, high);
+            for &d in &depths {
+                let (state, _) = m.update(d);
+                let again = m.update(d);
+                prop_assert_eq!(
+                    again,
+                    (state, false),
+                    "depth {} fed twice at watermarks {}/{}: {:?} then {:?}",
+                    d,
+                    low,
+                    high,
+                    state,
+                    again
+                );
+            }
+        }
     }
 
     #[test]

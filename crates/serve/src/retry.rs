@@ -14,7 +14,6 @@
 use crate::client::{ClientConfig, ServeClient};
 use crate::error::{Result, ServeError};
 use appclass_metrics::ByeReason;
-use appclass_obs::{Counter, Gauge, Registry};
 use std::net::ToSocketAddrs;
 use std::time::{Duration, Instant};
 
@@ -73,8 +72,7 @@ impl RetryPolicy {
     }
 }
 
-/// Breaker states, exported as the `client_breaker_state` gauge
-/// (`0` = closed, `1` = half-open, `2` = open).
+/// Breaker states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Normal operation: attempts flow.
@@ -85,16 +83,6 @@ pub enum BreakerState {
     /// Cooldown elapsed: exactly one probe attempt is allowed; success
     /// closes the breaker, failure re-opens it.
     HalfOpen,
-}
-
-impl BreakerState {
-    fn gauge_value(self) -> f64 {
-        match self {
-            BreakerState::Closed => 0.0,
-            BreakerState::HalfOpen => 1.0,
-            BreakerState::Open => 2.0,
-        }
-    }
 }
 
 /// A per-endpoint circuit breaker over hard connect failures.
@@ -111,8 +99,6 @@ pub struct CircuitBreaker {
     cooldown: Duration,
     opened_at: Option<Instant>,
     trips: u64,
-    state_gauge: Option<Gauge>,
-    trip_counter: Option<Counter>,
 }
 
 impl CircuitBreaker {
@@ -126,19 +112,7 @@ impl CircuitBreaker {
             cooldown,
             opened_at: None,
             trips: 0,
-            state_gauge: None,
-            trip_counter: None,
         }
-    }
-
-    /// Mirrors the breaker into a metric registry: the
-    /// `client_breaker_state` gauge and the `client_breaker_trips_total`
-    /// counter track every transition from then on.
-    pub fn attach_registry(&mut self, registry: &Registry) {
-        let gauge = registry.gauge("client_breaker_state");
-        gauge.set(self.state.gauge_value());
-        self.state_gauge = Some(gauge);
-        self.trip_counter = Some(registry.counter("client_breaker_trips_total"));
     }
 
     /// The current state (after applying any due open → half-open
@@ -159,7 +133,7 @@ impl CircuitBreaker {
         if self.state == BreakerState::Open {
             let since = self.opened_at.map(|at| at.elapsed()).unwrap_or(Duration::ZERO);
             if since >= self.cooldown {
-                self.set_state(BreakerState::HalfOpen);
+                self.state = BreakerState::HalfOpen;
             } else {
                 let left = self.cooldown - since;
                 return Err(ServeError::CircuitOpen { cooldown_ms: left.as_millis() as u64 });
@@ -173,7 +147,7 @@ impl CircuitBreaker {
     pub fn on_success(&mut self) {
         self.consecutive_failures = 0;
         self.opened_at = None;
-        self.set_state(BreakerState::Closed);
+        self.state = BreakerState::Closed;
     }
 
     /// Records a hard failure. In half-open the probe failed and the
@@ -188,18 +162,8 @@ impl CircuitBreaker {
         };
         if trip {
             self.trips += 1;
-            if let Some(c) = &self.trip_counter {
-                c.inc();
-            }
             self.opened_at = Some(Instant::now());
-            self.set_state(BreakerState::Open);
-        }
-    }
-
-    fn set_state(&mut self, state: BreakerState) {
-        self.state = state;
-        if let Some(g) = &self.state_gauge {
-            g.set(state.gauge_value());
+            self.state = BreakerState::Open;
         }
     }
 }
@@ -376,17 +340,6 @@ mod tests {
         b.on_failure();
         assert!(matches!(b.check(), Err(ServeError::CircuitOpen { .. })));
         assert_eq!(b.trips(), 2, "the failed probe is a second trip");
-    }
-
-    #[test]
-    fn breaker_mirrors_into_a_registry() {
-        let registry = Registry::new();
-        let mut b = CircuitBreaker::new(1, Duration::from_secs(60));
-        b.attach_registry(&registry);
-        assert_eq!(registry.gauge("client_breaker_state").get(), 0.0);
-        b.on_failure();
-        assert_eq!(registry.gauge("client_breaker_state").get(), 2.0);
-        assert_eq!(registry.counter("client_breaker_trips_total").get(), 1);
     }
 
     #[test]

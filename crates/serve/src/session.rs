@@ -22,7 +22,7 @@
 //! Sessions survive hot model swaps: the classifier is scoped to one
 //! model *generation*, the slot's epoch is checked before each frame,
 //! and when the served model changes the session folds the old
-//! generation's telemetry into its outcome and rebuilds against the new
+//! generation's telemetry into its own and rebuilds against the new
 //! pipeline on the same connection. Verdicts carry the fingerprint of
 //! the model that produced them, so a client watches its tags flip
 //! old → new.
@@ -34,13 +34,13 @@ use crate::feed::{CompositionFeed, FeedEntry};
 use crate::model::{ModelSlot, PinnedModel};
 use crate::proto::append_frame;
 use crate::shard::ServerConfig;
-use crate::stats::SessionOutcome;
+use crate::stats::{ServeMetrics, Telemetry};
 use appclass_core::online::OnlineClassifier;
 use appclass_core::{AppClass, ClassifierPipeline};
 use appclass_metrics::wire::{self, ControlFrameRef};
 use appclass_metrics::{ByeReason, ControlFrame, FrameDisposition, FrameVerdict, Snapshot};
 use appclass_obs::span::SpanName;
-use appclass_obs::{Counter, Histogram, Observability, TraceContext, TraceScope, Tracer};
+use appclass_obs::{Observability, TraceContext, TraceScope, Tracer};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,44 +69,6 @@ impl Default for SessionConfig {
     }
 }
 
-/// Registry handles one shard clones once and shares across all its
-/// sessions. The counters are the same named atomics every other shard
-/// increments — the shared registry is the lock-free merge point for
-/// live stats.
-struct ShardObs {
-    obs: Observability,
-    frames_in: Counter,
-    frames_repaired: Counter,
-    frames_dropped: Counter,
-    frames_malformed: Counter,
-    frames_deadline_shed: Counter,
-    classify_total: Counter,
-    classify_latency: Histogram,
-    swap_total: Counter,
-    swap_latency: Histogram,
-    /// Span stamped on every `Classify` round; when the request carried
-    /// a [`TraceContext`] the span joins the client's trace.
-    classify_span: SpanName,
-}
-
-impl ShardObs {
-    fn new(obs: &Observability) -> ShardObs {
-        ShardObs {
-            frames_in: obs.registry.counter("serve_frames_in_total"),
-            frames_repaired: obs.registry.counter("serve_frames_repaired_total"),
-            frames_dropped: obs.registry.counter("serve_frames_dropped_total"),
-            frames_malformed: obs.registry.counter("serve_frames_malformed_total"),
-            frames_deadline_shed: obs.registry.counter("serve_deadline_shed_total"),
-            classify_total: obs.registry.counter("serve_classify_total"),
-            classify_latency: obs.registry.histogram("serve_classify_latency"),
-            swap_total: obs.registry.counter("serve_model_swap_total"),
-            swap_latency: obs.registry.histogram("serve_model_swap_latency"),
-            classify_span: obs.tracer.register("classify"),
-            obs: obs.clone(),
-        }
-    }
-}
-
 /// Buffers one shard reuses for every request it serves, so that a warm
 /// request allocates nothing of its own.
 #[derive(Default)]
@@ -120,13 +82,17 @@ struct ShardScratch {
 }
 
 /// What the sessions of one shard share, built once per shard thread:
-/// the model slot, the policy, the composition feed, the registry
-/// handles and the request buffers.
+/// the model slot, the policy, the composition feed, the observability
+/// bundle with the server's registry handles, and the request buffers.
 pub(crate) struct SessionEnv {
     slot: Arc<ModelSlot>,
     config: ServerConfig,
     feed: CompositionFeed,
-    obs: ShardObs,
+    obs: Observability,
+    metrics: ServeMetrics,
+    /// Span stamped on every `Classify` round; when the request carried
+    /// a [`TraceContext`] the span joins the client's trace.
+    classify_span: SpanName,
     scratch: ShardScratch,
 }
 
@@ -136,8 +102,17 @@ impl SessionEnv {
         config: ServerConfig,
         feed: CompositionFeed,
         obs: &Observability,
+        metrics: &ServeMetrics,
     ) -> SessionEnv {
-        SessionEnv { slot, config, feed, obs: ShardObs::new(obs), scratch: ShardScratch::default() }
+        SessionEnv {
+            slot,
+            config,
+            feed,
+            obs: obs.clone(),
+            metrics: metrics.clone(),
+            classify_span: obs.tracer.register("classify"),
+            scratch: ShardScratch::default(),
+        }
     }
 }
 
@@ -227,12 +202,16 @@ pub(crate) enum Close {
 }
 
 /// One client's protocol state: its phase (with the pinned generation
-/// once the handshake is done), its outcome so far, the trace id last
-/// seen on its telemetry and the degraded-once latch.
+/// once the handshake is done), the snapshot frames it has streamed, the
+/// telemetry of its finished generations, the trace id last seen on its
+/// telemetry and the degraded-once latch.
 pub(crate) struct Session {
     id: u32,
     phase: Phase,
-    outcome: SessionOutcome,
+    /// Snapshot frames received, batch items included: the frame budget
+    /// is spent against this.
+    frames_in: u64,
+    telemetry: Telemetry,
     /// Trace id last seen on this session's telemetry (0 = untraced),
     /// published with every feed entry so placement decisions can link
     /// back to the originating trace.
@@ -249,7 +228,8 @@ impl Session {
         Session {
             id,
             phase: Phase::Handshake,
-            outcome: SessionOutcome::default(),
+            frames_in: 0,
+            telemetry: Telemetry::default(),
             last_trace: 0,
             degraded_noted: false,
         }
@@ -278,7 +258,7 @@ impl Session {
         // this generation and rebuild on the same connection.
         if let Phase::Steady(gen) = &mut self.phase {
             if gen.epoch != env.slot.epoch() {
-                finish(&mut self.outcome, &gen.classifier);
+                finish(&mut self.telemetry, &gen.classifier);
                 *gen = Generation::new(env);
             }
         }
@@ -298,7 +278,7 @@ impl Session {
             Phase::Handshake => return self.handshake(frame, out, env),
             Phase::Steady(gen) => gen,
         };
-        let SessionEnv { slot, config, feed, obs, scratch } = env;
+        let SessionEnv { slot, config, feed, obs, metrics, classify_span, scratch } = env;
         let model_id = gen.model_id;
         match frame {
             ControlFrameRef::Snapshot { wire: bytes, ctx } => {
@@ -310,10 +290,10 @@ impl Session {
                 if let Some(c) = ctx {
                     self.last_trace = c.trace_id;
                 }
-                gen.follow_trace(ctx, &obs.obs.tracer);
-                self.outcome.frames_in += 1;
-                obs.frames_in.inc();
-                if self.outcome.frames_in > config.session.frame_budget {
+                gen.follow_trace(ctx, &obs.tracer);
+                self.frames_in += 1;
+                metrics.frames_in.inc();
+                if self.frames_in > config.session.frame_budget {
                     append_frame(out, &ControlFrame::Bye { reason: ByeReason::FrameBudget });
                     return Some(Close::Clean);
                 }
@@ -324,8 +304,7 @@ impl Session {
                 // notice is unsolicited; the client read paths skip and
                 // count it.
                 if expired(config.session.deadline, arrival) {
-                    self.outcome.frames_deadline_shed += 1;
-                    obs.frames_deadline_shed.inc();
+                    metrics.frames_deadline_shed.inc();
                     note_degraded(&mut self.degraded_noted, obs, self.id, "deadline shed");
                     append_frame(out, &busy(config.busy_retry_after));
                     return None;
@@ -336,22 +315,19 @@ impl Session {
                 match wire::decode(bytes) {
                     Ok(snapshot) => match gen.classifier.push_guarded(&snapshot) {
                         Ok(FrameVerdict::Repaired { .. }) => {
-                            self.outcome.frames_repaired += 1;
-                            obs.frames_repaired.inc();
+                            metrics.frames_repaired.inc();
                             note_degraded(&mut self.degraded_noted, obs, self.id, "repaired");
                         }
                         Ok(FrameVerdict::Dropped { .. }) => {
-                            self.outcome.frames_dropped += 1;
-                            obs.frames_dropped.inc();
+                            metrics.frames_dropped.inc();
                             note_degraded(&mut self.degraded_noted, obs, self.id, "dropped");
                         }
                         Ok(FrameVerdict::Accepted) => {}
                         Err(e) => return Some(Close::Failed(e.into())),
                     },
                     Err(_) => {
-                        self.outcome.frames_malformed += 1;
                         gen.classifier.note_malformed();
-                        obs.frames_malformed.inc();
+                        metrics.frames_malformed.inc();
                         note_degraded(&mut self.degraded_noted, obs, self.id, "malformed");
                     }
                 }
@@ -363,14 +339,14 @@ impl Session {
                 if let Some(c) = ctx {
                     self.last_trace = c.trace_id;
                 }
-                gen.follow_trace(ctx, &obs.obs.tracer);
+                gen.follow_trace(ctx, &obs.tracer);
                 // Every item counts toward the frame budget exactly as if
                 // it had been streamed alone; a batch that would cross the
                 // budget ends the session before any of it is processed.
                 let n = wires.len() as u64;
-                self.outcome.frames_in += n;
-                obs.frames_in.add(n);
-                if self.outcome.frames_in > config.session.frame_budget {
+                self.frames_in += n;
+                metrics.frames_in.add(n);
+                if self.frames_in > config.session.frame_budget {
                     append_frame(out, &ControlFrame::Bye { reason: ByeReason::FrameBudget });
                     return Some(Close::Clean);
                 }
@@ -379,8 +355,7 @@ impl Session {
                 // client one `VerdictBatch`, so the refusal rides the
                 // normal ack) and nothing reaches the classifier.
                 if expired(config.session.deadline, arrival) {
-                    self.outcome.frames_deadline_shed += n;
-                    obs.frames_deadline_shed.add(n);
+                    metrics.frames_deadline_shed.add(n);
                     note_degraded(&mut self.degraded_noted, obs, self.id, "deadline shed");
                     let statuses = &mut scratch.statuses;
                     statuses.clear();
@@ -431,19 +406,16 @@ impl Session {
                         }
                     };
                 }
-                self.outcome.frames_repaired += repaired;
-                self.outcome.frames_dropped += dropped;
-                self.outcome.frames_malformed += malformed;
                 if repaired > 0 {
-                    obs.frames_repaired.add(repaired);
+                    metrics.frames_repaired.add(repaired);
                     note_degraded(&mut self.degraded_noted, obs, self.id, "repaired");
                 }
                 if dropped > 0 {
-                    obs.frames_dropped.add(dropped);
+                    metrics.frames_dropped.add(dropped);
                     note_degraded(&mut self.degraded_noted, obs, self.id, "dropped");
                 }
                 if malformed > 0 {
-                    obs.frames_malformed.add(malformed);
+                    metrics.frames_malformed.add(malformed);
                     note_degraded(&mut self.degraded_noted, obs, self.id, "malformed");
                 }
                 // Unlike lone snapshots (fire-and-forget), a batch is
@@ -460,15 +432,12 @@ impl Session {
                 if let Some(c) = ctx {
                     self.last_trace = c.trace_id;
                 }
-                let span = obs.obs.tracer.span(obs.classify_span);
+                let span = obs.tracer.span(*classify_span);
                 let start = Instant::now();
                 append_frame(out, &verdict_frame(&gen.classifier, model_id, ctx));
                 drop(span);
-                let elapsed = start.elapsed();
-                self.outcome.classify_latency.record(elapsed);
-                obs.classify_latency.record(elapsed);
-                obs.classify_total.inc();
-                self.outcome.verdicts += 1;
+                metrics.classify_latency.record(start.elapsed());
+                metrics.verdicts.inc();
                 publish(feed, self.id, gen, self.last_trace);
                 None
             }
@@ -490,11 +459,11 @@ impl Session {
                 };
                 let (old, new_id) = slot.swap(new);
                 if old != new_id {
-                    obs.swap_total.inc();
-                    obs.swap_latency.record(start.elapsed());
+                    metrics.swap_total.inc();
+                    metrics.swap_latency.record(start.elapsed());
                     // A swap opens a degradation window: the rebuild
                     // discards windowed classifier state. Flight-record it.
-                    obs.obs.incident(&format!(
+                    obs.incident(&format!(
                         "session {}: model swap {old:#018x} -> {new_id:#018x}",
                         self.id
                     ));
@@ -505,7 +474,7 @@ impl Session {
             ControlFrameRef::Other(ControlFrame::Stats { .. }) => {
                 // Any `Stats` frame from the client is a request; the
                 // reply carries the shared registry's exposition text.
-                let text = obs.obs.registry.render();
+                let text = obs.registry.render();
                 append_frame(out, &ControlFrame::Stats { text });
                 None
             }
@@ -585,15 +554,15 @@ impl Session {
         }
     }
 
-    /// Ends the session: it leaves the feed's live set, and its
-    /// generation's telemetry folds into the outcome it returns.
-    pub(crate) fn end(self, feed: &CompositionFeed) -> SessionOutcome {
-        let Session { id, phase, mut outcome, .. } = self;
+    /// Ends the session: it leaves the feed's live set, and returns the
+    /// telemetry of every generation it served.
+    pub(crate) fn end(self, feed: &CompositionFeed) -> Telemetry {
+        let Session { id, phase, mut telemetry, .. } = self;
         if let Phase::Steady(gen) = &phase {
-            finish(&mut outcome, &gen.classifier);
+            finish(&mut telemetry, &gen.classifier);
         }
         feed.retire(id);
-        outcome
+        telemetry
     }
 }
 
@@ -622,10 +591,10 @@ fn append_verdict_batch(out: &mut Vec<u8>, statuses: &mut Vec<FrameDisposition>)
 /// One flight-recorder incident per session degradation episode. Takes
 /// the latch alone so the caller can hold disjoint borrows into the rest
 /// of the session.
-fn note_degraded(noted: &mut bool, obs: &ShardObs, session_id: u32, what: &str) {
+fn note_degraded(noted: &mut bool, obs: &Observability, session_id: u32, what: &str) {
     if !*noted {
         *noted = true;
-        obs.obs.incident(&format!("session {session_id}: first degraded frame ({what})"));
+        obs.incident(&format!("session {session_id}: first degraded frame ({what})"));
     }
 }
 
@@ -674,12 +643,10 @@ fn publish(feed: &CompositionFeed, session: u32, gen: &Generation, trace: u64) {
     });
 }
 
-/// Folds the classifier's end-of-generation reports into the outcome.
-/// Merging (not replacing) is what lets a session's telemetry survive a
-/// hot swap: every generation contributes its counts.
-fn finish(outcome: &mut SessionOutcome, classifier: &OnlineClassifier<'_>) {
-    outcome.health.merge(classifier.telemetry());
-    outcome.stage_metrics.merge(classifier.stage_metrics());
+/// Folds the classifier's end-of-generation reports into the session's:
+/// every generation contributes its counts.
+fn finish(telemetry: &mut Telemetry, classifier: &OnlineClassifier<'_>) {
+    telemetry.merge(classifier.telemetry(), classifier.stage_metrics());
 }
 
 #[cfg(test)]
@@ -753,7 +720,9 @@ mod tests {
     impl Harness {
         fn new(pipeline: Arc<ClassifierPipeline>, config: ServerConfig) -> Harness {
             let slot = Arc::new(ModelSlot::new(pipeline));
-            let env = SessionEnv::new(slot, config, CompositionFeed::new(), &Observability::new());
+            let obs = Observability::new();
+            let metrics = ServeMetrics::new(&obs.registry);
+            let env = SessionEnv::new(slot, config, CompositionFeed::new(), &obs, &metrics);
             Harness { env, session: Session::new(7) }
         }
 
@@ -899,9 +868,9 @@ mod tests {
         let (close, replies) = h.send(&batch(&snapshots(5)));
         assert_eq!(replies, [ControlFrame::Bye { reason: ByeReason::FrameBudget }]);
         assert!(matches!(close, Some(Close::Clean)), "{close:?}");
-        let outcome = h.session.end(&h.env.feed);
-        assert_eq!(outcome.frames_in, 5);
-        assert_eq!(outcome.health.seen, 0, "no item may reach the classifier");
+        assert_eq!(h.env.metrics.frames_in.get(), 5);
+        let telemetry = h.session.end(&h.env.feed);
+        assert_eq!(telemetry.health.seen, 0, "no item may reach the classifier");
     }
 
     #[test]
@@ -938,7 +907,7 @@ mod tests {
     #[test]
     fn only_traced_snapshot_frames_record_classifier_spans() {
         let mut h = Harness::steady(trained(90.0), ServerConfig::default());
-        let tracer = h.env.obs.obs.tracer.clone();
+        let tracer = h.env.obs.tracer.clone();
         let traced = TraceContext::new(0xC0FFEE);
         let snaps = snapshots(3 * 130);
         let mut next = snaps.iter();
@@ -975,8 +944,8 @@ mod tests {
             }
         }
         assert!(next.next().is_none());
-        let outcome = h.session.end(&h.env.feed);
-        assert_eq!(outcome.health.accepted, snaps.len() as u64, "every frame was classified");
+        let telemetry = h.session.end(&h.env.feed);
+        assert_eq!(telemetry.health.accepted, snaps.len() as u64, "every frame was classified");
     }
 
     /// One stream with a duplicate and a cadence gap, served as 96 lone
@@ -1009,7 +978,15 @@ mod tests {
                 }
             }
             let (_, replies) = h.send(&ControlFrame::Classify { ctx: None });
-            (verdict_bits(&replies), dispositions, h.session.end(&h.env.feed))
+            let m = &h.env.metrics;
+            let counts = (
+                m.frames_in.get(),
+                m.frames_repaired.get(),
+                m.frames_dropped.get(),
+                m.frames_malformed.get(),
+                h.session.end(&h.env.feed).health,
+            );
+            (verdict_bits(&replies), dispositions, counts)
         };
         let lone = serve(snaps.iter().map(|s| lone(s, None)).collect());
         let ones = serve(snaps.chunks(1).map(batch).collect());
@@ -1019,12 +996,9 @@ mod tests {
         assert_eq!(ones.0, whole.0, "one-item batches vs one batch");
         assert_eq!(ones.1, whole.1, "dispositions");
         assert_eq!(whole.1.iter().filter(|&&d| d == FrameDisposition::Dropped).count(), 1);
-        let counts = |o: &SessionOutcome| {
-            (o.frames_in, o.frames_repaired, o.frames_dropped, o.frames_malformed, o.health.clone())
-        };
-        assert_eq!(counts(&lone.2), counts(&ones.2));
-        assert_eq!(counts(&ones.2), counts(&whole.2));
-        let health = &whole.2.health;
+        assert_eq!(lone.2, ones.2);
+        assert_eq!(ones.2, whole.2);
+        let (.., health) = &whole.2;
         assert_eq!((health.seen, health.dropped, health.gaps), (96, 1, 1));
     }
 

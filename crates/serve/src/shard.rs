@@ -28,10 +28,13 @@
 //!   snapshot datagrams are classified straight out of the buffer the
 //!   kernel filled, never copied into per-frame `Vec`s. A property test
 //!   pins the borrowed decode bit-identical to the allocating path.
-//! - **Lock-free stats.** Each shard accumulates its own
-//!   [`ServerStats`]; live observability flows through the shared
-//!   registry's atomic counters. The only merge is at
-//!   [`ShardServer::join`], after every shard has exited.
+//! - **One lock-free ledger.** Every counter the server keeps is a
+//!   registry handle built once, at [`ShardServer::bind`]; the acceptor
+//!   and every shard count into clones of it with relaxed atomic adds,
+//!   and the `Stats` exposition renders it live. [`ShardServer::join`]
+//!   reads its [`ServerStats`] from the same handles after every thread
+//!   has exited, folding in only what each shard's classifiers reported
+//!   (guard health and stage costs).
 //!
 //! Ownership rule for the zero-copy path: a borrowed frame lives
 //! exactly as long as one call to the session core — nothing borrowed
@@ -46,10 +49,10 @@ use crate::overload::{OverloadMachine, OverloadState};
 use crate::poll::{PollSet, Waker};
 use crate::proto::{write_frame, MAX_FRAME_BYTES};
 use crate::session::{busy, Close, Session, SessionConfig, SessionEnv};
-use crate::stats::ServerStats;
+use crate::stats::{ServeMetrics, ServerStats, Telemetry};
 use appclass_core::ClassifierPipeline;
 use appclass_metrics::{ByeReason, ControlFrame};
-use appclass_obs::{Counter, Gauge, Histogram, Observability};
+use appclass_obs::Observability;
 use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -110,37 +113,6 @@ impl Default for ServerConfig {
             busy_retry_after: Duration::from_millis(100),
             shards: 2,
             session: SessionConfig::default(),
-        }
-    }
-}
-
-/// Registry counters that track the session-lifecycle fields of
-/// [`ServerStats`] live, for the `Stats` exposition. Every shard
-/// increments the same registry atomics — the lock-free merge.
-struct SessionCounters {
-    started: Counter,
-    finished: Counter,
-    rejected: Counter,
-    /// Soft `Busy` refusals while shedding (`serve_shed_total`).
-    shed: Counter,
-    errors: Counter,
-    /// Pre-registered at bind (the session core registers the same
-    /// names), so `model_swap_total` and its latency histogram appear in
-    /// the `Stats` exposition even before the first swap.
-    swap_total: Counter,
-    swap_latency: Histogram,
-}
-
-impl SessionCounters {
-    fn new(obs: &Observability) -> Self {
-        SessionCounters {
-            started: obs.registry.counter("serve_sessions_started_total"),
-            finished: obs.registry.counter("serve_sessions_finished_total"),
-            rejected: obs.registry.counter("serve_sessions_rejected_total"),
-            shed: obs.registry.counter("serve_shed_total"),
-            errors: obs.registry.counter("serve_session_errors_total"),
-            swap_total: obs.registry.counter("serve_model_swap_total"),
-            swap_latency: obs.registry.histogram("serve_model_swap_latency"),
         }
     }
 }
@@ -261,17 +233,13 @@ struct ShardShared {
     /// through `acceptor_exited`.
     acceptor_done: Mutex<bool>,
     acceptor_exited: Condvar,
-    /// `serve_loop_wakeups_total`: returns from `poll(2)` in the acceptor
-    /// and every shard.
-    wakeups: Counter,
     /// Connections admitted (dealt to a shard) and not yet retired.
     in_flight: AtomicUsize,
     next_session: AtomicU32,
     overload: Mutex<OverloadMachine>,
-    overload_gauge: Gauge,
-    queue_depth_gauge: Gauge,
     obs: Observability,
-    counters: SessionCounters,
+    /// The server's one ledger, registered in `obs.registry`.
+    metrics: ServeMetrics,
     feed: CompositionFeed,
 }
 
@@ -283,8 +251,8 @@ struct ShardShared {
 pub struct ShardServer {
     local_addr: SocketAddr,
     shared: Arc<ShardShared>,
-    acceptor: Option<JoinHandle<ServerStats>>,
-    shards: Vec<JoinHandle<ServerStats>>,
+    acceptor: Option<JoinHandle<()>>,
+    shards: Vec<JoinHandle<Telemetry>>,
 }
 
 impl ShardServer {
@@ -301,12 +269,7 @@ impl ShardServer {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let obs = Observability::new();
-        let counters = SessionCounters::new(&obs);
-        // Pre-register so the exposition names the deadline counter even
-        // before the first session sheds a frame.
-        let _ = obs.registry.counter("serve_deadline_shed_total");
-        let overload_gauge = obs.registry.gauge("serve_overload_state");
-        let queue_depth_gauge = obs.registry.gauge("serve_queue_depth");
+        let metrics = ServeMetrics::new(&obs.registry);
         let nshards = config.shards.max(1);
         let shared = Arc::new(ShardShared {
             slot: Arc::new(ModelSlot::new(pipeline)),
@@ -316,17 +279,14 @@ impl ShardServer {
             shard_wakers: (0..nshards).map(|_| Waker::new()).collect::<std::io::Result<_>>()?,
             acceptor_done: Mutex::new(false),
             acceptor_exited: Condvar::new(),
-            wakeups: obs.registry.counter("serve_loop_wakeups_total"),
             in_flight: AtomicUsize::new(0),
             next_session: AtomicU32::new(1),
             overload: Mutex::new(OverloadMachine::new(
                 config.shed_low_watermark,
                 config.shed_high_watermark,
             )),
-            overload_gauge,
-            queue_depth_gauge,
             obs,
-            counters,
+            metrics,
             feed: CompositionFeed::new(),
         });
 
@@ -388,8 +348,8 @@ impl ShardServer {
         let start = Instant::now();
         let (old, new) = self.shared.slot.swap(pipeline);
         if old != new {
-            self.shared.counters.swap_total.inc();
-            self.shared.counters.swap_latency.record(start.elapsed());
+            self.shared.metrics.swap_total.inc();
+            self.shared.metrics.swap_latency.record(start.elapsed());
             self.shared.obs.incident(&format!("server: model swap {old:#018x} -> {new:#018x}"));
         }
         (old, new)
@@ -415,28 +375,27 @@ impl ShardServer {
         drop(shared.acceptor_exited.wait_while(lock(&shared.acceptor_done), |done| !*done));
     }
 
-    /// Waits for the acceptor and every shard, then merges the
-    /// per-shard statistics into one report. Blocks until either
+    /// Waits for the acceptor and every shard, then reports: every
+    /// counter and the classify latencies are read from the registry
+    /// handles the `Stats` exposition renders, and each shard's
+    /// classifier telemetry is folded in. Blocks until either
     /// [`ShardServer::shutdown`] or the accept limit drains.
     pub fn join(mut self) -> Result<ServerStats> {
-        let mut merged = ServerStats::default();
+        let mut telemetry = Telemetry::default();
         let mut panicked = false;
         if let Some(h) = self.acceptor.take() {
-            match h.join() {
-                Ok(admission) => merged.merge(&admission),
-                Err(_) => panicked = true,
-            }
+            panicked |= h.join().is_err();
         }
         for h in self.shards.drain(..) {
             match h.join() {
-                Ok(stats) => merged.merge(&stats),
+                Ok(shard) => telemetry.merge(&shard.health, &shard.stage_metrics),
                 Err(_) => panicked = true,
             }
         }
         if panicked {
             return Err(ServeError::WorkerPanicked);
         }
-        Ok(merged)
+        Ok(self.shared.metrics.report(telemetry))
     }
 }
 
@@ -463,8 +422,8 @@ fn update_overload(shared: &ShardShared) -> OverloadState {
     let depth =
         shared.in_flight.load(Ordering::SeqCst).saturating_sub(shared.config.max_sessions.max(1));
     let (state, entered_shedding) = lock(&shared.overload).update(depth);
-    shared.queue_depth_gauge.set(depth as f64);
-    shared.overload_gauge.set(state.gauge_value());
+    shared.metrics.queue_depth.set(depth as f64);
+    shared.metrics.overload_state.set(state.gauge_value());
     if entered_shedding {
         shared.obs.incident(&format!("server: load shedding engaged (queue depth {depth})"));
     }
@@ -509,15 +468,12 @@ impl Drop for AcceptorExit<'_> {
 /// Readiness-driven acceptor: admission control (hard `SessionLimit`
 /// cap, then soft `Busy` shedding), dealing admitted sockets round-robin
 /// across the shard channels and waking the shard each one went to.
-/// Returns the admission-side statistics (rejected/busy), which it owns
-/// single-threaded — no lock on the refusal path.
 fn shard_accept_loop(
     shared: &ShardShared,
     listener: &TcpListener,
     intakes: Vec<Sender<TcpStream>>,
-) -> ServerStats {
+) {
     let exit = AcceptorExit { shared, intakes };
-    let mut stats = ServerStats::default();
     let capacity = shared.config.max_sessions.max(1) + shared.config.backlog;
     let mut admitted = 0u64;
     let mut next_shard = 0usize;
@@ -538,7 +494,7 @@ fn shard_accept_loop(
                 poll.push(listener, true, false);
                 let waker = poll.push(&shared.acceptor_waker, true, false);
                 let _ = poll.wait(None);
-                shared.wakeups.inc();
+                shared.metrics.loop_wakeups.inc();
                 if poll.readable(waker) {
                     shared.acceptor_waker.drain();
                 }
@@ -558,14 +514,12 @@ fn shard_accept_loop(
             break;
         }
         if shared.in_flight.load(Ordering::SeqCst) >= capacity {
-            stats.sessions_rejected += 1;
-            shared.counters.rejected.inc();
+            shared.metrics.sessions_rejected.inc();
             refuse(stream, ByeReason::SessionLimit);
             continue;
         }
         if update_overload(shared) == OverloadState::Shedding {
-            stats.sessions_busy += 1;
-            shared.counters.shed.inc();
+            shared.metrics.sessions_busy.inc();
             refuse_busy(stream, shared.config.busy_retry_after);
             continue;
         }
@@ -579,21 +533,25 @@ fn shard_accept_loop(
         shared.shard_wakers[shard].wake();
         next_shard = next_shard.wrapping_add(1);
     }
-    stats
 }
 
 /// One shard's event loop: drain the intake channel, park in `poll(2)`
 /// over the shard's waker and every owned socket, pump reads, serve
 /// complete frames through the session core, flush writes, retire
-/// finished connections. Returns the shard's final stats.
-fn shard_loop(shared: &ShardShared, index: usize, rx: &Receiver<TcpStream>) -> ServerStats {
+/// finished connections. Returns its sessions' classifier telemetry.
+fn shard_loop(shared: &ShardShared, index: usize, rx: &Receiver<TcpStream>) -> Telemetry {
     let waker = &shared.shard_wakers[index];
-    let mut stats = ServerStats::default();
+    let mut telemetry = Telemetry::default();
     let mut conns: Vec<Conn> = Vec::new();
     let mut poll = PollSet::new();
     let mut read_chunk = vec![0u8; READ_CHUNK];
-    let mut env =
-        SessionEnv::new(Arc::clone(&shared.slot), shared.config, shared.feed.clone(), &shared.obs);
+    let mut env = SessionEnv::new(
+        Arc::clone(&shared.slot),
+        shared.config,
+        shared.feed.clone(),
+        &shared.obs,
+        &shared.metrics,
+    );
     let stall_budget = shared.config.stall_budget;
 
     loop {
@@ -603,7 +561,7 @@ fn shard_loop(shared: &ShardShared, index: usize, rx: &Receiver<TcpStream>) -> S
         let mut disconnected = false;
         loop {
             match rx.try_recv() {
-                Ok(stream) => admit(stream, shutting_down, &mut conns, &mut stats, shared),
+                Ok(stream) => admit(stream, shutting_down, &mut conns, shared),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
                     disconnected = true;
@@ -622,7 +580,7 @@ fn shard_loop(shared: &ShardShared, index: usize, rx: &Receiver<TcpStream>) -> S
                     None => conn.sess.farewell(&mut conn.io.write_buf),
                 };
                 let _ = conn.io.pump_write(); // best-effort farewell
-                retire(conn, kind, &mut stats, shared);
+                retire(conn, kind, &mut telemetry, shared);
             }
         }
         if disconnected && conns.is_empty() {
@@ -640,7 +598,7 @@ fn shard_loop(shared: &ShardShared, index: usize, rx: &Receiver<TcpStream>) -> S
             poll.push(&conn.io.stream, conn.closing.is_none(), conn.io.has_pending_writes());
         }
         let _ = poll.wait(stall_timeout(&conns, stall_budget));
-        shared.wakeups.inc();
+        shared.metrics.loop_wakeups.inc();
         if poll.readable(0) {
             waker.drain();
         }
@@ -667,11 +625,11 @@ fn shard_loop(shared: &ShardShared, index: usize, rx: &Receiver<TcpStream>) -> S
             if conns[i].closing.is_some() && !conns[i].io.has_pending_writes() {
                 let mut conn = conns.swap_remove(i);
                 let kind = conn.closing.take().unwrap_or(Close::Clean);
-                retire(conn, kind, &mut stats, shared);
+                retire(conn, kind, &mut telemetry, shared);
             }
         }
     }
-    stats
+    telemetry
 }
 
 /// How long a shard may park before the longest-silent partial frame
@@ -690,25 +648,17 @@ fn stall_timeout(conns: &[Conn], budget: Duration) -> Option<Duration> {
 /// Takes one connection the acceptor dealt to this shard: refused with
 /// `Bye(Shutdown)` if the shard is shutting down, otherwise made
 /// nonblocking and added to `conns` awaiting its `Hello`.
-fn admit(
-    stream: TcpStream,
-    shutting_down: bool,
-    conns: &mut Vec<Conn>,
-    stats: &mut ServerStats,
-    shared: &ShardShared,
-) {
+fn admit(stream: TcpStream, shutting_down: bool, conns: &mut Vec<Conn>, shared: &ShardShared) {
     if shutting_down {
         // Admitted before the flag flipped, never served.
-        stats.sessions_rejected += 1;
-        shared.counters.rejected.inc();
+        shared.metrics.sessions_rejected.inc();
         refuse(stream, ByeReason::Shutdown);
         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
         update_overload(shared);
         return;
     }
     if stream.set_nonblocking(true).is_err() {
-        stats.session_errors += 1;
-        shared.counters.errors.inc();
+        shared.metrics.session_errors.inc();
         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
         update_overload(shared);
         return;
@@ -716,8 +666,7 @@ fn admit(
     // Replies are small and latency-bound; never let Nagle sit on them.
     let _ = stream.set_nodelay(true);
     let session_id = shared.next_session.fetch_add(1, Ordering::SeqCst);
-    stats.sessions_started += 1;
-    shared.counters.started.inc();
+    shared.metrics.sessions_started.inc();
     conns.push(Conn { io: ConnIo::new(stream), sess: Session::new(session_id), closing: None });
 }
 
@@ -776,20 +725,17 @@ fn serve_conn_turn(
     }
 }
 
-/// Retires a finished connection: ends its session, folds the outcome
-/// into the shard stats, counts it in the lifecycle counters, releases
-/// its admission slot, and lets the overload machine observe the drain.
-fn retire(conn: Conn, kind: Close, stats: &mut ServerStats, shared: &ShardShared) {
+/// Retires a finished connection: ends its session, folds its classifier
+/// telemetry into the shard's, counts how it ended, releases its
+/// admission slot, and lets the overload machine observe the drain.
+fn retire(conn: Conn, kind: Close, telemetry: &mut Telemetry, shared: &ShardShared) {
     let session_id = conn.sess.id();
-    stats.absorb(&conn.sess.end(&shared.feed));
+    let ended = conn.sess.end(&shared.feed);
+    telemetry.merge(&ended.health, &ended.stage_metrics);
     match &kind {
-        Close::Clean | Close::Shutdown => {
-            stats.sessions_finished += 1;
-            shared.counters.finished.inc();
-        }
+        Close::Clean | Close::Shutdown => shared.metrics.sessions_finished.inc(),
         Close::Failed(e) => {
-            stats.session_errors += 1;
-            shared.counters.errors.inc();
+            shared.metrics.session_errors.inc();
             shared.obs.incident(&format!("session {session_id} failed: {e}"));
         }
     }

@@ -1,43 +1,107 @@
-//! Aggregate serving statistics: session/frame counters, merged
-//! telemetry health, per-stage costs, and a classify-latency histogram.
+//! The serving ledger: one set of registry handles that every session,
+//! shard and the acceptor count into, and the [`ServerStats`] report
+//! [`ShardServer::join`](crate::ShardServer::join) reads back from them.
 //!
-//! Every session accumulates its own [`SessionOutcome`]; when the session
-//! ends its shard folds it into the shard's own [`ServerStats`], and the
-//! shards' stats merge once, at join, so per-frame hot paths never
-//! contend on shared state.
+//! Each event is counted once, by a relaxed atomic add on a handle
+//! cloned from `ServeMetrics`; the `Stats` exposition renders the same
+//! handles, so the drain report and the live exposition cannot disagree.
+//! The only figures outside the registry are the classifiers' own
+//! reports, guard health and stage costs: a session folds its model
+//! generations', a shard its sessions', and `join` the shards'.
 
 use appclass_metrics::{StageMetrics, TelemetryHealth};
+use appclass_obs::{Counter, Gauge, Histogram, LatencyHistogram, Registry};
 use std::fmt;
 
-/// Power-of-two-nanosecond latency histogram, re-exported from the
-/// observability layer it was extracted into ([`appclass_obs::hist`]).
-/// The serving report's semantics are unchanged: bucket `i` covers
-/// durations up to `2^i` nanoseconds and `quantile` reports the upper
-/// bound of the bucket holding the requested rank.
-pub use appclass_obs::LatencyHistogram;
+/// Registry handles for every serving metric, registered once per server
+/// in exposition order. Clones share the atomics, so a shard's clone
+/// counts into the same ledger as every other.
+#[derive(Debug, Clone)]
+pub(crate) struct ServeMetrics {
+    pub(crate) sessions_started: Counter,
+    pub(crate) sessions_finished: Counter,
+    pub(crate) sessions_rejected: Counter,
+    /// Soft `Busy` refusals while shedding (`serve_shed_total`).
+    pub(crate) sessions_busy: Counter,
+    pub(crate) session_errors: Counter,
+    pub(crate) swap_total: Counter,
+    pub(crate) swap_latency: Histogram,
+    pub(crate) frames_deadline_shed: Counter,
+    pub(crate) overload_state: Gauge,
+    pub(crate) queue_depth: Gauge,
+    /// Returns from `poll(2)` in the acceptor and every shard.
+    pub(crate) loop_wakeups: Counter,
+    pub(crate) frames_in: Counter,
+    pub(crate) frames_repaired: Counter,
+    pub(crate) frames_dropped: Counter,
+    pub(crate) frames_malformed: Counter,
+    /// Verdicts served (`serve_classify_total`).
+    pub(crate) verdicts: Counter,
+    pub(crate) classify_latency: Histogram,
+}
 
-/// What one finished session contributes to the aggregate stats.
+impl ServeMetrics {
+    /// Registers every serving metric in `registry`, so the exposition
+    /// names each one before its first event.
+    pub(crate) fn new(registry: &Registry) -> ServeMetrics {
+        ServeMetrics {
+            sessions_started: registry.counter("serve_sessions_started_total"),
+            sessions_finished: registry.counter("serve_sessions_finished_total"),
+            sessions_rejected: registry.counter("serve_sessions_rejected_total"),
+            sessions_busy: registry.counter("serve_shed_total"),
+            session_errors: registry.counter("serve_session_errors_total"),
+            swap_total: registry.counter("serve_model_swap_total"),
+            swap_latency: registry.histogram("serve_model_swap_latency"),
+            frames_deadline_shed: registry.counter("serve_deadline_shed_total"),
+            overload_state: registry.gauge("serve_overload_state"),
+            queue_depth: registry.gauge("serve_queue_depth"),
+            loop_wakeups: registry.counter("serve_loop_wakeups_total"),
+            frames_in: registry.counter("serve_frames_in_total"),
+            frames_repaired: registry.counter("serve_frames_repaired_total"),
+            frames_dropped: registry.counter("serve_frames_dropped_total"),
+            frames_malformed: registry.counter("serve_frames_malformed_total"),
+            verdicts: registry.counter("serve_classify_total"),
+            classify_latency: registry.histogram("serve_classify_latency"),
+        }
+    }
+
+    /// The report for everything counted so far, with the classifiers'
+    /// folded `telemetry`.
+    pub(crate) fn report(&self, telemetry: Telemetry) -> ServerStats {
+        ServerStats {
+            sessions_started: self.sessions_started.get(),
+            sessions_finished: self.sessions_finished.get(),
+            sessions_rejected: self.sessions_rejected.get(),
+            sessions_busy: self.sessions_busy.get(),
+            session_errors: self.session_errors.get(),
+            frames_in: self.frames_in.get(),
+            frames_repaired: self.frames_repaired.get(),
+            frames_dropped: self.frames_dropped.get(),
+            frames_malformed: self.frames_malformed.get(),
+            frames_deadline_shed: self.frames_deadline_shed.get(),
+            verdicts: self.verdicts.get(),
+            health: telemetry.health,
+            stage_metrics: telemetry.stage_metrics,
+            classify_latency: self.classify_latency.snapshot(),
+        }
+    }
+}
+
+/// What classifiers report about their own input and cost: the frame
+/// guard's health and the per-stage costs. Merging (not replacing) is
+/// what lets a session's telemetry survive a hot swap.
 #[derive(Debug, Clone, Default)]
-pub struct SessionOutcome {
-    /// Snapshot frames received (before guard admission).
-    pub frames_in: u64,
-    /// Frames the guard repaired before classification.
-    pub frames_repaired: u64,
-    /// Frames the guard dropped.
-    pub frames_dropped: u64,
-    /// Snapshot payloads that failed to decode.
-    pub frames_malformed: u64,
-    /// Frames shed because they overran the per-frame deadline budget
-    /// (acknowledged with `Busy` or `Expired`, never classified).
-    pub frames_deadline_shed: u64,
-    /// Verdicts served to the client.
-    pub verdicts: u64,
-    /// Final telemetry health of the session's frame guard.
-    pub health: TelemetryHealth,
-    /// Per-stage costs of the session's online classifier.
-    pub stage_metrics: StageMetrics,
-    /// Latency of each `Classify` round (guard + pipeline + encode).
-    pub classify_latency: LatencyHistogram,
+pub(crate) struct Telemetry {
+    pub(crate) health: TelemetryHealth,
+    pub(crate) stage_metrics: StageMetrics,
+}
+
+impl Telemetry {
+    /// Folds one report into the running totals.
+    pub(crate) fn merge(&mut self, health: &TelemetryHealth, stage_metrics: &StageMetrics) {
+        self.health.merge(health);
+        self.stage_metrics.merge(stage_metrics);
+    }
 }
 
 /// Aggregate statistics for one server lifetime.
@@ -70,43 +134,8 @@ pub struct ServerStats {
     pub health: TelemetryHealth,
     /// Merged per-stage classifier costs.
     pub stage_metrics: StageMetrics,
-    /// Merged classify-latency histogram.
+    /// Classify-latency histogram across all sessions.
     pub classify_latency: LatencyHistogram,
-}
-
-impl ServerStats {
-    /// Folds another aggregate into this one — how the server
-    /// combines per-shard stats (each owned lock-free by its shard
-    /// thread) into one report at join time.
-    pub fn merge(&mut self, other: &ServerStats) {
-        self.sessions_started += other.sessions_started;
-        self.sessions_finished += other.sessions_finished;
-        self.sessions_rejected += other.sessions_rejected;
-        self.sessions_busy += other.sessions_busy;
-        self.session_errors += other.session_errors;
-        self.frames_in += other.frames_in;
-        self.frames_repaired += other.frames_repaired;
-        self.frames_dropped += other.frames_dropped;
-        self.frames_malformed += other.frames_malformed;
-        self.frames_deadline_shed += other.frames_deadline_shed;
-        self.verdicts += other.verdicts;
-        self.health.merge(&other.health);
-        self.stage_metrics.merge(&other.stage_metrics);
-        self.classify_latency.merge(&other.classify_latency);
-    }
-
-    /// Folds one finished session into the aggregate.
-    pub fn absorb(&mut self, outcome: &SessionOutcome) {
-        self.frames_in += outcome.frames_in;
-        self.frames_repaired += outcome.frames_repaired;
-        self.frames_dropped += outcome.frames_dropped;
-        self.frames_malformed += outcome.frames_malformed;
-        self.frames_deadline_shed += outcome.frames_deadline_shed;
-        self.verdicts += outcome.verdicts;
-        self.health.merge(&outcome.health);
-        self.stage_metrics.merge(&outcome.stage_metrics);
-        self.classify_latency.merge(&outcome.classify_latency);
-    }
 }
 
 impl fmt::Display for ServerStats {
@@ -221,48 +250,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert!(a.quantile(1.0) >= Duration::from_millis(1));
-    }
-
-    #[test]
-    fn absorb_folds_session_counters() {
-        let mut stats = ServerStats::default();
-        let mut outcome = SessionOutcome { frames_in: 10, verdicts: 3, ..Default::default() };
-        outcome.health.seen = 10;
-        outcome.health.accepted = 9;
-        outcome.classify_latency.record(Duration::from_micros(3));
-        outcome.stage_metrics.record("knn", 10, Duration::from_micros(20));
-        stats.absorb(&outcome);
-        stats.absorb(&outcome);
-        assert_eq!(stats.frames_in, 20);
-        assert_eq!(stats.verdicts, 6);
-        assert_eq!(stats.health.seen, 20);
-        assert_eq!(stats.classify_latency.count(), 2);
-        assert_eq!(stats.stage_metrics.get("knn").unwrap().samples, 20);
-    }
-
-    #[test]
-    fn merge_adds_every_counter_and_folds_histograms() {
-        let mut a = ServerStats {
-            sessions_started: 2,
-            sessions_finished: 1,
-            sessions_rejected: 3,
-            sessions_busy: 4,
-            session_errors: 1,
-            frames_in: 10,
-            verdicts: 5,
-            ..Default::default()
-        };
-        a.classify_latency.record(Duration::from_micros(2));
-        let mut b = ServerStats { sessions_started: 1, frames_in: 7, ..Default::default() };
-        b.health.seen = 7;
-        b.classify_latency.record(Duration::from_micros(9));
-        a.merge(&b);
-        assert_eq!(a.sessions_started, 3);
-        assert_eq!(a.sessions_rejected, 3);
-        assert_eq!(a.sessions_busy, 4);
-        assert_eq!(a.frames_in, 17);
-        assert_eq!(a.health.seen, 7);
-        assert_eq!(a.classify_latency.count(), 2);
     }
 
     #[test]

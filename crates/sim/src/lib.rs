@@ -32,8 +32,6 @@
 //!   plus the registry mapping names to expected classes.
 //! * [`runner`] — glue: run one workload in one VM under the monitoring
 //!   stack, yielding the data pool + run statistics.
-//! * [`vmplant`] — the paper's §2 substrate: DAG-configured cloning and
-//!   instantiation of application-centric VMs (VMPlant).
 //! * [`fleet`] — deterministic diurnal + bursty VM arrival plans, the
 //!   load model behind the serving fleet harness.
 
@@ -45,7 +43,6 @@ pub mod noise;
 pub mod resources;
 pub mod runner;
 pub mod vm;
-pub mod vmplant;
 pub mod workload;
 
 pub use host::{Host, HostCapacity};

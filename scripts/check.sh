@@ -80,7 +80,8 @@ echo "== observability smoke test =="
 # Serve again with two session slots: one real classify session, then a
 # stats fetch over the Stats control frame (the fetch occupies the
 # second slot). The exposition must be parseable "name value" lines and
-# count the classify that just happened.
+# count the classify that just happened, and the drained server's report
+# must agree with it: both read the same registry counters.
 ./target/release/appclass serve --addr 127.0.0.1:0 --model "$tmp/pipeline.json" \
     --sessions 2 > "$tmp/obs_serve.log" &
 obs_pid=$!
@@ -91,7 +92,15 @@ addr=$(wait_addr "$tmp/obs_serve.log") \
 wait "$obs_pid"
 grep -q "^serve_classify_total [1-9]" "$tmp/stats.log"
 awk 'NF != 2 { print "unparseable exposition line: " $0; bad = 1 } END { exit bad }' "$tmp/stats.log"
-echo "observability smoke OK ($addr, nonzero classify_total, parseable dump)"
+verdicts=$(sed -n 's/^verdicts: //p' "$tmp/obs_serve.log")
+classified=$(sed -n 's/^serve_classify_total //p' "$tmp/stats.log")
+[ -n "$verdicts" ] && [ "$verdicts" = "$classified" ] \
+    || { echo "drain report: '$verdicts' verdicts, exposition: '$classified'"; exit 1; }
+frames=$(sed -n 's/^frames: *\([0-9]*\) in,.*/\1/p' "$tmp/obs_serve.log")
+frames_in=$(sed -n 's/^serve_frames_in_total //p' "$tmp/stats.log")
+[ -n "$frames" ] && [ "$frames" = "$frames_in" ] \
+    || { echo "drain report: '$frames' frames in, exposition: '$frames_in'"; exit 1; }
+echo "observability smoke OK ($addr, $verdicts verdicts and $frames frames in both surfaces)"
 
 echo "== persistence & hot-swap smoke test =="
 # Commit a trained model to the version store, serve it, classify, then

@@ -152,6 +152,56 @@ fn stats_frame_returns_a_live_parseable_exposition() {
     server.join().unwrap();
 }
 
+/// `join` reads every counter of its report from the registry the
+/// `Stats` exposition renders: a distinct value put on each exposition
+/// name comes back in its own field.
+#[test]
+fn join_reports_what_the_exposition_counts() {
+    let pipeline = Arc::new(common::trained_pipeline());
+    let server =
+        ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
+    let registry = server.observability().registry.clone();
+    let names = [
+        "serve_sessions_started_total",
+        "serve_sessions_finished_total",
+        "serve_sessions_rejected_total",
+        "serve_shed_total",
+        "serve_session_errors_total",
+        "serve_frames_in_total",
+        "serve_frames_repaired_total",
+        "serve_frames_dropped_total",
+        "serve_frames_malformed_total",
+        "serve_deadline_shed_total",
+        "serve_classify_total",
+    ];
+    for (value, name) in (1u64..).zip(names) {
+        registry.counter(name).add(value);
+    }
+    registry.histogram("serve_classify_latency").record(std::time::Duration::from_micros(3));
+    let text = registry.render();
+
+    server.shutdown();
+    let stats = server.join().unwrap();
+    let fields = [
+        stats.sessions_started,
+        stats.sessions_finished,
+        stats.sessions_rejected,
+        stats.sessions_busy,
+        stats.session_errors,
+        stats.frames_in,
+        stats.frames_repaired,
+        stats.frames_dropped,
+        stats.frames_malformed,
+        stats.frames_deadline_shed,
+        stats.verdicts,
+    ];
+    for ((value, name), field) in (1u64..).zip(names).zip(fields) {
+        assert_eq!(field, value, "{name}");
+        assert!(text.lines().any(|l| l == format!("{name} {value}")), "{name} in:\n{text}");
+    }
+    assert_eq!(stats.classify_latency.count(), 1);
+}
+
 /// A session on a corrupting telemetry link must leave a trace in the
 /// flight recorder: the first degraded frame snapshots the recent spans
 /// and registry state into an incident, exportable as JSONL.
@@ -321,8 +371,16 @@ fn lossy_batched_stream_reports_dispositions() {
         "classification must survive the degradation"
     );
 
+    // The drain report agrees with the client's own tally, field by
+    // field: each count is read from its own registry counter.
     server.shutdown();
-    server.join().unwrap();
+    let stats = server.join().unwrap();
+    assert_eq!(
+        (stats.frames_in, stats.frames_repaired, stats.frames_dropped, stats.frames_malformed),
+        (report.sent, report.repaired, report.dropped, report.malformed),
+        "server frame counts vs the client's batch report"
+    );
+    assert_eq!(stats.health, health, "the drain report's health is the session's Health reply");
 }
 
 /// The frame budget counts batched items exactly like single frames: a
