@@ -299,7 +299,8 @@ pub struct FaultyChannel {
 }
 
 impl FaultyChannel {
-    /// A channel driven by the plan's wire-relevant rates.
+    /// A channel driven by the plan's wire-relevant rates (and, in
+    /// [`FaultyChannel::transmit_snapshot`], its value-fault rates).
     pub fn new(plan: FaultPlan) -> Self {
         FaultyChannel { rng: plan.rng(), plan, held: None, stats: ChannelStats::default() }
     }
@@ -347,6 +348,18 @@ impl FaultyChannel {
         }
         out.push(bytes);
         self.flush_held(out)
+    }
+
+    /// Encodes `snapshot` and pushes it through the lossy wire, after
+    /// applying the plan's value-level faults (spike, non-finite
+    /// corruption) to a copy of it with this channel's generator. A plan
+    /// whose value-fault rates are zero draws nothing extra, so it
+    /// delivers exactly what [`FaultyChannel::transmit`] of the clean
+    /// datagram would.
+    pub fn transmit_snapshot(&mut self, snapshot: &Snapshot) -> Vec<Vec<u8>> {
+        let mut faulty = snapshot.clone();
+        self.plan.mangle_frame(&mut self.rng, &mut faulty.frame);
+        self.transmit(&crate::wire::datagram(&faulty))
     }
 
     /// Any datagram still held back for reordering (call at end of stream).

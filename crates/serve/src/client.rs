@@ -3,10 +3,10 @@
 //! [`ServeClient`] speaks the handshake, streams monitoring snapshots,
 //! and asks for verdicts. The snapshot path can be routed through a
 //! [`FaultyChannel`] to emulate the degraded telemetry links of the
-//! chaos suite: the channel mangles the *inner* snapshot datagram while
-//! the checksummed session envelope stays intact, so the server's
-//! [`FrameGuard`](appclass_metrics::FrameGuard) — not the transport —
-//! absorbs the damage.
+//! chaos suite: the channel mangles the *inner* snapshot (its values and
+//! its datagram) while the checksummed session envelope stays intact, so
+//! the server's [`FrameGuard`](appclass_metrics::FrameGuard) — not the
+//! transport — absorbs the damage.
 
 use crate::error::{Result, ServeError};
 use crate::proto::{begin_batch, finish_batch, read_frame, write_frame};
@@ -26,7 +26,9 @@ pub struct ClientConfig {
     /// Model fingerprint the client requires; `0` accepts whatever the
     /// server serves.
     pub model_id: u64,
-    /// Optional fault plan applied to every outgoing snapshot datagram.
+    /// Optional fault plan applied to every outgoing snapshot: its value
+    /// faults (spikes, non-finite values), then its wire faults (drop,
+    /// truncation, reordering, duplication) on the encoded datagram.
     pub chaos: Option<FaultPlan>,
     /// Optional span tracer. When set, the client mints a fresh trace id
     /// for the session, records `client_send` / `client_classify` spans
@@ -98,10 +100,9 @@ pub struct BatchReport {
 
 /// One connected classification session.
 pub struct ServeClient {
+    /// The session's one socket; every frame is written to it, unbuffered,
+    /// as one contiguous buffer.
     reader: BufReader<TcpStream>,
-    /// Every frame goes out as one contiguous buffer, so writes need no
-    /// second buffering layer.
-    writer: TcpStream,
     session: u32,
     model_id: u64,
     chaos: Option<FaultyChannel>,
@@ -137,10 +138,8 @@ impl ServeClient {
         // request back until the previous segment's (delayed) ACK would
         // put a ~40 ms stall inside every round trip.
         stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
         let mut client = ServeClient {
-            reader,
-            writer: stream,
+            reader: BufReader::new(stream),
             session: 0,
             model_id: 0,
             chaos: config.chaos.map(FaultyChannel::new),
@@ -157,7 +156,7 @@ impl ServeClient {
             reply_buf: Vec::new(),
         };
         write_frame(
-            &mut client.writer,
+            &mut client.writer(),
             &ControlFrame::Hello { session: 0, model_id: config.model_id },
         )?;
         match read_frame(&mut client.reader, &mut client.reply_buf)? {
@@ -173,6 +172,11 @@ impl ServeClient {
             ControlFrame::Busy { retry_after_ms } => Err(ServeError::Busy { retry_after_ms }),
             other => Err(ServeError::UnexpectedFrame { expected: "Hello", got: other.name() }),
         }
+    }
+
+    /// The socket behind `reader`; `&TcpStream` implements `Write`.
+    fn writer(&self) -> &TcpStream {
+        self.reader.get_ref()
     }
 
     /// The session id the server assigned.
@@ -217,19 +221,19 @@ impl ServeClient {
         }
     }
 
-    /// Sends one snapshot. With chaos configured the encoded datagram
-    /// first crosses the fault channel, so it may be dropped, delayed
-    /// (emerging with a later send), duplicated, or corrupted.
+    /// Sends one snapshot. With chaos configured it first crosses the
+    /// fault channel, so its values may be spiked or corrupted and its
+    /// datagram dropped, truncated, delayed (emerging with a later send)
+    /// or duplicated.
     pub fn send_snapshot(&mut self, snapshot: &Snapshot) -> Result<()> {
-        let datagram = wire::datagram(snapshot);
         match &mut self.chaos {
             Some(chan) => {
-                for delivered in chan.transmit(&datagram) {
+                for delivered in chan.transmit_snapshot(snapshot) {
                     self.send_wire(delivered)?;
                 }
             }
             // The owned `Snapshot` frame needs its payload in a `Vec`.
-            None => self.send_wire(Vec::from(datagram))?,
+            None => self.send_wire(Vec::from(wire::datagram(snapshot)))?,
         }
         Ok(())
     }
@@ -252,10 +256,10 @@ impl ServeClient {
     /// of up to `max_batch` datagrams each (clamped to
     /// `1..=`[`wire::MAX_SNAPSHOT_BATCH`]), reading one `VerdictBatch`
     /// acknowledgement per frame. Each snapshot is encoded straight into
-    /// the frame buffer. With chaos configured every datagram crosses the
-    /// fault channel first — dropped, delayed, duplicated, or corrupted
-    /// exactly as on the single-frame path — and whatever the channel
-    /// delivers is what goes into the frame.
+    /// the frame buffer. With chaos configured every snapshot crosses the
+    /// fault channel first — corrupted, dropped, truncated, delayed or
+    /// duplicated exactly as on the single-frame path — and whatever the
+    /// channel delivers is what goes into the frame.
     ///
     /// Batching only changes the framing, never the classification:
     /// a [`ServeClient::classify`] after this returns a verdict bitwise
@@ -273,7 +277,7 @@ impl ServeClient {
         for snap in snapshots {
             match &mut self.chaos {
                 Some(chan) => {
-                    for delivered in chan.transmit(&wire::datagram(snap)) {
+                    for delivered in chan.transmit_snapshot(snap) {
                         batch = self.make_room(batch, cap, &mut report)?;
                         batch.push_wire(&delivered);
                     }
@@ -336,7 +340,7 @@ impl ServeClient {
         let count = batch.len() as u64;
         let stamped = self.tracing.as_ref().map(|t| t.stamp(t.send_name));
         let frame = finish_batch(batch, stamped.as_ref().map(|s| s.0));
-        self.writer.write_all(&frame)?;
+        self.writer().write_all(&frame)?;
         self.snapshots_sent += count;
         report.sent += count;
         report.batches += 1;
@@ -374,7 +378,7 @@ impl ServeClient {
     fn send_wire(&mut self, bytes: Vec<u8>) -> Result<()> {
         let stamped = self.tracing.as_ref().map(|t| t.stamp(t.send_name));
         let ctx = stamped.as_ref().map(|s| s.0);
-        write_frame(&mut self.writer, &ControlFrame::Snapshot { wire: bytes, ctx })?;
+        write_frame(&mut self.writer(), &ControlFrame::Snapshot { wire: bytes, ctx })?;
         self.snapshots_sent += 1;
         Ok(())
     }
@@ -385,7 +389,7 @@ impl ServeClient {
     pub fn classify(&mut self) -> Result<VerdictReport> {
         let stamped = self.tracing.as_ref().map(|t| t.stamp(t.classify_name));
         let ctx = stamped.as_ref().map(|s| s.0);
-        write_frame(&mut self.writer, &ControlFrame::Classify { ctx })?;
+        write_frame(&mut self.writer(), &ControlFrame::Classify { ctx })?;
         match self.read_reply()? {
             ControlFrame::Verdict { class, confidence, composition, model, ctx } => {
                 let class = AppClass::from_index(class as usize)
@@ -408,7 +412,7 @@ impl ServeClient {
     /// success the client adopts the new fingerprint as its own
     /// expectation.
     pub fn swap_model(&mut self, json: &str) -> Result<(u64, u64)> {
-        write_frame(&mut self.writer, &ControlFrame::SwapModel { json: json.to_string() })?;
+        write_frame(&mut self.writer(), &ControlFrame::SwapModel { json: json.to_string() })?;
         match self.read_reply()? {
             ControlFrame::SwapAck { old_model, new_model } => {
                 self.model_id = new_model;
@@ -423,7 +427,7 @@ impl ServeClient {
     /// text dump of the shared observability registry (empty when the
     /// server runs without observability).
     pub fn stats(&mut self) -> Result<String> {
-        write_frame(&mut self.writer, &ControlFrame::Stats { text: String::new() })?;
+        write_frame(&mut self.writer(), &ControlFrame::Stats { text: String::new() })?;
         match self.read_reply()? {
             ControlFrame::Stats { text } => Ok(text),
             ControlFrame::Bye { reason } => Err(ServeError::Rejected { reason }),
@@ -433,7 +437,7 @@ impl ServeClient {
 
     /// Asks the server for the session's telemetry health report.
     pub fn health(&mut self) -> Result<TelemetryHealth> {
-        write_frame(&mut self.writer, &ControlFrame::Health(TelemetryHealth::default()))?;
+        write_frame(&mut self.writer(), &ControlFrame::Health(TelemetryHealth::default()))?;
         match self.read_reply()? {
             ControlFrame::Health(health) => Ok(health),
             ControlFrame::Bye { reason } => Err(ServeError::Rejected { reason }),
@@ -443,7 +447,7 @@ impl ServeClient {
 
     /// Ends the session cleanly; returns the server's farewell reason.
     pub fn bye(mut self) -> Result<ByeReason> {
-        write_frame(&mut self.writer, &ControlFrame::Bye { reason: ByeReason::Normal })?;
+        write_frame(&mut self.writer(), &ControlFrame::Bye { reason: ByeReason::Normal })?;
         match self.read_reply()? {
             ControlFrame::Bye { reason } => Ok(reason),
             other => Err(ServeError::UnexpectedFrame { expected: "Bye", got: other.name() }),

@@ -54,8 +54,7 @@ pub enum ServeError {
         /// The frame kind that actually arrived.
         got: &'static str,
     },
-    /// A server thread — the acceptor or a shard — panicked (observed at
-    /// join time).
+    /// A server thread (a shard) panicked, observed at join time.
     WorkerPanicked,
     /// The server refused the connection because it is shedding load.
     /// Unlike [`ServeError::Rejected`] with `SessionLimit` this is a soft

@@ -1,13 +1,14 @@
 //! Minimal `poll(2)`-based socket readiness for the server's event
 //! loops.
 //!
-//! The workspace's no-async stance rules out a runtime. The acceptor and
-//! every shard park in `poll(2)` with no timeout at all (a shard's one
-//! exception is a partial frame's stall deadline): each also polls its
-//! `Waker`, a socket pair private to the process, which whoever hands
-//! the loop work or asks it to stop writes one byte to. No wake-up ever
-//! travels through the listener, where it would be indistinguishable
-//! from a real client and could land in the shedding/refusal accounting.
+//! The workspace's no-async stance rules out a runtime. Every shard parks
+//! in `poll(2)` with no timeout at all (the exceptions are a partial
+//! frame's stall deadline and the pause after a hard accept error): it
+//! polls its sockets, the shared listener while the server admits, and
+//! its `Waker`, a socket pair private to the process, which whoever asks
+//! the loop to stop writes one byte to. No wake-up ever travels through
+//! the listener, where it would be indistinguishable from a real client
+//! and could land in the shedding/refusal accounting.
 //!
 //! `poll(2)` is declared with a three-line `extern "C"` prototype; the
 //! symbol already lives in every binary std links, so this adds no

@@ -411,7 +411,9 @@ mod tests {
             // client's deadline.
             while !stop_accept.load(Ordering::SeqCst) {
                 match listener.accept() {
-                    Ok((stream, _)) => crate::shard::refuse_busy(stream, Duration::from_secs(30)),
+                    Ok((stream, _)) => {
+                        crate::shard::refuse(stream, &crate::session::busy(Duration::from_secs(30)))
+                    }
                     Err(_) => break,
                 }
             }
@@ -445,7 +447,7 @@ mod tests {
         );
 
         stop.store(true, Ordering::SeqCst);
-        let _ = std::net::TcpStream::connect(addr); // unblock the acceptor
+        let _ = std::net::TcpStream::connect(addr); // unblock the shedder's accept
         let _ = shedder.join();
     }
 }

@@ -1,27 +1,30 @@
-//! The classification server: an acceptor and readiness-driven event
-//! loops over nonblocking sockets, one session table per shard.
+//! The classification server: readiness-driven event loops over
+//! nonblocking sockets, each accepting its own connections into its own
+//! session table.
 //!
 //! [`ShardServer`] owns the sockets, admission control and accounting;
 //! what each session's frames mean is decided by the socket-free session
 //! core ([`crate::session`]). The execution model:
 //!
-//! - **Admission.** One acceptor thread owns the listener. A full queue
+//! - **Admission.** `config.shards` event loops share the listener.
+//!   While the server admits, each polls it beside its own sockets and
+//!   accepts at most one connection a turn, so a burst spreads over the
+//!   shards it wakes. Each accepted connection is decided under one lock,
+//!   so shards racing for the listener admit one at a time: a full queue
 //!   earns a hard `Bye(SessionLimit)`, a shedding server a soft `Busy`
 //!   (see [`crate::overload`]); every other connection is admitted.
-//! - **Sharded session table.** Admitted connections are dealt
-//!   round-robin to `config.shards` event loops, and each is served at
-//!   once. Each shard owns its connections outright — session state
-//!   never crosses a shard boundary, so there is no session-table lock
-//!   anywhere.
+//! - **Sharded session table.** An admitted connection joins the table
+//!   of the shard that accepted it and is served on that same turn. Each
+//!   shard owns its connections outright — session state never crosses a
+//!   shard boundary, so there is no session-table lock anywhere.
 //! - **Readiness-driven I/O.** Every socket is nonblocking; each shard
 //!   parks in `poll(2)` ([`crate::poll`]) and only touches sockets the
 //!   kernel reports ready. No async runtime, per the workspace's
 //!   no-tokio stance: the event loop is a plain `loop` on a plain
-//!   thread. No thread wakes on a timer: the acceptor and every shard
-//!   also poll a `Waker`, which the acceptor rings after each
-//!   hand-off and [`ShardServer::shutdown`] rings to stop them, and a
+//!   thread. No thread wakes on a timer: every shard also polls a
+//!   `Waker`, which [`ShardServer::shutdown`] rings to stop it, and a
 //!   shard's one timeout is the stall deadline of the oldest partial
-//!   frame it holds.
+//!   frame it holds (or the pause after a hard accept error).
 //! - **Zero-copy decode.** Frames are parsed in place from the shard's
 //!   read buffer with
 //!   [`decode_control_borrowed`](appclass_metrics::wire::decode_control_borrowed):
@@ -29,12 +32,12 @@
 //!   kernel filled, never copied into per-frame `Vec`s. A property test
 //!   pins the borrowed decode bit-identical to the allocating path.
 //! - **One lock-free ledger.** Every counter the server keeps is a
-//!   registry handle built once, at [`ShardServer::bind`]; the acceptor
-//!   and every shard count into clones of it with relaxed atomic adds,
-//!   and the `Stats` exposition renders it live. [`ShardServer::join`]
-//!   reads its [`ServerStats`] from the same handles after every thread
-//!   has exited, folding in only what each shard's classifiers reported
-//!   (guard health and stage costs).
+//!   registry handle built once, at [`ShardServer::bind`]; every shard
+//!   counts into a clone of it with relaxed atomic adds, and the `Stats`
+//!   exposition renders it live. [`ShardServer::join`] reads its
+//!   [`ServerStats`] from the same handles after every shard has exited,
+//!   folding in only what each shard's classifiers reported (guard
+//!   health and stage costs).
 //!
 //! Ownership rule for the zero-copy path: a borrowed frame lives
 //! exactly as long as one call to the session core — nothing borrowed
@@ -53,11 +56,10 @@ use crate::stats::{ServeMetrics, ServerStats, Telemetry};
 use appclass_core::ClassifierPipeline;
 use appclass_metrics::{ByeReason, ControlFrame};
 use appclass_obs::Observability;
-use std::io::{BufWriter, ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -90,11 +92,10 @@ pub struct ServerConfig {
     /// refusals engage before the hard `SessionLimit` cap.
     pub shed_high_watermark: usize,
     /// The `retry_after_ms` hint carried by every `Busy` frame: the
-    /// acceptor's refusals while shedding and a session's deadline
-    /// notices alike.
+    /// refusals while shedding and a session's deadline notices alike.
     pub busy_retry_after: Duration,
-    /// Event-loop threads: admitted sessions are dealt round-robin
-    /// across this many shards, each serving all of its sessions on one
+    /// Event-loop threads: each accepts connections from the shared
+    /// listener and serves all of the sessions it admitted on one
     /// thread.
     pub shards: usize,
     /// Per-session policy.
@@ -122,6 +123,10 @@ const READ_CHUNK: usize = 64 * 1024;
 /// Buffered bytes that end a connection's read turn: one maximal frame
 /// with its length prefix.
 const READ_TURN_BYTES: usize = 4 + MAX_FRAME_BYTES;
+/// How long a shard leaves the listener out of its poll set after a hard
+/// accept error (such as `EMFILE`), which would otherwise keep the
+/// level-triggered listener ready and the shard spinning.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(1);
 /// Hard cap on un-flushed reply bytes per connection. An event loop
 /// cannot apply backpressure by blocking in `write`, so a client that
 /// streams requests while never draining its acks is failed once its
@@ -220,23 +225,34 @@ struct Conn {
     closing: Option<Close>,
 }
 
-/// State shared by the acceptor, every shard, and the handle.
+/// What admission control counts. It changes only under the lock in
+/// `ShardShared::admission`, so shards racing for the listener admit one
+/// connection at a time.
+struct Admission {
+    overload: OverloadMachine,
+    /// Connections admitted and not yet retired.
+    in_flight: usize,
+    /// Connections admitted so far, counted against `accept_limit`.
+    admitted: u64,
+}
+
+/// State shared by every shard and the handle.
 struct ShardShared {
     slot: Arc<ModelSlot>,
     config: ServerConfig,
+    /// Nonblocking; every shard polls it while `admitting` is set.
+    listener: TcpListener,
+    /// Set by `shutdown`, under the admission lock: every shard says
+    /// farewell to its sessions and exits.
     shutdown: AtomicBool,
-    /// Wakes the acceptor out of its wait on the listener.
-    acceptor_waker: Waker,
+    /// Cleared under the admission lock, by `shutdown` or by the
+    /// admission that reaches the accept limit; a shard with no session
+    /// left then exits.
+    admitting: AtomicBool,
     /// Wakes shard `i` out of its wait on its sockets.
     shard_wakers: Vec<Waker>,
-    /// Set once the acceptor has exited and woken every shard; signalled
-    /// through `acceptor_exited`.
-    acceptor_done: Mutex<bool>,
-    acceptor_exited: Condvar,
-    /// Connections admitted (dealt to a shard) and not yet retired.
-    in_flight: AtomicUsize,
+    admission: Mutex<Admission>,
     next_session: AtomicU32,
-    overload: Mutex<OverloadMachine>,
     obs: Observability,
     /// The server's one ledger, registered in `obs.registry`.
     metrics: ServeMetrics,
@@ -251,13 +267,12 @@ struct ShardShared {
 pub struct ShardServer {
     local_addr: SocketAddr,
     shared: Arc<ShardShared>,
-    acceptor: Option<JoinHandle<()>>,
     shards: Vec<JoinHandle<Telemetry>>,
 }
 
 impl ShardServer {
-    /// Binds the listener and spawns the acceptor plus the shard event
-    /// loops.
+    /// Binds the listener and spawns the shard event loops, which share
+    /// it.
     ///
     /// `addr` may carry port 0 to let the OS pick an ephemeral port;
     /// read the real one back with [`ShardServer::local_addr`].
@@ -268,44 +283,38 @@ impl ShardServer {
     ) -> Result<ShardServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
         let obs = Observability::new();
         let metrics = ServeMetrics::new(&obs.registry);
         let nshards = config.shards.max(1);
         let shared = Arc::new(ShardShared {
             slot: Arc::new(ModelSlot::new(pipeline)),
             config,
+            listener,
             shutdown: AtomicBool::new(false),
-            acceptor_waker: Waker::new()?,
+            admitting: AtomicBool::new(config.accept_limit != Some(0)),
             shard_wakers: (0..nshards).map(|_| Waker::new()).collect::<std::io::Result<_>>()?,
-            acceptor_done: Mutex::new(false),
-            acceptor_exited: Condvar::new(),
-            in_flight: AtomicUsize::new(0),
+            admission: Mutex::new(Admission {
+                overload: OverloadMachine::new(
+                    config.shed_low_watermark,
+                    config.shed_high_watermark,
+                ),
+                in_flight: 0,
+                admitted: 0,
+            }),
             next_session: AtomicU32::new(1),
-            overload: Mutex::new(OverloadMachine::new(
-                config.shed_low_watermark,
-                config.shed_high_watermark,
-            )),
             obs,
             metrics,
             feed: CompositionFeed::new(),
         });
 
-        let mut txs = Vec::with_capacity(nshards);
-        let mut shards = Vec::with_capacity(nshards);
-        for index in 0..nshards {
-            let (tx, rx) = mpsc::channel::<TcpStream>();
-            txs.push(tx);
-            let shared = Arc::clone(&shared);
-            shards.push(std::thread::spawn(move || shard_loop(&shared, index, &rx)));
-        }
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            // The acceptor owns every sender: when it exits, the
-            // channels disconnect and drained shards know to stop.
-            std::thread::spawn(move || shard_accept_loop(&shared, &listener, txs))
-        };
-
-        Ok(ShardServer { local_addr, shared, acceptor: Some(acceptor), shards })
+        let shards = (0..nshards)
+            .map(|index| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || shard_loop(&shared, index))
+            })
+            .collect();
+        Ok(ShardServer { local_addr, shared, shards })
     }
 
     /// The bound address (with the real port when bound to port 0).
@@ -355,37 +364,31 @@ impl ShardServer {
         (old, new)
     }
 
-    /// Asks the acceptor and every shard to wind down, and returns once
-    /// the acceptor has stopped admitting. It sets a flag and wakes each
-    /// thread through its `Waker`, a socket pair private to the server.
-    /// It makes no wake-up connection, so refusal accounting only ever
-    /// counts real clients. A woken shard says `Bye(Shutdown)` to each of
-    /// its sessions before it serves anything else; [`ShardServer::join`]
-    /// waits for the shards.
+    /// Asks every shard to wind down. It sets the shutdown flag under
+    /// the admission lock, so no connection is admitted once it returns,
+    /// and wakes each shard through its `Waker`, a socket pair private to
+    /// the server. It makes no wake-up connection, so refusal accounting
+    /// only ever counts real clients. A woken shard says `Bye(Shutdown)`
+    /// to each of its sessions before it serves anything else;
+    /// [`ShardServer::join`] waits for the shards.
     pub fn shutdown(&self) {
         let shared = &self.shared;
-        shared.shutdown.store(true, Ordering::SeqCst);
-        shared.acceptor_waker.wake();
-        for waker in &shared.shard_wakers {
-            waker.wake();
+        {
+            let _admission = lock(&shared.admission);
+            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.admitting.store(false, Ordering::SeqCst);
         }
-        // Returns early only on a poisoned lock, and only the acceptor's
-        // exit, unwinding from a panic, can poison it: after it set the
-        // flag.
-        drop(shared.acceptor_exited.wait_while(lock(&shared.acceptor_done), |done| !*done));
+        shared.wake_all();
     }
 
-    /// Waits for the acceptor and every shard, then reports: every
-    /// counter and the classify latencies are read from the registry
-    /// handles the `Stats` exposition renders, and each shard's
-    /// classifier telemetry is folded in. Blocks until either
-    /// [`ShardServer::shutdown`] or the accept limit drains.
+    /// Waits for every shard, then reports: every counter and the
+    /// classify latencies are read from the registry handles the `Stats`
+    /// exposition renders, and each shard's classifier telemetry is
+    /// folded in. Blocks until either [`ShardServer::shutdown`] or the
+    /// accept limit drains.
     pub fn join(mut self) -> Result<ServerStats> {
         let mut telemetry = Telemetry::default();
         let mut panicked = false;
-        if let Some(h) = self.acceptor.take() {
-            panicked |= h.join().is_err();
-        }
         for h in self.shards.drain(..) {
             match h.join() {
                 Ok(shard) => telemetry.merge(&shard.health, &shard.stage_metrics),
@@ -402,11 +405,8 @@ impl ShardServer {
 impl Drop for ShardServer {
     fn drop(&mut self) {
         // A dropped-without-join server must not leak parked threads.
-        if self.acceptor.is_some() || !self.shards.is_empty() {
+        if !self.shards.is_empty() {
             self.shutdown();
-            if let Some(h) = self.acceptor.take() {
-                let _ = h.join();
-            }
             for h in self.shards.drain(..) {
                 let _ = h.join();
             }
@@ -414,132 +414,84 @@ impl Drop for ShardServer {
     }
 }
 
-/// Recomputes the queue depth (admissions beyond `max_sessions`), feeds
-/// it through the overload state machine, and sets both registry
-/// gauges. Entering `Shedding` latches one flight-recorder incident per
-/// episode.
-fn update_overload(shared: &ShardShared) -> OverloadState {
-    let depth =
-        shared.in_flight.load(Ordering::SeqCst).saturating_sub(shared.config.max_sessions.max(1));
-    let (state, entered_shedding) = lock(&shared.overload).update(depth);
-    shared.metrics.queue_depth.set(depth as f64);
-    shared.metrics.overload_state.set(state.gauge_value());
-    if entered_shedding {
-        shared.obs.incident(&format!("server: load shedding engaged (queue depth {depth})"));
+impl ShardShared {
+    /// Decides one connection a shard accepted, in one critical section
+    /// of the admission lock. It is refused once admission has closed
+    /// (`Bye(Shutdown)`, uncounted: the client lost the race with
+    /// shutdown or the accept limit), past `max_sessions + backlog`
+    /// (`Bye(SessionLimit)`) or while shedding (`Busy`); otherwise it is
+    /// counted in flight and admitted. Returns the refusal for the caller
+    /// to write once the lock is released. The admission that reaches the
+    /// accept limit closes admission.
+    fn admit(&self) -> std::result::Result<(), ControlFrame> {
+        let capacity = self.config.max_sessions.max(1) + self.config.backlog;
+        let mut admission = lock(&self.admission);
+        if !self.admitting.load(Ordering::SeqCst) {
+            return Err(ControlFrame::Bye { reason: ByeReason::Shutdown });
+        }
+        if admission.in_flight >= capacity {
+            self.metrics.sessions_rejected.inc();
+            return Err(ControlFrame::Bye { reason: ByeReason::SessionLimit });
+        }
+        let (depth, state, entered_shedding) = self.observe_depth(&mut admission);
+        if state == OverloadState::Shedding {
+            self.metrics.sessions_busy.inc();
+            drop(admission);
+            if entered_shedding {
+                self.obs.incident(&format!("server: load shedding engaged (queue depth {depth})"));
+            }
+            return Err(busy(self.config.busy_retry_after));
+        }
+        admission.in_flight += 1;
+        admission.admitted += 1;
+        if self.config.accept_limit.is_some_and(|limit| admission.admitted >= limit) {
+            self.admitting.store(false, Ordering::SeqCst);
+            // A shard parked with no session left sees that and exits.
+            self.wake_all();
+        }
+        Ok(())
     }
-    state
+
+    /// Releases a retired connection's admission slot and lets the
+    /// overload machine observe the drain. A release lowers the depth, so
+    /// it never enters `Shedding`.
+    fn release(&self) {
+        let mut admission = lock(&self.admission);
+        admission.in_flight -= 1;
+        self.observe_depth(&mut admission);
+    }
+
+    /// Feeds the queue depth (admissions beyond `max_sessions`) through
+    /// the overload machine and sets both registry gauges. Returns the
+    /// depth, the new state and whether this update entered `Shedding`.
+    fn observe_depth(&self, admission: &mut Admission) -> (usize, OverloadState, bool) {
+        let depth = admission.in_flight.saturating_sub(self.config.max_sessions.max(1));
+        let (state, entered_shedding) = admission.overload.update(depth);
+        self.metrics.queue_depth.set(depth as f64);
+        self.metrics.overload_state.set(state.gauge_value());
+        (depth, state, entered_shedding)
+    }
+
+    fn wake_all(&self) {
+        for waker in &self.shard_wakers {
+            waker.wake();
+        }
+    }
 }
 
 /// Refuses a connection before any session state exists: best-effort
-/// `Bye` with the given reason, then the stream drops.
-fn refuse(stream: TcpStream, reason: ByeReason) {
+/// `frame` (a `Bye` or a `Busy`), then the stream drops.
+pub(crate) fn refuse(stream: TcpStream, frame: &ControlFrame) {
     let _ = stream.set_nonblocking(false);
-    let _ = write_frame(&mut BufWriter::new(stream), &ControlFrame::Bye { reason });
+    let _ = write_frame(&mut &stream, frame);
 }
 
-/// Soft-refuses a connection the server is shedding: best-effort `Busy`
-/// with a retry hint, then the stream drops. Unlike [`refuse`] with
-/// `SessionLimit`, this tells the client the server is alive and worth
-/// retrying after a backoff.
-pub(crate) fn refuse_busy(stream: TcpStream, retry_after: Duration) {
-    let _ = stream.set_nonblocking(false);
-    let _ = write_frame(&mut BufWriter::new(stream), &busy(retry_after));
-}
-
-/// The acceptor's exit, however it comes (shutdown, the accept limit, or
-/// a panic): disconnects every shard's intake, then wakes each shard so it
-/// sees that, then releases [`ShardServer::shutdown`].
-struct AcceptorExit<'a> {
-    shared: &'a ShardShared,
-    intakes: Vec<Sender<TcpStream>>,
-}
-
-impl Drop for AcceptorExit<'_> {
-    fn drop(&mut self) {
-        self.intakes.clear();
-        for waker in &self.shared.shard_wakers {
-            waker.wake();
-        }
-        *lock(&self.shared.acceptor_done) = true;
-        self.shared.acceptor_exited.notify_all();
-    }
-}
-
-/// Readiness-driven acceptor: admission control (hard `SessionLimit`
-/// cap, then soft `Busy` shedding), dealing admitted sockets round-robin
-/// across the shard channels and waking the shard each one went to.
-fn shard_accept_loop(
-    shared: &ShardShared,
-    listener: &TcpListener,
-    intakes: Vec<Sender<TcpStream>>,
-) {
-    let exit = AcceptorExit { shared, intakes };
-    let capacity = shared.config.max_sessions.max(1) + shared.config.backlog;
-    let mut admitted = 0u64;
-    let mut next_shard = 0usize;
-    let mut poll = PollSet::new();
-    let _ = listener.set_nonblocking(true);
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if shared.config.accept_limit.is_some_and(|limit| admitted >= limit) {
-            break;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                // Park until a client connects or `shutdown` wakes us.
-                poll.clear();
-                poll.push(listener, true, false);
-                let waker = poll.push(&shared.acceptor_waker, true, false);
-                let _ = poll.wait(None);
-                shared.metrics.loop_wakeups.inc();
-                if poll.readable(waker) {
-                    shared.acceptor_waker.drain();
-                }
-                continue;
-            }
-            Err(_) => {
-                // Transient accept failure (e.g. the peer aborted the
-                // handshake); don't let an unexpected hard error spin.
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // A client that lost the race with shutdown gets a clean
-            // refusal.
-            refuse(stream, ByeReason::Shutdown);
-            break;
-        }
-        if shared.in_flight.load(Ordering::SeqCst) >= capacity {
-            shared.metrics.sessions_rejected.inc();
-            refuse(stream, ByeReason::SessionLimit);
-            continue;
-        }
-        if update_overload(shared) == OverloadState::Shedding {
-            shared.metrics.sessions_busy.inc();
-            refuse_busy(stream, shared.config.busy_retry_after);
-            continue;
-        }
-        shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        admitted += 1;
-        let shard = next_shard % exit.intakes.len();
-        if exit.intakes[shard].send(stream).is_err() {
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-            break; // shards are gone; nothing can serve
-        }
-        shared.shard_wakers[shard].wake();
-        next_shard = next_shard.wrapping_add(1);
-    }
-}
-
-/// One shard's event loop: drain the intake channel, park in `poll(2)`
-/// over the shard's waker and every owned socket, pump reads, serve
-/// complete frames through the session core, flush writes, retire
-/// finished connections. Returns its sessions' classifier telemetry.
-fn shard_loop(shared: &ShardShared, index: usize, rx: &Receiver<TcpStream>) -> Telemetry {
+/// One shard's event loop: park in `poll(2)` over the shard's sockets,
+/// its waker and, while the server admits, the listener; admit at most
+/// one new connection, pump reads, serve complete frames through the
+/// session core, flush writes, retire finished connections. Returns its
+/// sessions' classifier telemetry.
+fn shard_loop(shared: &ShardShared, index: usize) -> Telemetry {
     let waker = &shared.shard_wakers[index];
     let mut telemetry = Telemetry::default();
     let mut conns: Vec<Conn> = Vec::new();
@@ -553,27 +505,15 @@ fn shard_loop(shared: &ShardShared, index: usize, rx: &Receiver<TcpStream>) -> T
         &shared.metrics,
     );
     let stall_budget = shared.config.stall_budget;
+    // Until when a hard accept error keeps the listener out of the poll
+    // set.
+    let mut accept_paused: Option<Instant> = None;
 
     loop {
-        let shutting_down = shared.shutdown.load(Ordering::SeqCst);
-
-        // --- intake ------------------------------------------------------
-        let mut disconnected = false;
-        loop {
-            match rx.try_recv() {
-                Ok(stream) => admit(stream, shutting_down, &mut conns, shared),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-            }
-        }
-
         // --- shutdown drain ----------------------------------------------
         // A connection already closing keeps its close; every other
         // session gets the farewell.
-        if shutting_down {
+        if shared.shutdown.load(Ordering::SeqCst) {
             for mut conn in conns.drain(..) {
                 let kind = match conn.closing.take() {
                     Some(kind) => kind,
@@ -583,35 +523,58 @@ fn shard_loop(shared: &ShardShared, index: usize, rx: &Receiver<TcpStream>) -> T
                 retire(conn, kind, &mut telemetry, shared);
             }
         }
-        if disconnected && conns.is_empty() {
-            break; // the acceptor is gone and nothing is left to serve
+        let admitting = shared.admitting.load(Ordering::SeqCst);
+        if !admitting && conns.is_empty() {
+            break; // nothing left to serve, and nothing more will come
         }
 
         // --- park until there is work ------------------------------------
-        // Slot 0 is the waker: the acceptor rings it after each hand-off
-        // and on its exit, `shutdown` on the flag. Drain it before the
-        // next look at the intake and the flag, so a ring that lands in
+        // Connection `i` polls in slot `i`, then the waker: `shutdown`
+        // and the last admission under the accept limit ring it. Drain it
+        // before the next look at the flags, so a ring that lands in
         // between stays pending instead of being lost.
         poll.clear();
-        poll.push(waker, true, false);
         for conn in &conns {
             poll.push(&conn.io.stream, conn.closing.is_none(), conn.io.has_pending_writes());
         }
-        let _ = poll.wait(stall_timeout(&conns, stall_budget));
+        let waker_slot = poll.push(waker, true, false);
+        if accept_paused.is_some_and(|until| Instant::now() >= until) {
+            accept_paused = None;
+        }
+        let listener_slot = (admitting && accept_paused.is_none())
+            .then(|| poll.push(&shared.listener, true, false));
+        let pause_left = accept_paused.map(|until| until.saturating_duration_since(Instant::now()));
+        let timeout = [stall_timeout(&conns, stall_budget), pause_left].into_iter().flatten().min();
+        let _ = poll.wait(timeout);
         shared.metrics.loop_wakeups.inc();
-        if poll.readable(0) {
+        if poll.readable(waker_slot) {
             waker.drain();
         }
         if shared.shutdown.load(Ordering::SeqCst) {
             continue; // say farewell before serving whatever woke with the flag
         }
 
+        // --- accept ------------------------------------------------------
+        // At most one connection a turn: the listener is level-triggered,
+        // so the rest of a burst wakes the next turn, spread over every
+        // shard it woke. A shard that loses the race reads `WouldBlock`.
+        let polled = conns.len();
+        if listener_slot.is_some_and(|slot| poll.readable(slot)) {
+            match shared.listener.accept() {
+                Ok((stream, _)) => take_in(stream, &mut conns, shared),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                Err(_) => accept_paused = Some(Instant::now() + ACCEPT_PAUSE),
+            }
+        }
+
         // --- serve every ready connection --------------------------------
         // Back to front, so `swap_remove` only ever moves a connection
         // that has had its turn, and every other keeps its poll slot.
         for i in (0..conns.len()).rev() {
-            let readable = poll.readable(i + 1);
-            let writable = poll.writable(i + 1);
+            // A connection admitted this turn was not polled; its `Hello`
+            // has most likely arrived with it, so it is read at once.
+            let (readable, writable) =
+                if i < polled { (poll.readable(i), poll.writable(i)) } else { (true, false) };
             serve_conn_turn(
                 &mut conns[i],
                 readable,
@@ -645,22 +608,17 @@ fn stall_timeout(conns: &[Conn], budget: Duration) -> Option<Duration> {
     Some(deadline.saturating_duration_since(Instant::now()))
 }
 
-/// Takes one connection the acceptor dealt to this shard: refused with
-/// `Bye(Shutdown)` if the shard is shutting down, otherwise made
-/// nonblocking and added to `conns` awaiting its `Hello`.
-fn admit(stream: TcpStream, shutting_down: bool, conns: &mut Vec<Conn>, shared: &ShardShared) {
-    if shutting_down {
-        // Admitted before the flag flipped, never served.
-        shared.metrics.sessions_rejected.inc();
-        refuse(stream, ByeReason::Shutdown);
-        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        update_overload(shared);
+/// Takes in one connection this shard accepted: admitted under the
+/// admission lock, then made nonblocking and added to `conns` awaiting
+/// its `Hello`; a refusal is written after the lock is released.
+fn take_in(stream: TcpStream, conns: &mut Vec<Conn>, shared: &ShardShared) {
+    if let Err(refusal) = shared.admit() {
+        refuse(stream, &refusal);
         return;
     }
     if stream.set_nonblocking(true).is_err() {
         shared.metrics.session_errors.inc();
-        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        update_overload(shared);
+        shared.release();
         return;
     }
     // Replies are small and latency-bound; never let Nagle sit on them.
@@ -739,8 +697,7 @@ fn retire(conn: Conn, kind: Close, telemetry: &mut Telemetry, shared: &ShardShar
             shared.obs.incident(&format!("session {session_id} failed: {e}"));
         }
     }
-    shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-    update_overload(shared);
+    shared.release();
 }
 
 /// Hands every complete frame in the connection's read buffer to the

@@ -1,5 +1,5 @@
-//! The serving ledger: one set of registry handles that every session,
-//! shard and the acceptor count into, and the [`ServerStats`] report
+//! The serving ledger: one set of registry handles that every session
+//! and shard counts into, and the [`ServerStats`] report
 //! [`ShardServer::join`](crate::ShardServer::join) reads back from them.
 //!
 //! Each event is counted once, by a relaxed atomic add on a handle
@@ -29,7 +29,7 @@ pub(crate) struct ServeMetrics {
     pub(crate) frames_deadline_shed: Counter,
     pub(crate) overload_state: Gauge,
     pub(crate) queue_depth: Gauge,
-    /// Returns from `poll(2)` in the acceptor and every shard.
+    /// Returns from `poll(2)` in every shard.
     pub(crate) loop_wakeups: Counter,
     pub(crate) frames_in: Counter,
     pub(crate) frames_repaired: Counter,

@@ -4,7 +4,8 @@
 //! whose slices borrow the shard's read buffer and so cannot outlive the
 //! request. Datagram decode, guard admission, the classifier stages, the
 //! vote and the `VerdictBatch` reply all run in buffers kept from one
-//! request to the next, and an idle acceptor polls without allocating.
+//! request to the next, and polling the listener beside the session
+//! allocates nothing.
 //!
 //! A counting global allocator wraps `System`. The client side writes
 //! pre-encoded frames from a raw socket and reads each reply into a

@@ -383,6 +383,33 @@ fn lossy_batched_stream_reports_dispositions() {
     assert_eq!(stats.health, health, "the drain report's health is the session's Health reply");
 }
 
+/// The chaos path applies a plan's value faults as well as its wire
+/// faults: with every snapshot given a non-finite value, every item fails
+/// to decode at the server (`wire::decode` rejects non-finite values),
+/// batched or sent one frame at a time.
+#[test]
+fn chaos_value_faults_reach_the_server() {
+    let pipeline = Arc::new(common::trained_pipeline());
+    let server =
+        ShardServer::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    let snaps = snapshots_of(&training_specs()[0], 85, 4242);
+    let chaos = Some(FaultPlan::lossless(6).with_corrupt_rate(1.0));
+    let mut client =
+        ServeClient::connect(addr, ClientConfig { model_id: 0, chaos, tracer: None }).unwrap();
+    let report = client.stream_batch(&snaps, 16).unwrap();
+    assert_eq!(report.sent, snaps.len() as u64);
+    assert_eq!(report.malformed, report.sent, "every corrupted item is malformed: {report:?}");
+    client.stream_snapshots(&snaps).unwrap();
+    assert_eq!(client.health().unwrap().seen, 0, "no corrupted snapshot reaches the guard");
+    assert_eq!(client.bye().unwrap(), ByeReason::Normal);
+
+    server.shutdown();
+    let stats = server.join().unwrap();
+    assert_eq!(stats.frames_malformed, 2 * snaps.len() as u64, "{stats}");
+}
+
 /// The frame budget counts batched items exactly like single frames: a
 /// batch that would cross the budget ends the session with
 /// `Bye(FrameBudget)` before any of it is classified.

@@ -237,8 +237,8 @@ fn circuit_breaker_opens_on_hard_failures_and_recloses_after_recovery() {
 }
 
 /// Regression: `ShardServer::shutdown` with zero sessions must complete
-/// promptly — the waker rouses the parked acceptor and shards, so no
-/// timeout stands between `shutdown` and `join`.
+/// promptly — each shard's waker rouses it from its wait on the listener,
+/// so no timeout stands between `shutdown` and `join`.
 #[test]
 fn shutdown_with_zero_sessions_completes_promptly() {
     let pipeline = Arc::new(common::trained_pipeline());

@@ -1,11 +1,12 @@
 //! Integration tests of the session fabric
 //! (`appclass::serve::ShardServer`): exact accounting under heavy
-//! concurrency and under shedding, hot swaps across shards, the bounded
-//! composition feed, and idle threads that never wake.
+//! concurrency, under shedding and while shards race for the listener,
+//! the accept limit, hot swaps across shards, the bounded composition
+//! feed, and idle threads that never wake.
 
 mod common;
 
-use appclass::metrics::{NodeId, Snapshot};
+use appclass::metrics::{ByeReason, NodeId, Snapshot};
 use appclass::prelude::AppClass;
 use appclass::serve::feed::RETIRED_KEPT;
 use appclass::serve::{
@@ -14,7 +15,7 @@ use appclass::serve::{
 use appclass::sim::runner::run_spec;
 use appclass::sim::workload::registry::{training_specs, WorkloadSpec};
 use std::sync::mpsc::RecvTimeoutError;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn snapshots_of(spec: &WorkloadSpec, node: u32, seed: u64) -> Vec<Snapshot> {
@@ -143,8 +144,8 @@ fn shard_server_sheds_and_drains_with_exact_counts() {
 
     // Shards serve every admitted connection at once, so held sessions
     // complete their handshakes while still holding admission slots.
-    // Admissions are serialized by the acceptor: held0 (depth 0), held1
-    // (depth 0), held2 (depth 1), then shedding at depth 2.
+    // Admissions are serialized by the admission lock: held0 (depth 0),
+    // held1 (depth 0), held2 (depth 1), then shedding at depth 2.
     let held: Vec<ServeClient> = (0..3)
         .map(|i| {
             ServeClient::connect(addr, ClientConfig { model_id: 0, chaos: None, tracer: None })
@@ -255,14 +256,14 @@ fn the_feed_keeps_only_the_latest_ended_sessions() {
     assert_feed_keeps_latest(&feed, &ids);
 }
 
-/// `serve_loop_wakeups_total`: returns from `poll(2)` in the acceptor and
-/// every shard of `server`.
+/// `serve_loop_wakeups_total`: returns from `poll(2)` in every shard of
+/// `server`.
 fn wakeups(server: &ShardServer) -> u64 {
     server.observability().registry.counter("serve_loop_wakeups_total").get()
 }
 
 /// An idle sharded server parks every thread until work arrives: no
-/// timer wakes the acceptor or either shard.
+/// timer wakes either shard.
 #[test]
 fn idle_shard_server_never_wakes() {
     let pipeline = Arc::new(common::trained_pipeline());
@@ -296,9 +297,9 @@ fn within_5s<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'stat
 /// A session that has had its request answered and then goes quiet costs
 /// its shard nothing: no timer wakes the shard to look at it. A second
 /// session is still served while the first stays quiet, because the
-/// acceptor's hand-off wakes the parked shard.
+/// parked shard polls the listener, and the second connect wakes it.
 #[test]
-fn a_quiet_session_never_wakes_its_shard_but_a_hand_off_does() {
+fn a_quiet_session_never_wakes_its_shard_but_a_connect_does() {
     let pipeline = Arc::new(common::trained_pipeline());
     let config = ServerConfig { shards: 1, ..ServerConfig::default() };
     let server = ShardServer::bind("127.0.0.1:0", pipeline, config).unwrap();
@@ -333,4 +334,99 @@ fn a_quiet_session_never_wakes_its_shard_but_a_hand_off_does() {
     let stats = server.join().unwrap();
     assert_eq!(stats.sessions_finished, 2);
     assert_eq!(stats.session_errors, 0);
+}
+
+/// Four shards racing for the listener still admit one connection at a
+/// time: of more clients than `max_sessions + backlog` released together,
+/// each holding its session open, exactly that capacity is admitted and
+/// every other client gets `Bye(SessionLimit)`, as the drain report
+/// counts.
+#[test]
+fn racing_shards_admit_exactly_the_capacity() {
+    const MAX_SESSIONS: usize = 2;
+    const CAPACITY: usize = 6; // max_sessions + backlog
+    const CLIENTS: usize = 14;
+    let pipeline = Arc::new(common::trained_pipeline());
+    let config = ServerConfig {
+        max_sessions: MAX_SESSIONS,
+        backlog: CAPACITY - MAX_SESSIONS,
+        // Above any depth the capacity allows: nothing is shed.
+        shed_low_watermark: CAPACITY + 1,
+        shed_high_watermark: CAPACITY + 2,
+        shards: 4,
+        ..ServerConfig::default()
+    };
+    let server = ShardServer::bind("127.0.0.1:0", pipeline, config).unwrap();
+    let addr = server.local_addr();
+
+    let start = Arc::new(Barrier::new(CLIENTS));
+    let answered = Arc::new(Barrier::new(CLIENTS));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let (start, answered) = (Arc::clone(&start), Arc::clone(&answered));
+            std::thread::spawn(move || {
+                start.wait();
+                let outcome = ServeClient::connect(addr, ClientConfig::default());
+                // Admitted sessions stay open until every client has its
+                // answer, so no admission slot frees up in between.
+                answered.wait();
+                match outcome {
+                    Ok(client) => {
+                        assert_eq!(client.bye().unwrap(), ByeReason::Normal);
+                        None
+                    }
+                    Err(ServeError::Rejected { reason }) => Some(reason),
+                    Err(other) => panic!("a client failed instead of being refused: {other}"),
+                }
+            })
+        })
+        .collect();
+    let refusals: Vec<ByeReason> = clients.into_iter().filter_map(|h| h.join().unwrap()).collect();
+    assert_eq!(refusals.len(), CLIENTS - CAPACITY, "exactly the capacity is admitted");
+    assert!(refusals.iter().all(|r| *r == ByeReason::SessionLimit), "{refusals:?}");
+
+    server.shutdown();
+    let stats = server.join().unwrap();
+    assert_eq!(stats.sessions_started, CAPACITY as u64);
+    assert_eq!(stats.sessions_finished, CAPACITY as u64);
+    assert_eq!(stats.sessions_rejected, (CLIENTS - CAPACITY) as u64);
+    assert_eq!(stats.sessions_busy, 0);
+    assert_eq!(stats.session_errors, 0);
+}
+
+/// The accept limit holds across shards: the shard that admits the last
+/// session closes admission for all of them, and each exits once its own
+/// sessions end, so `join` returns with no `shutdown`.
+#[test]
+fn accept_limit_drains_every_shard_without_shutdown() {
+    const SESSIONS: usize = 5;
+    let pipeline = Arc::new(common::trained_pipeline());
+    let config =
+        ServerConfig { accept_limit: Some(SESSIONS as u64), shards: 2, ..ServerConfig::default() };
+    let server = ShardServer::bind("127.0.0.1:0", pipeline, config).unwrap();
+    let addr = server.local_addr();
+    let snaps = Arc::new(snapshots_of(&training_specs()[0], 84, 9400));
+
+    let start = Arc::new(Barrier::new(SESSIONS));
+    let clients: Vec<_> = (0..SESSIONS)
+        .map(|_| {
+            let (start, snaps) = (Arc::clone(&start), Arc::clone(&snaps));
+            std::thread::spawn(move || {
+                start.wait();
+                let mut client = ServeClient::connect(addr, ClientConfig::default()).unwrap();
+                client.stream_snapshots(&snaps[..10]).unwrap();
+                client.classify().unwrap();
+                client.bye().unwrap()
+            })
+        })
+        .collect();
+    for client in clients {
+        assert_eq!(client.join().unwrap(), ByeReason::Normal);
+    }
+
+    let stats = within_5s("join after the accept limit", move || server.join().unwrap());
+    assert_eq!(stats.sessions_started, SESSIONS as u64);
+    assert_eq!(stats.sessions_finished, SESSIONS as u64);
+    assert_eq!(stats.verdicts, SESSIONS as u64);
+    assert_eq!(stats.sessions_rejected + stats.sessions_busy + stats.session_errors, 0);
 }
