@@ -18,12 +18,17 @@
 //! width of a `relay-batch` request. `registry` classifies every snapshot
 //! of the 19 registry workloads, one call per workload; it includes the
 //! queries that fall far from the pool (NetPIPE, Autobench,
-//! PostMark_NFS), where the scan visits hundreds of rows.
+//! PostMark_NFS), where the scan visits hundreds of rows. `project128`
+//! times the stages in front of the 3-NN on the same fresh runs: one
+//! `StagePipeline::run_batch` over the pipeline's projection stages
+//! (preprocess 33→8, PCA 8→2) per 128 raw rows. The bench then prints
+//! what each of the two stages cost per row over every call it timed.
 
 use appclass::cluster::{train_cluster_pipeline, training_runs};
 use appclass::sim::runner::run_spec;
 use appclass::sim::workload::registry::registry;
 use appclass_core::knn::{Distance, KnnClassifier};
+use appclass_core::stage::StagePipeline;
 use appclass_core::AppClass;
 use appclass_linalg::Matrix;
 use appclass_metrics::NodeId;
@@ -81,8 +86,12 @@ fn bench_knn_batch(c: &mut Criterion) {
 fn bench_knn_trained(c: &mut Criterion) {
     let pipeline = train_cluster_pipeline(42).expect("training");
     let knn = pipeline.knn();
-    let near: Vec<Vec<f64>> = training_runs(43)
-        .expect("training runs")
+    let fresh = training_runs(43).expect("training runs");
+    let raw: Vec<Vec<f64>> =
+        fresh.iter().flat_map(|(raw, _)| raw.iter_rows().map(<[f64]>::to_vec)).collect();
+    let raw128: Vec<Matrix> =
+        raw.chunks(128).map(|rows| Matrix::from_rows(rows).expect("equal widths")).collect();
+    let near: Vec<Vec<f64>> = fresh
         .iter()
         .flat_map(|(raw, _)| {
             let projected = pipeline.project(raw).expect("training runs project");
@@ -121,7 +130,27 @@ fn bench_knn_trained(c: &mut Criterion) {
             })
         });
     }
+    let stages = pipeline.projection_stages();
+    let mut runner = StagePipeline::new();
+    group.bench_function("project128", |b| {
+        b.iter(|| {
+            raw128
+                .iter()
+                .map(|m| {
+                    runner.run_batch(&stages, black_box(m)).expect("projection");
+                    runner.output().rows()
+                })
+                .sum::<usize>()
+        })
+    });
     group.finish();
+    for stage in runner.metrics().stages() {
+        println!(
+            "knn_batch_trained/project128: {} {:.2} ns/row",
+            stage.name,
+            stage.ms_per_sample() * 1e6
+        );
+    }
 }
 
 criterion_group!(benches, bench_knn_batch, bench_knn_trained);

@@ -15,7 +15,7 @@ use appclass_linalg::eigen::{symmetric_eigen, EigenDecomposition};
 use appclass_linalg::stats::covariance_matrix;
 use appclass_linalg::svd::thin_svd;
 use appclass_linalg::Matrix;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Which numerical route computes the principal components.
 ///
@@ -63,7 +63,7 @@ pub enum ComponentSelection {
 /// let projected = pca.transform(&data).unwrap();
 /// assert_eq!(projected.shape(), (5, 1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pca {
     /// Per-feature means of the fitting data, subtracted before projection.
     means: Vec<f64>,
@@ -73,6 +73,13 @@ pub struct Pca {
     eigenvalues: Vec<f64>,
     /// Number of components kept (`q`).
     q: usize,
+    /// `μᵀW`: the fitting means projected through the components, one per
+    /// component, each summed in ascending `i`. Because
+    /// `(X − 1μᵀ)W = XW − 1(μᵀW)`, subtracting these *after* multiplying
+    /// projects without materializing a centered copy of the data.
+    /// Derived from `means` and `components`, so excluded from the
+    /// serialized form and rebuilt on deserialization.
+    projected_means: Vec<f64>,
 }
 
 impl Pca {
@@ -157,7 +164,19 @@ impl Pca {
         let means = appclass_linalg::stats::column_means(samples)?;
         let cols: Vec<usize> = (0..q).collect();
         let components = eig.vectors.select_columns(&cols)?;
-        Ok(Pca { means, components, eigenvalues: eig.values, q })
+        Ok(Pca::from_parts(means, components, eig.values, q))
+    }
+
+    /// Assembles a transform from its defining fields and derives the
+    /// projected means. `means` must have `components.rows()` entries and
+    /// `q ≥ 1` must equal `components.cols()`.
+    fn from_parts(means: Vec<f64>, components: Matrix, eigenvalues: Vec<f64>, q: usize) -> Self {
+        let projected_means = (0..q)
+            .map(|j| {
+                means.iter().enumerate().fold(0.0, |acc, (i, &mu)| acc + mu * components[(i, j)])
+            })
+            .collect();
+        Pca { means, components, eigenvalues, q, projected_means }
     }
 
     /// Number of components kept (the paper's `q`).
@@ -203,18 +222,51 @@ impl Pca {
         Ok(out)
     }
 
-    /// Component `j` of `μᵀW` — the fitting means projected through the
-    /// components, summed in ascending `i`. Because
-    /// `(X − 1μᵀ)W = XW − 1(μᵀW)`, subtracting this *after* multiplying
-    /// projects without materializing a centered copy of the data, which
-    /// is what lets the dataflow stage reuse buffers. Batch and streaming
-    /// both subtract this one sum, so their projections stay bit-identical.
-    fn projected_mean(&self, j: usize) -> f64 {
-        let mut acc = 0.0;
-        for (i, &mu) in self.means.iter().enumerate() {
-            acc += mu * self.components[(i, j)];
+    /// Projects one row of width `p` into `out` (length `q`): component
+    /// `j`'s dot product accumulates from `0.0` in ascending input order,
+    /// then its projected mean is subtracted. Batch and streaming both run
+    /// this, so their projections are bit-identical.
+    #[inline]
+    fn project_row(&self, x: &[f64], out: &mut [f64]) {
+        let w = self.components.as_slice();
+        for (j, (o, pm)) in out.iter_mut().zip(&self.projected_means).enumerate() {
+            let dot =
+                x.iter().zip(w.chunks_exact(self.q)).fold(0.0, |acc, (&xi, wi)| acc + xi * wi[j]);
+            *o = dot - pm;
         }
-        acc
+    }
+}
+
+// The projected means are derived from `means` and `components`, so the
+// serialized form carries only the four defining fields, as a derived
+// impl over them would, and stored models load unchanged. Deserializing
+// checks their shapes and derives the means again.
+impl Serialize for Pca {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("means".to_string(), self.means.to_value()),
+            ("components".to_string(), self.components.to_value()),
+            ("eigenvalues".to_string(), self.eigenvalues.to_value()),
+            ("q".to_string(), self.q.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for Pca {
+    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
+        let field = |name: &str| v.get(name).ok_or_else(|| DeError::missing_field(name));
+        let means = Vec::<f64>::from_value(field("means")?)?;
+        let components = Matrix::from_value(field("components")?)?;
+        let eigenvalues = Vec::<f64>::from_value(field("eigenvalues")?)?;
+        let q = usize::from_value(field("q")?)?;
+        if q == 0 || q != components.cols() || means.len() != components.rows() {
+            return Err(DeError(format!(
+                "invalid pca: {} means and q = {q} for a {:?} component matrix",
+                means.len(),
+                components.shape()
+            )));
+        }
+        Ok(Pca::from_parts(means, components, eigenvalues, q))
     }
 }
 
@@ -223,20 +275,17 @@ impl Stage for Pca {
         "pca"
     }
 
-    /// `B = A'W − 1(μᵀW)` into a reusable buffer. The per-entry
-    /// accumulation order (components ascending) is identical to
+    /// `B = A'W − 1(μᵀW)` into a reusable buffer, each output row written
+    /// in one pass by the same per-row projection as
     /// [`StreamingStage::transform_row_into`], so batch and streaming
     /// projections agree bit-for-bit.
     fn transform_into(&self, input: &Matrix, out: &mut Matrix) -> Result<()> {
         if input.cols() != self.input_dim() {
             return Err(Error::FeatureMismatch { expected: self.input_dim(), got: input.cols() });
         }
-        input.matmul_into(&self.components, out)?;
-        for j in 0..out.cols() {
-            let pm = self.projected_mean(j);
-            for i in 0..out.rows() {
-                out[(i, j)] -= pm;
-            }
+        out.resize(input.rows(), self.q);
+        for (x, o) in input.iter_rows().zip(out.as_mut_slice().chunks_exact_mut(self.q)) {
+            self.project_row(x, o);
         }
         Ok(())
     }
@@ -249,16 +298,7 @@ impl StreamingStage for Pca {
         }
         out.clear();
         out.resize(self.q, 0.0);
-        for (j, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (i, &x) in input.iter().enumerate() {
-                acc += x * self.components[(i, j)];
-            }
-            *o = acc;
-        }
-        for (j, o) in out.iter_mut().enumerate() {
-            *o -= self.projected_mean(j);
-        }
+        self.project_row(input, out);
         Ok(())
     }
 }
@@ -394,12 +434,42 @@ mod tests {
         assert!(matches!(Pca::fit(&one, ComponentSelection::Count(1)), Err(Error::NoTrainingData)));
     }
 
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn serde_roundtrip() {
         let pca = Pca::fit(&diagonal_data(), ComponentSelection::Count(2)).unwrap();
         let json = serde_json::to_string(&pca).unwrap();
         let back: Pca = serde_json::from_str(&json).unwrap();
         assert_eq!(pca, back);
+        // The derived projected means are rebuilt, not shipped on the wire:
+        // the JSON holds the four defining fields, in declaration order.
+        let Value::Object(fields) = pca.to_value() else { panic!("not an object: {json}") };
+        let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["means", "components", "eigenvalues", "q"]);
+        // Both paths of the rebuilt transform project bit-identically.
+        let data = diagonal_data();
+        let (a, b) = (pca.transform(&data).unwrap(), back.transform(&data).unwrap());
+        assert_eq!(bits(a.as_slice()), bits(b.as_slice()));
+        for row in data.iter_rows() {
+            let (x, y) = (pca.transform_row(row).unwrap(), back.transform_row(row).unwrap());
+            assert_eq!(bits(&x), bits(&y));
+        }
+    }
+
+    #[test]
+    fn deserialize_validates_shapes() {
+        let pca = Pca::fit(&diagonal_data(), ComponentSelection::Count(2)).unwrap();
+        let json = serde_json::to_string(&pca).unwrap();
+        for q in ["0", "1", "3"] {
+            let bad = json.replacen("\"q\":2", &format!("\"q\":{q}"), 1);
+            assert_ne!(bad, json);
+            assert!(serde_json::from_str::<Pca>(&bad).is_err(), "q = {q} accepted");
+        }
+        let bad = json.replacen("\"means\":[", "\"means\":[0.0,", 1);
+        assert!(serde_json::from_str::<Pca>(&bad).is_err(), "extra mean accepted");
     }
 
     #[test]

@@ -209,16 +209,13 @@ impl Matrix {
         t
     }
 
-    /// Checks every entry is finite; returns the first offender otherwise.
+    /// Checks every entry is finite; returns the first offender in
+    /// row-major order otherwise ([`vector::first_non_finite`]).
     pub fn check_finite(&self) -> Result<()> {
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                if !self.data[i * self.cols + j].is_finite() {
-                    return Err(Error::NonFinite { row: i, col: j });
-                }
-            }
+        match vector::first_non_finite(&self.data) {
+            None => Ok(()),
+            Some(at) => Err(Error::NonFinite { row: at / self.cols, col: at % self.cols }),
         }
-        Ok(())
     }
 
     /// Maximum absolute asymmetry `|a_ij - a_ji|`; zero for symmetric input.
@@ -241,15 +238,6 @@ impl Matrix {
     /// Uses an `i-k-j` loop order so the inner loop streams over contiguous
     /// rows of both operands.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`Matrix::matmul`] but writes the product into `out`, which is
-    /// reshaped to `self.rows x rhs.cols` with its allocation reused — the
-    /// variant the classification hot path calls per batch.
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.cols != rhs.rows {
             return Err(Error::DimensionMismatch {
                 op: "matmul",
@@ -257,7 +245,7 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        out.resize(self.rows, rhs.cols);
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
         for i in 0..self.rows {
             let a_row = self.row(i);
             let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
@@ -266,7 +254,7 @@ impl Matrix {
                 vector::axpy(aik, b_row, out_row);
             }
         }
-        Ok(())
+        Ok(out)
     }
 
     /// Matrix-vector product `self * x`.
@@ -528,22 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_into_matches_matmul_and_reuses_buffer() {
-        let a = m22(1.0, 2.0, 3.0, 4.0);
-        let b = m22(5.0, 6.0, 7.0, 8.0);
-        let mut out = Matrix::zeros(2, 2);
-        a.matmul_into(&b, &mut out).unwrap();
-        assert_eq!(out, a.matmul(&b).unwrap());
-        // A second product of the same shape must not reallocate.
-        let ptr = out.as_slice().as_ptr();
-        b.matmul_into(&a, &mut out).unwrap();
-        assert_eq!(out.as_slice().as_ptr(), ptr, "allocation must be reused");
-        assert_eq!(out, b.matmul(&a).unwrap());
-        // Shape errors leave out usable.
-        assert!(a.matmul_into(&Matrix::zeros(3, 2), &mut out).is_err());
-    }
-
-    #[test]
     fn resize_reshapes_and_zeroes() {
         let mut m = Matrix::filled(4, 4, 7.0);
         let ptr = m.as_slice().as_ptr();
@@ -614,8 +586,12 @@ mod tests {
     fn check_finite_finds_nan() {
         let mut a = Matrix::zeros(2, 2);
         a[(1, 0)] = f64::NAN;
+        // A second offender later in row-major order is not the one named.
+        a[(1, 1)] = f64::INFINITY;
         assert_eq!(a.check_finite(), Err(Error::NonFinite { row: 1, col: 0 }));
         a[(1, 0)] = 0.0;
+        assert_eq!(a.check_finite(), Err(Error::NonFinite { row: 1, col: 1 }));
+        a[(1, 1)] = 0.0;
         assert!(a.check_finite().is_ok());
     }
 

@@ -118,9 +118,46 @@ pub fn argmax(a: &[f64]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
+/// Whether every value is finite, in one pass with no early exit: a fold
+/// of `&`s the compiler vectorizes.
+#[inline]
+pub fn all_finite(a: &[f64]) -> bool {
+    a.iter().fold(true, |ok, v| ok & v.is_finite())
+}
+
+/// Index of the first non-finite value; `None` when all are finite.
+/// Finite input costs one [`all_finite`] pass; only input that fails it
+/// is scanned again for its first offender.
+#[inline]
+pub fn first_non_finite(a: &[f64]) -> Option<usize> {
+    if all_finite(a) {
+        return None;
+    }
+    a.iter().position(|v| !v.is_finite())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn finite_checks_see_every_slot() {
+        assert!(all_finite(&[]));
+        assert_eq!(first_non_finite(&[]), None);
+        let clean = [0.0, -1.5, f64::MAX, f64::MIN_POSITIVE];
+        assert!(all_finite(&clean));
+        assert_eq!(first_non_finite(&clean), None);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in 0..5 {
+                let mut v = [1.0; 6];
+                v[at] = bad;
+                // A later offender does not hide the first.
+                v[5] = f64::NAN;
+                assert!(!all_finite(&v), "{bad} at {at}");
+                assert_eq!(first_non_finite(&v), Some(at), "{bad} at {at}");
+            }
+        }
+    }
 
     #[test]
     fn dot_basic() {

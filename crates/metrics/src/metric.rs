@@ -282,7 +282,7 @@ impl MetricFrame {
 
     /// Index of the first non-finite value, if any.
     pub fn first_non_finite(&self) -> Option<usize> {
-        self.values.iter().position(|v| !v.is_finite())
+        appclass_linalg::vector::first_non_finite(&self.values)
     }
 }
 

@@ -24,6 +24,7 @@
 
 use crate::metric::{MetricFrame, METRIC_COUNT};
 use crate::snapshot::{NodeId, Snapshot};
+use appclass_linalg::vector::all_finite;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -359,7 +360,7 @@ impl FrameGuard {
         let mut patched = 0usize;
         let mut streak_peak = 0u32;
         let mut dead_set_changed = false;
-        if state.clean && values.iter().all(|v| v.is_finite()) {
+        if state.clean && all_finite(values) {
             // Clean frame, clean node: the general pass would only copy
             // the values and mark them seeded.
             row.copy_from_slice(values);

@@ -29,6 +29,7 @@ use crate::error::{Error, Result};
 use crate::metric::{MetricFrame, METRIC_COUNT};
 use crate::repair::TelemetryHealth;
 use crate::snapshot::{NodeId, Snapshot};
+use appclass_linalg::vector::first_non_finite;
 use appclass_obs::trace::TRACE_EXT_LEN;
 use appclass_obs::TraceContext;
 
@@ -85,16 +86,17 @@ pub fn decode(data: &[u8]) -> Result<Snapshot> {
     }
     let node = NodeId(u32::from_be_bytes(field(d, 8)));
     let time = u64::from_be_bytes(field(d, 12));
+    // Convert every value first, then check them all in one pass.
     let mut values = [0.0f64; METRIC_COUNT];
     let (raw, _) = d[DATAGRAM_HEADER..].as_chunks::<8>();
-    for (i, (v, raw)) in values.iter_mut().zip(raw).enumerate() {
+    for (v, raw) in values.iter_mut().zip(raw) {
         *v = f64::from_be_bytes(*raw);
-        if !v.is_finite() {
-            return Err(Error::MalformedWire {
-                reason: "non-finite metric value",
-                offset: DATAGRAM_HEADER + i * 8,
-            });
-        }
+    }
+    if let Some(i) = first_non_finite(&values) {
+        return Err(Error::MalformedWire {
+            reason: "non-finite metric value",
+            offset: DATAGRAM_HEADER + i * 8,
+        });
     }
     Ok(Snapshot::new(node, time, MetricFrame::from_array(values)))
 }

@@ -95,9 +95,11 @@ proptest! {
         snap in arb_snapshot(),
         slot in 0usize..METRIC_COUNT,
         kind in 0u8..3,
+        second in 0usize..METRIC_COUNT,
     ) {
         // Overwrite one encoded value with NaN / +inf / −inf: the decoder
-        // refuses to hand non-finite data to the pipeline.
+        // refuses to hand non-finite data to the pipeline, and names the
+        // first poisoned value even when a later one is poisoned too.
         let bad = match kind {
             0 => f64::NAN,
             1 => f64::INFINITY,
@@ -106,10 +108,14 @@ proptest! {
         let mut wire = encode(&snap).to_vec();
         let at = 20 + 8 * slot;
         wire[at..at + 8].copy_from_slice(&bad.to_be_bytes());
+        if second > slot {
+            let later = 20 + 8 * second;
+            wire[later..later + 8].copy_from_slice(&f64::NAN.to_be_bytes());
+        }
         let err = decode(&wire).unwrap_err();
         prop_assert!(matches!(
             err,
-            Error::MalformedWire { reason: "non-finite metric value", .. }
+            Error::MalformedWire { reason: "non-finite metric value", offset } if offset == at
         ));
     }
 }

@@ -25,8 +25,9 @@
 //!   `Waker`, which [`ShardServer::shutdown`] rings to stop it, and a
 //!   shard's one timeout is the stall deadline of the oldest partial
 //!   frame it holds (or the pause after a hard accept error).
-//! - **Zero-copy decode.** Frames are parsed in place from the shard's
-//!   read buffer with
+//! - **Zero-copy reads and decode.** Each connection reads straight into
+//!   its own buffer, behind the bytes it already holds, and frames are
+//!   parsed in place there with
 //!   [`decode_control_borrowed`](appclass_metrics::wire::decode_control_borrowed):
 //!   snapshot datagrams are classified straight out of the buffer the
 //!   kernel filled, never copied into per-frame `Vec`s. A property test
@@ -41,8 +42,9 @@
 //!
 //! Ownership rule for the zero-copy path: a borrowed frame lives
 //! exactly as long as one call to the session core — nothing borrowed
-//! from the read buffer survives into connection state. After the call
-//! returns, the consumed prefix of the read buffer is discarded.
+//! from the read buffer survives into connection state. Once the
+//! complete frames are served, the first bytes of a frame still
+//! arriving move to the front of the buffer.
 
 use crate::error::{Result, ServeError};
 use crate::feed::CompositionFeed;
@@ -118,7 +120,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// Read chunk size per `read(2)` call on a ready socket.
+/// Room a connection's read buffer gains whenever a read has filled all
+/// the room it had (and before its first read): a request up to this
+/// size arrives in one `read(2)`.
 const READ_CHUNK: usize = 64 * 1024;
 /// Buffered bytes that end a connection's read turn: one maximal frame
 /// with its length prefix.
@@ -138,7 +142,13 @@ const MAX_WRITE_BACKLOG: usize = 16 * 1024 * 1024;
 /// append to `write_buf` (disjoint field borrows).
 struct ConnIo {
     stream: TcpStream,
+    /// Bytes read and not yet served are `read_buf[..filled]`; the rest
+    /// is room the next read fills in place. The buffer grows only when
+    /// a read fills all of its room, so once it holds the largest request
+    /// the peer sends, a request is read with no allocation, no zero-fill
+    /// and no copy.
     read_buf: Vec<u8>,
+    filled: usize,
     write_buf: Vec<u8>,
     write_pos: usize,
     /// When the first byte of the currently-pending (unparsed) frame
@@ -155,6 +165,7 @@ impl ConnIo {
         ConnIo {
             stream,
             read_buf: Vec::new(),
+            filled: 0,
             write_buf: Vec::new(),
             write_pos: 0,
             frame_started: None,
@@ -162,20 +173,31 @@ impl ConnIo {
         }
     }
 
-    /// Reads what the socket has ready. The turn ends at the first read
-    /// that fills less than `tmp`, which has taken everything the socket
-    /// held, so a request pays one `read(2)` and no extra call that
-    /// returns `EAGAIN`. It also ends once `read_buf` holds
-    /// [`READ_TURN_BYTES`]: by then its first frame is complete (or its
-    /// prefix is oversized and closes the connection), so every turn
+    /// Reads what the socket has ready, straight into the room behind
+    /// the filled part of `read_buf`, which first grows by
+    /// [`READ_CHUNK`] if it has no room left. The turn ends at the first
+    /// read that fills less than the room it was offered, which has taken
+    /// everything the socket held, so a request pays one `read(2)` and no
+    /// extra call that returns `EAGAIN`. It also ends once `read_buf`
+    /// holds [`READ_TURN_BYTES`]: by then its first frame is complete (or
+    /// its prefix is oversized and closes the connection), so every turn
     /// makes progress while a peer that keeps its socket full can neither
     /// grow the buffer without bound nor starve the shard's other
     /// connections. poll(2) is level-triggered, so whatever is left or
     /// arrives later is read on a later turn. Returns `true` if the peer
     /// closed the read side.
-    fn pump_read(&mut self, tmp: &mut [u8]) -> std::io::Result<bool> {
-        while self.read_buf.len() < READ_TURN_BYTES {
-            match self.stream.read(tmp) {
+    fn pump_read(&mut self) -> std::io::Result<bool> {
+        while self.filled < READ_TURN_BYTES {
+            if self.filled == self.read_buf.len() {
+                // A zeroed allocation, not `resize`: it costs no per-byte
+                // fill loop in an unoptimized build either.
+                let mut grown = vec![0u8; self.filled + READ_CHUNK];
+                grown[..self.filled].copy_from_slice(&self.read_buf[..self.filled]);
+                self.read_buf = grown;
+            }
+            let room = &mut self.read_buf[self.filled..];
+            let offered = room.len();
+            match self.stream.read(room) {
                 Ok(0) => return Ok(true),
                 Ok(n) => {
                     // A frame's first read stamps both instants with one
@@ -183,8 +205,8 @@ impl ConnIo {
                     let now = Instant::now();
                     self.frame_started.get_or_insert(now);
                     self.last_read = Some(now);
-                    self.read_buf.extend_from_slice(&tmp[..n]);
-                    if n < tmp.len() {
+                    self.filled += n;
+                    if n < offered {
                         return Ok(false);
                     }
                 }
@@ -496,7 +518,6 @@ fn shard_loop(shared: &ShardShared, index: usize) -> Telemetry {
     let mut telemetry = Telemetry::default();
     let mut conns: Vec<Conn> = Vec::new();
     let mut poll = PollSet::new();
-    let mut read_chunk = vec![0u8; READ_CHUNK];
     let mut env = SessionEnv::new(
         Arc::clone(&shared.slot),
         shared.config,
@@ -575,14 +596,7 @@ fn shard_loop(shared: &ShardShared, index: usize) -> Telemetry {
             // has most likely arrived with it, so it is read at once.
             let (readable, writable) =
                 if i < polled { (poll.readable(i), poll.writable(i)) } else { (true, false) };
-            serve_conn_turn(
-                &mut conns[i],
-                readable,
-                writable,
-                &mut env,
-                &mut read_chunk,
-                stall_budget,
-            );
+            serve_conn_turn(&mut conns[i], readable, writable, &mut env, stall_budget);
             // Retire once the close decision is made and the farewell
             // (if any) is flushed; failed writes dropped their backlog.
             if conns[i].closing.is_some() && !conns[i].io.has_pending_writes() {
@@ -601,7 +615,7 @@ fn shard_loop(shared: &ShardShared, index: usize) -> Telemetry {
 fn stall_timeout(conns: &[Conn], budget: Duration) -> Option<Duration> {
     let oldest = conns
         .iter()
-        .filter(|c| c.closing.is_none() && !c.io.read_buf.is_empty())
+        .filter(|c| c.closing.is_none() && c.io.filled > 0)
         .filter_map(|c| c.io.last_read)
         .min()?;
     let deadline = oldest.checked_add(budget)?;
@@ -635,11 +649,10 @@ fn serve_conn_turn(
     readable: bool,
     writable: bool,
     env: &mut SessionEnv,
-    read_chunk: &mut [u8],
     stall_budget: Duration,
 ) {
     if readable && conn.closing.is_none() {
-        match conn.io.pump_read(read_chunk) {
+        match conn.io.pump_read() {
             Ok(eof) => {
                 serve_pending_frames(conn, env);
                 if eof && conn.closing.is_none() {
@@ -657,7 +670,7 @@ fn serve_conn_turn(
         // Quiet socket: a peer silent in the middle of a frame past the
         // budget is given up.
         if let Some(last_read) = conn.io.last_read {
-            if !conn.io.read_buf.is_empty() && last_read.elapsed() > stall_budget {
+            if conn.io.filled > 0 && last_read.elapsed() > stall_budget {
                 conn.closing =
                     Some(Close::Failed(ServeError::Io(std::io::Error::from(ErrorKind::TimedOut))));
             }
@@ -702,14 +715,14 @@ fn retire(conn: Conn, kind: Close, telemetry: &mut Telemetry, shared: &ShardShar
 
 /// Hands every complete frame in the connection's read buffer to the
 /// session core, each with the instant its first byte arrived, then
-/// discards the consumed bytes.
+/// moves the unserved tail (a later frame's first bytes) to the front.
 fn serve_pending_frames(conn: &mut Conn, env: &mut SessionEnv) {
     let Conn { io, sess, closing } = conn;
-    let ConnIo { read_buf, write_buf, frame_started, last_read, .. } = io;
+    let ConnIo { read_buf, filled, write_buf, frame_started, last_read, .. } = io;
     let mut at = 0usize;
     let mut consumed_any = false;
     loop {
-        let rest = &read_buf[at..];
+        let rest = &read_buf[at..*filled];
         if rest.len() < 4 {
             break;
         }
@@ -736,9 +749,10 @@ fn serve_pending_frames(conn: &mut Conn, env: &mut SessionEnv) {
         }
     }
     if at > 0 {
-        read_buf.drain(..at);
+        read_buf.copy_within(at..*filled, 0);
+        *filled -= at;
     }
-    if read_buf.is_empty() {
+    if *filled == 0 {
         *frame_started = None;
         *last_read = None;
     } else if consumed_any {
@@ -751,6 +765,95 @@ fn serve_pending_frames(conn: &mut Conn, env: &mut SessionEnv) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::append_frame;
+    use appclass_core::{AppClass, PipelineConfig};
+    use appclass_linalg::Matrix;
+    use appclass_metrics::{wire, MetricFrame, MetricId, NodeId, Snapshot, METRIC_COUNT};
+
+    /// A two-class pipeline: CPU-bound and idle.
+    fn trained() -> Arc<ClassifierPipeline> {
+        let mut cpu = Matrix::zeros(10, METRIC_COUNT);
+        for i in 0..10 {
+            cpu[(i, MetricId::CpuUser.index())] = 80.0 + (i % 3) as f64;
+        }
+        let runs = vec![(cpu, AppClass::Cpu), (Matrix::zeros(10, METRIC_COUNT), AppClass::Idle)];
+        Arc::new(ClassifierPipeline::train(&runs, &PipelineConfig::paper()).unwrap())
+    }
+
+    /// Waits for `stream` to turn readable, then runs one read turn and
+    /// serves what it completed, as the shard loop does.
+    fn read_turn(conn: &mut Conn, env: &mut SessionEnv) {
+        let mut poll = PollSet::new();
+        poll.push(&conn.io.stream, true, false);
+        assert!(poll.wait(Some(Duration::from_secs(10))).unwrap() > 0, "peer stalled");
+        assert!(!conn.io.pump_read().unwrap(), "peer closed");
+        serve_pending_frames(conn, env);
+    }
+
+    /// The reply frames `conn` has queued, decoded.
+    fn replies(conn: &Conn) -> Vec<ControlFrame> {
+        let mut rest = &conn.io.write_buf[conn.io.write_pos..];
+        let mut frames = Vec::new();
+        while !rest.is_empty() {
+            let len = u32::from_be_bytes(rest[..4].try_into().unwrap()) as usize;
+            frames.push(wire::decode_control(&rest[4..4 + len]).unwrap());
+            rest = &rest[4 + len..];
+        }
+        frames
+    }
+
+    #[test]
+    fn a_read_that_ends_inside_the_next_frame_keeps_its_first_bytes() {
+        // One read carries a whole `Hello` and the first bytes of the
+        // batch behind it: the `Hello` is served, the batch's bytes move
+        // to the front of the buffer with their age restarted, and the
+        // read that completes the batch serves it.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let obs = Observability::new();
+        let metrics = ServeMetrics::new(&obs.registry);
+        let slot = Arc::new(ModelSlot::new(trained()));
+        let mut env =
+            SessionEnv::new(slot, ServerConfig::default(), CompositionFeed::new(), &obs, &metrics);
+        let mut conn = Conn { io: ConnIo::new(stream), sess: Session::new(1), closing: None };
+
+        let mut bytes = Vec::new();
+        append_frame(&mut bytes, &ControlFrame::Hello { session: 0, model_id: 0 });
+        let hello_len = bytes.len();
+        let snap = |t: u64| {
+            let mut frame = MetricFrame::zeroed();
+            frame.set(MetricId::CpuUser, 88.0);
+            wire::encode(&Snapshot::new(NodeId(2), t, frame))
+        };
+        let wires = vec![snap(0), snap(5)];
+        append_frame(&mut bytes, &ControlFrame::SnapshotBatch { wires, ctx: None });
+        let split = hello_len + 6;
+
+        // As if the `Hello`'s first bytes had arrived a second ago.
+        let stale = Instant::now().checked_sub(Duration::from_secs(1)).unwrap();
+        conn.io.frame_started = Some(stale);
+        peer.write_all(&bytes[..split]).unwrap();
+        while replies(&conn).is_empty() || conn.io.filled < split - hello_len {
+            read_turn(&mut conn, &mut env);
+        }
+        assert!(conn.closing.is_none());
+        assert!(matches!(replies(&conn)[..], [ControlFrame::Hello { session: 1, .. }]));
+        assert_eq!(&conn.io.read_buf[..conn.io.filled], &bytes[hello_len..split]);
+        assert!(conn.io.frame_started > Some(stale), "age restarts at the parse boundary");
+        assert!(conn.io.last_read.is_some());
+
+        peer.write_all(&bytes[split..]).unwrap();
+        while conn.io.filled > 0 {
+            read_turn(&mut conn, &mut env);
+        }
+        assert!(conn.closing.is_none());
+        let frames = replies(&conn);
+        assert_eq!(frames.len(), 2, "{frames:?}");
+        assert_eq!(metrics.frames_in.get(), 2);
+        assert_eq!((conn.io.frame_started, conn.io.last_read), (None, None));
+    }
 
     #[test]
     fn one_read_turn_buffers_at_most_a_maximal_frame_and_a_chunk() {
@@ -770,17 +873,16 @@ mod tests {
         let (stream, _) = listener.accept().unwrap();
         stream.set_nonblocking(true).unwrap();
         let mut io = ConnIo::new(stream);
-        let mut tmp = vec![0u8; READ_CHUNK];
         let mut poll = PollSet::new();
         let (mut received, mut largest_turn) = (0, 0);
         loop {
             poll.clear();
             poll.push(&io.stream, true, false);
             assert!(poll.wait(Some(Duration::from_secs(10))).unwrap() > 0, "peer stalled");
-            let eof = io.pump_read(&mut tmp).unwrap();
-            largest_turn = largest_turn.max(io.read_buf.len());
-            received += io.read_buf.len();
-            io.read_buf.clear();
+            let eof = io.pump_read().unwrap();
+            largest_turn = largest_turn.max(io.filled);
+            received += io.filled;
+            io.filled = 0;
             if eof {
                 break;
             }
